@@ -14,17 +14,6 @@ DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class LevelSystem:
-    """Driven level scheme on resonance.  Bare level energies drop out after
-    the rotating-frame transformation and are kept for documentation only."""
-
-    level_count: int
-    amplitudes: tuple[float, ...]  # (Omega1, Omega2[, Omega3])
-    detunings: tuple[float, ...] = (0.0,)
-    energies: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class AtomicEigenReport:
     """Eigenvalues (ascending), orthonormal eigenstates (columns, basis
     {e, f, g[, d]}), and per-eigenstate excited-level probabilities."""

@@ -3,10 +3,11 @@ oracle, and phonon-number extraction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
+from scipy.linalg.lapack import ztrsyl
 
 from .errors import SolverError, UnstableSystemError
 from .model import DriftMatrix, NoiseMatrix, SystemConfig
@@ -17,9 +18,16 @@ RESIDUAL_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """Eigenvalues and stability verdict of a drift matrix.
+
+    ``schur`` holds the complex Schur factors (T, Z) with A = Z T Z^H that the
+    eigenvalues were read from; solve_lyapunov reuses them.
+    """
+
     eigenvalues: tuple[complex, ...]
     max_real_part: float
     stable: bool
+    schur: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -45,17 +53,20 @@ def stability(A: DriftMatrix | np.ndarray, margin: float = STABILITY_MARGIN) -> 
     """Eigenvalue stability test: stable iff max Re(lambda) < -margin.
 
     Equivalent to the Routh-Hurwitz criterion for this purpose and tractable
-    for arbitrary dimension.
+    for arbitrary dimension.  The eigenvalues are the diagonal of the complex
+    Schur form A = Z T Z^H, which the report carries for solve_lyapunov.
     """
     arr = _as_array(A)
     if not np.all(np.isfinite(arr)):
         raise SolverError("drift matrix contains non-finite entries")
-    eigvals = np.linalg.eigvals(arr)
+    T, Z = schur(arr, output="complex")
+    eigvals = np.diag(T)
     max_real = float(eigvals.real.max())
     return StabilityReport(
         eigenvalues=tuple(eigvals),
         max_real_part=max_real,
         stable=max_real < -margin,
+        schur=(T, Z),
     )
 
 
@@ -64,30 +75,34 @@ def solve_lyapunov(
     Q: NoiseMatrix | np.ndarray,
     residual_rtol: float = RESIDUAL_RTOL,
     stability_margin: float = STABILITY_MARGIN,
+    report: StabilityReport | None = None,
 ) -> CovarianceMatrix:
-    """Solve A V + V A^T = -Q by dense vectorization.
+    """Solve A V + V A^T = -Q by Bartels-Stewart on the complex Schur form.
 
-    The equation is linear in V: (I (x) A + A (x) I) vec(V) = -vec(Q) with
-    column-major stacking.  V is symmetrized after the solve and the residual
-    is checked against residual_rtol * max(1, ||Q||_max).
+    With A = Z T Z^H and W = Z^H V conj(Z), the equation becomes the
+    triangular Sylvester equation T W + W T^T = -Z^H Q conj(Z), solved by
+    LAPACK ztrsyl in O(n^3); then V = Z W Z^T.  The Schur factors come from
+    ``report`` (a stability(A) result, whose own margin then applies) or from
+    a fresh stability(A, stability_margin).  V is symmetrized after the solve
+    and the residual is checked against residual_rtol * max(1, ||Q||_max).
     """
     a = _as_array(A).astype(complex)
     q = _as_array(Q).astype(complex)
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise SolverError("A and Q must be square matrices of equal dimension")
-    report = stability(a, margin=stability_margin)
+    if report is None:
+        report = stability(a, margin=stability_margin)
     if not report.stable:
         raise UnstableSystemError(
             f"drift matrix is not stable (max Re eigenvalue = {report.max_real_part:g})"
         )
-    eye = np.eye(n)
-    lhs = np.kron(eye, a) + np.kron(a, eye)
-    try:
-        vec_v = np.linalg.solve(lhs, -q.flatten(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular Lyapunov system (marginal stability)") from exc
-    v = vec_v.reshape((n, n), order="F")
+    T, Z = report.schur
+    # op(conj(T)) with tranb="C" is conj(T)^H = T^T
+    w, w_scale, info = ztrsyl(T, T.conj(), -(Z.conj().T @ q @ Z.conj()), tranb="C")
+    if info != 0:
+        raise SolverError(f"singular Lyapunov system (marginal stability, info={info})")
+    v = (Z @ w @ Z.T) / w_scale
     v = 0.5 * (v + v.T)
     scale = max(1.0, float(np.abs(q).max()))
     residual = float(np.abs(a @ v + v @ a.T + q).max())

@@ -9,6 +9,7 @@ vector is [da_0, ..., db_0, ..., da_0^+, ..., db_0^+, ...].
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,6 @@ class SteadyAmplitudes:
     effective_detunings: tuple[float, ...]
     linearized_couplings: tuple[complex, ...]
     coupling_phases: tuple[float, ...]
-    converged: bool
     iterations: int
 
 
@@ -136,16 +136,21 @@ class NoiseMatrix:
     entries: np.ndarray
 
 
+_MODE_ID = re.compile(r"[cm](0|[1-9][0-9]*)")
+
+
 def _split_mode_id(mode_id: str) -> tuple[str, int]:
-    if not isinstance(mode_id, str) or len(mode_id) < 2 or mode_id[0] not in "cm":
+    """Split "c<i>" / "m<j>" into kind and index.  Only the canonical
+    spelling is accepted, so "m00" or "m+0" cannot alias "m0"."""
+    if not isinstance(mode_id, str) or not _MODE_ID.fullmatch(mode_id):
         raise ConfigError(f"malformed mode id {mode_id!r}")
-    try:
-        idx = int(mode_id[1:])
-    except ValueError as exc:
-        raise ConfigError(f"malformed mode id {mode_id!r}") from exc
-    if idx < 0:
-        raise ConfigError(f"malformed mode id {mode_id!r}")
-    return mode_id[0], idx
+    return mode_id[0], int(mode_id[1:])
+
+
+def _require_finite(owner: str, obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        if not cmath.isfinite(getattr(obj, name)):
+            raise ConfigError(f"{owner}: {name} must be finite")
 
 
 def _endpoint_kinds(edge: CouplingEdge) -> tuple[str, str]:
@@ -162,8 +167,9 @@ _EXPECTED_ENDPOINTS = {
 def validate_config(config: SystemConfig) -> SystemConfig:
     """Check every structural invariant and return the config unchanged.
 
-    Raises ConfigError on: empty mode lists, negative rates, malformed or
-    dangling endpoints, edge-kind mismatch, self-loops, and duplicate edges.
+    Raises ConfigError on: empty mode lists, non-finite (NaN or infinite)
+    numbers, negative rates, malformed or dangling endpoints, edge-kind
+    mismatch, self-loops, and duplicate edges.
     """
     if not config.cavities or not config.mechanicals:
         raise ConfigError("empty mode list: need at least one cavity and one mechanical mode")
@@ -172,9 +178,12 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     if config.topology not in TOPOLOGY_TAGS:
         raise ConfigError(f"unknown topology {config.topology!r}")
     for i, cav in enumerate(config.cavities):
+        _require_finite(f"cavity c{i}", cav, ("detuning", "decay", "drive_amplitude"))
         if cav.decay < 0:
             raise ConfigError(f"cavity c{i}: decay must be >= 0")
     for j, mech in enumerate(config.mechanicals):
+        _require_finite(f"mechanical m{j}", mech,
+                        ("frequency", "damping", "thermal_occupation"))
         if mech.frequency <= 0:
             raise ConfigError(f"mechanical m{j}: frequency must be > 0")
         if mech.damping < 0:
@@ -186,6 +195,7 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     for edge in config.edges:
         if edge.kind not in EDGE_KINDS:
             raise ConfigError(f"unknown edge kind {edge.kind!r}")
+        _require_finite(f"{edge.kind} edge {edge.endpoints}", edge, ("strength",))
         kinds = _endpoint_kinds(edge)
         if kinds != _EXPECTED_ENDPOINTS[edge.kind]:
             raise ConfigError(
@@ -251,8 +261,6 @@ def solve_steady_amplitudes(
             delta[c] += 2.0 * (np.conj(g) * beta_now[m]).real
         return delta
 
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         delta_eff = detunings(beta)
         alpha_new = np.zeros_like(alpha)
@@ -280,9 +288,8 @@ def solve_steady_amplitudes(
         beta = damping * beta + (1.0 - damping) * beta_new
         if residual < tol:
             alpha, beta = alpha_new, beta_new
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"steady-state amplitudes did not converge within {max_iter} iterations"
         )
@@ -296,7 +303,6 @@ def solve_steady_amplitudes(
         effective_detunings=tuple(delta_eff),
         linearized_couplings=couplings,
         coupling_phases=phases,
-        converged=True,
         iterations=iterations,
     )
 
@@ -310,15 +316,13 @@ def build_drift_matrix(
     -(gamma + i omega) plus the beam-splitter parts -iG, -iJ, -i eta;
     F carries only the counter-rotating optomechanical -iG entries.
 
-    In effective mode edge strengths are used as-is; in physical mode a
-    converged SteadyAmplitudes supplies Delta' and G = g * alpha.
+    In effective mode edge strengths are used as-is; in physical mode the
+    SteadyAmplitudes (converged by construction) supply Delta' and G = g * alpha.
     """
     validate_config(config)
     if config.parameter_mode == "physical":
         if amplitudes is None:
             raise ConfigError("physical mode requires steady-state amplitudes")
-        if not amplitudes.converged:
-            raise ConfigError("steady-state amplitudes are not converged")
         detunings = amplitudes.effective_detunings
         om_strengths = dict(
             zip((e.endpoints for e in config.optomechanical_edges()),

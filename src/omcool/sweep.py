@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -100,7 +101,7 @@ def solve_record(config: SystemConfig) -> dict:
     record: dict = {"stable": report.stable, "max_real_part": report.max_real_part}
     nm, nc = config.n_mechanicals, config.n_cavities
     if report.stable:
-        V = solve_lyapunov(A, Q)
+        V = solve_lyapunov(A, Q, report=report)
         phonons = phonon_numbers(V, config)
         for l in range(nm):
             record[f"n_f_{l + 1}"] = phonons.mechanical[l]
@@ -148,10 +149,18 @@ def run_solve(config: SystemConfig) -> ResultTable:
 
 
 def default_jobs() -> int:
+    """Worker count from $OMCOOL_JOBS (default 1).  A value that is not a
+    positive integer falls back to 1 with a RuntimeWarning on stderr."""
+    raw = os.environ.get("OMCOOL_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("OMCOOL_JOBS", "1")))
+        jobs = int(raw)
     except ValueError:
+        jobs = 0
+    if jobs < 1:
+        warnings.warn(f"ignoring OMCOOL_JOBS={raw!r}: not a positive integer; using 1 worker",
+                      RuntimeWarning, stacklevel=2)
         return 1
+    return jobs
 
 
 def run_sweep(spec: SweepSpec, parallelism: int | None = None) -> ResultTable:

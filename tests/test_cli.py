@@ -26,6 +26,7 @@ from omcool.results import ResultTable, read_csv, table_to_csv, table_to_svg, wr
 from omcool.sweep import (
     SweepAxis,
     SweepSpec,
+    default_jobs,
     run_atomic,
     run_solve,
     run_sweep,
@@ -311,6 +312,23 @@ def test_cli_validation_error_exit_code(tmp_path):
     assert main(["solve", "--config", str(path)]) == 3
 
 
+def test_cli_aliased_mode_id_exit_code(tmp_path):
+    doc = config_to_dict(n_type_config())
+    doc["edges"].append({"kind": "optomechanical", "endpoints": ["c0", "m00"],
+                         "strength": 0.1})
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path)]) == 3
+
+
+def test_cli_non_finite_exit_code(tmp_path):
+    doc = config_to_dict(n_type_config())
+    doc["cavities"][0]["decay"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # written as the JSON extension NaN
+    assert main(["solve", "--config", str(path)]) == 3
+
+
 def test_cli_sweep_and_emit(tmp_path):
     cfg_path = _write_config(tmp_path, n_type_config())
     out_csv = str(tmp_path / "sweep.csv")
@@ -379,6 +397,15 @@ def test_cli_jobs_env_default(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--config", cfg_path,
                  "--axis", "cavities.0.decay:0.05:1.0:4"]) == 0
     assert "n_f_1" in capsys.readouterr().out
+
+
+def test_invalid_jobs_env_warns(monkeypatch):
+    for raw in ("abc", "0", "-2", ""):
+        monkeypatch.setenv("OMCOOL_JOBS", raw)
+        with pytest.warns(RuntimeWarning, match="OMCOOL_JOBS"):
+            assert default_jobs() == 1
+    monkeypatch.setenv("OMCOOL_JOBS", "2")
+    assert default_jobs() == 2
 
 
 def test_cli_chain_solve(tmp_path, capsys):

@@ -13,7 +13,7 @@ from omcool.lyapunov import (
     stability,
 )
 from omcool.model import build_drift_matrix, build_noise_matrix
-from omcool.presets import n_type_config, network4_config
+from omcool.presets import chain_config, n_type_config, network4_config
 
 
 def random_stable_system(rng, n):
@@ -24,6 +24,15 @@ def random_stable_system(rng, n):
     b = rng.standard_normal((n, n))
     q = b @ b.T
     return a, q
+
+
+def kronecker_lyapunov(a, q):
+    """Reference solve of A V + V A^T = -Q through the n^2 x n^2 linear system
+    (I (x) A + A (x) I) vec(V) = -vec(Q), column-major vec.  Small n only."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    vec_v = np.linalg.solve(np.kron(eye, a) + np.kron(a, eye), -q.flatten(order="F"))
+    return vec_v.reshape((n, n), order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +98,53 @@ def test_residual_invariant_random_systems():
         V = solve_lyapunov(a, q).entries
         residual = np.abs(a @ V + V @ a.T + q).max()
         assert residual <= 1e-9 * max(1.0, np.abs(q).max())
+
+
+def test_agrees_with_kronecker_reference():
+    rng = np.random.default_rng(3)
+    systems = [random_stable_system(rng, n) for n in (1, 2, 3, 5, 8) for _ in range(4)]
+    cfg = n_type_config()
+    systems.append((build_drift_matrix(cfg).entries, build_noise_matrix(cfg).entries))
+    for a, q in systems:
+        V = solve_lyapunov(a, q).entries
+        ref = kronecker_lyapunov(a, q)
+        assert np.abs(V - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_report_reuse_matches_fresh_solve():
+    rng = np.random.default_rng(5)
+    cfg = network4_config()
+    systems = [random_stable_system(rng, 6),
+               (build_drift_matrix(cfg).entries, build_noise_matrix(cfg).entries)]
+    for a, q in systems:
+        fresh = solve_lyapunov(a, q).entries
+        reused = solve_lyapunov(a, q, report=stability(a)).entries
+        assert np.array_equal(fresh, reused)
+
+
+def test_unstable_report_raises():
+    a = np.array([[1.0]])
+    with pytest.raises(UnstableSystemError):
+        solve_lyapunov(a, np.array([[1.0]]), report=stability(a))
+    # the report's verdict is the one used: a stable A judged with a margin
+    # beyond its decay rate is refused
+    b = np.array([[-1.0]])
+    with pytest.raises(UnstableSystemError):
+        solve_lyapunov(b, np.array([[1.0]]), report=stability(b, margin=2.0))
+
+
+def test_long_chain_solves():
+    # n = 132: the Kronecker system would be 17424 x 17424 complex
+    cfg = chain_config(64)
+    A, Q = build_drift_matrix(cfg), build_noise_matrix(cfg)
+    assert A.entries.shape == (132, 132)
+    report = stability(A)
+    assert report.stable
+    V = solve_lyapunov(A, Q, report=report).entries
+    residual = np.abs(A.entries @ V + V @ A.entries.T + Q.entries).max()
+    assert residual <= 1e-9 * max(1.0, np.abs(Q.entries).max())
+    n = phonon_numbers(V, cfg).mechanical
+    assert n[0] == min(n)
 
 
 # ---------------------------------------------------------------------------

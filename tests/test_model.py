@@ -90,6 +90,56 @@ def test_negative_rates_rejected():
             mechanicals=(MechanicalMode(0.0, 1e-5),), edges=()))
 
 
+@pytest.mark.parametrize("mode_id", ["m00", "m+0", "m-0", "m 0", "m0 ", "m0\n", "m\u0660", "c01", "m"])
+def test_noncanonical_mode_id_rejected(mode_id):
+    cfg = dataclasses.replace(
+        n_type_config(),
+        edges=(CouplingEdge("optomechanical", ("c0", mode_id), 0.1),),
+    )
+    with pytest.raises(ConfigError, match="malformed mode id"):
+        validate_config(cfg)
+
+
+def test_aliased_mode_id_cannot_duplicate_edge():
+    # "m00" once parsed as m0, so c0-m0 and c0-m00 added silently in A
+    cfg = dataclasses.replace(
+        n_type_config(),
+        edges=(
+            CouplingEdge("optomechanical", ("c0", "m0"), 0.1),
+            CouplingEdge("optomechanical", ("c0", "m00"), 0.2),
+        ),
+    )
+    with pytest.raises(ConfigError, match="malformed mode id 'm00'"):
+        validate_config(cfg)
+
+
+_NUMERIC_FIELDS = [
+    ("cavities", "detuning"),
+    ("cavities", "decay"),
+    ("cavities", "drive_amplitude"),
+    ("mechanicals", "frequency"),
+    ("mechanicals", "damping"),
+    ("mechanicals", "thermal_occupation"),
+    ("edges", "strength"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [(sec, fld, v) for sec, fld in _NUMERIC_FIELDS
+     for v in (float("nan"), float("inf"), float("-inf"))]
+    + [("cavities", "drive_amplitude", complex(60.0, float("nan"))),
+       ("edges", "strength", complex(0.05, float("inf")))],
+)
+def test_non_finite_input_rejected(section, field, value):
+    base = n_type_config()
+    items = list(getattr(base, section))
+    items[-1] = dataclasses.replace(items[-1], **{field: value})
+    cfg = dataclasses.replace(base, **{section: tuple(items)})
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        validate_config(cfg)
+
+
 def test_canonical_mode_index_order():
     cfg = n_type_config()
     assert [cfg.mode_index(m) for m in ("c0", "c1", "m0", "m1")] == [0, 1, 2, 3]
