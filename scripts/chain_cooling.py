@@ -13,16 +13,9 @@ Usage: python scripts/chain_cooling.py [--n 3] [--points 80] [--jobs 4]
 import argparse
 from pathlib import Path
 
-from omcool.lyapunov import phonon_numbers, solve_lyapunov
-from omcool.model import build_drift_matrix, build_noise_matrix
 from omcool.presets import chain_config
 from omcool.results import write_csv, write_svg
-from omcool.sweep import SweepAxis, SweepSpec, run_sweep
-
-
-def occupations(config):
-    V = solve_lyapunov(build_drift_matrix(config), build_noise_matrix(config))
-    return phonon_numbers(V, config).mechanical
+from omcool.sweep import SweepAxis, SweepSpec, run_sweep, solve_record
 
 
 def main() -> None:
@@ -33,16 +26,17 @@ def main() -> None:
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
 
-    broken = occupations(chain_config(args.n))
-    intact = occupations(chain_config(args.n, Gs=0.0, eta=0.0))
+    n_f = [f"n_f_{l + 1}" for l in range(args.n)]
+    broken = solve_record(chain_config(args.n))
+    intact = solve_record(chain_config(args.n, Gs=0.0, eta=0.0))
     print(f"N = {args.n}")
-    print("  dark modes broken:", "  ".join(f"{n:.4f}" for n in broken))
-    print("  dark modes intact:", "  ".join(f"{n:.1f}" for n in intact))
+    print("  dark modes broken:", "  ".join(f"{broken[c]:.4f}" for c in n_f))
+    print("  dark modes intact:", "  ".join(f"{intact[c]:.1f}" for c in n_f))
 
     spec = SweepSpec(
         base=chain_config(args.n),
         axes=(SweepAxis("cavities.0.detuning", 0.5, 1.5, args.points),),
-        outputs=tuple(f"n_f_{l + 1}" for l in range(args.n)) + ("stable",),
+        outputs=tuple(n_f) + ("stable",),
     )
     table = run_sweep(spec, parallelism=args.jobs)
     outdir = Path(args.outdir)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .config_io import dump_config, parse_config
-from .errors import ConfigError, OmcoolError, ParseError, UnstableSystemError
+from .errors import ConfigError, OmcoolError, ParseError, SolverError, UnstableSystemError
 from .presets import get_preset, preset_names
 from .results import ResultTable, read_csv, table_to_csv, table_to_svg, write_csv, write_svg
 from .sweep import SweepAxis, SweepSpec, default_jobs, run_atomic, run_solve, run_sweep, run_taxonomy
@@ -81,7 +81,7 @@ def _cmd_sweep(args) -> int:
     jobs = args.jobs if args.jobs is not None else default_jobs()
     try:
         table = run_sweep(spec, parallelism=jobs)
-    except OmcoolError as exc:
+    except SolverError as exc:
         partial = getattr(exc, "partial", None)
         if partial is not None and args.out:
             write_csv(partial, args.out)
@@ -130,11 +130,8 @@ def _cmd_preset(args) -> int:
         table = run_sweep(preset.sweep, parallelism=jobs)
     elif preset.kind == "taxonomy":
         lo, hi = preset.taxonomy_kappa
-        table = run_taxonomy(preset.config, np.linspace(lo, hi, preset.points))
-        if preset.taxonomy_sizes:
-            idx = table.columns.index("closed_channels")
-            table.rows = [row for row in table.rows
-                          if len(row[idx].split("+")) in preset.taxonomy_sizes]
+        table = run_taxonomy(preset.config, np.linspace(lo, hi, preset.points),
+                             preset.taxonomy_sizes)
     else:
         lo, hi = preset.atomic_ratio
         table = run_atomic(preset.atomic_levels, np.linspace(lo, hi, preset.points))

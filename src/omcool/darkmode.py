@@ -16,6 +16,8 @@ EPS_DARK = 1e-10
 # Names of the four optional coupling channels of the network-coupled
 # four-mode system (the two intermediate-cavity couplings stay open).
 CHANNELS = ("J", "eta", "Gs1", "Gs2")
+# Closed-channel subset sizes of the 14 taxonomy configurations.
+TAXONOMY_SIZES = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,14 @@ def _two_mode_couplings(config: SystemConfig) -> dict[str, float]:
     return values
 
 
-def dark_mode_condition(config: SystemConfig, eps: float = EPS_DARK) -> DarkModeReport:
+def dark_mode_condition(config: SystemConfig) -> DarkModeReport:
     """Evaluate the algebraic dark-mode conditions
 
         (omega1 - omega2) G1 G2 + eta (G2^2 - G1^2) = 0
         Gs1 G2 - Gs2 G1 = 0
 
-    The photon-hopping strength J never enters: it cannot break the dark mode.
+    Each residual counts as zero below EPS_DARK * max(1, G+).  The
+    photon-hopping strength J never enters: it cannot break the dark mode.
     """
     p = _two_mode_couplings(config)
     h = hybridize(p["G1"], p["G2"], p["omega1"], p["omega2"], p["eta"], p["Gs1"], p["Gs2"])
@@ -138,9 +141,9 @@ def dark_mode_condition(config: SystemConfig, eps: float = EPS_DARK) -> DarkMode
     zeta_res = abs(h.zeta)
     gs_res = abs(h.gs_minus)
     channels = []
-    if zeta_res >= eps * scale:
+    if zeta_res >= EPS_DARK * scale:
         channels.append("hybrid-mode mixing (zeta != 0: frequency mismatch or phonon hopping)")
-    if gs_res >= eps * scale:
+    if gs_res >= EPS_DARK * scale:
         channels.append("asymmetric auxiliary coupling (Gs- != 0)")
     return DarkModeReport(
         dark_present=not channels,
@@ -188,7 +191,7 @@ def classify_configurations(
     if base.topology != "network4":
         raise ConfigError("configuration taxonomy requires topology 'network4'")
     results = []
-    for size in (1, 2, 3):
+    for size in TAXONOMY_SIZES:
         for combo in itertools.combinations(CHANNELS, size):
             closed = frozenset(combo)
             cfg = close_channels(base, closed)

@@ -14,6 +14,8 @@ from .model import DriftMatrix, NoiseMatrix, SystemConfig
 
 STABILITY_MARGIN = 1e-9
 RESIDUAL_RTOL = 1e-9
+INTEGRATION_RTOL = 1e-10
+IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,6 @@ def stability(A: DriftMatrix | np.ndarray, margin: float = STABILITY_MARGIN) -> 
 def solve_lyapunov(
     A: DriftMatrix | np.ndarray,
     Q: NoiseMatrix | np.ndarray,
-    residual_rtol: float = RESIDUAL_RTOL,
-    stability_margin: float = STABILITY_MARGIN,
     report: StabilityReport | None = None,
 ) -> CovarianceMatrix:
     """Solve A V + V A^T = -Q by Bartels-Stewart on the complex Schur form.
@@ -83,8 +83,8 @@ def solve_lyapunov(
     triangular Sylvester equation T W + W T^T = -Z^H Q conj(Z), solved by
     LAPACK ztrsyl in O(n^3); then V = Z W Z^T.  The Schur factors come from
     ``report`` (a stability(A) result, whose own margin then applies) or from
-    a fresh stability(A, stability_margin).  V is symmetrized after the solve
-    and the residual is checked against residual_rtol * max(1, ||Q||_max).
+    a fresh stability(A) with STABILITY_MARGIN.  V is symmetrized after the
+    solve and the residual is checked against RESIDUAL_RTOL * max(1, ||Q||_max).
     """
     a = _as_array(A).astype(complex)
     q = _as_array(Q).astype(complex)
@@ -92,7 +92,7 @@ def solve_lyapunov(
     if a.shape != (n, n) or q.shape != (n, n):
         raise SolverError("A and Q must be square matrices of equal dimension")
     if report is None:
-        report = stability(a, margin=stability_margin)
+        report = stability(a)
     if not report.stable:
         raise UnstableSystemError(
             f"drift matrix is not stable (max Re eigenvalue = {report.max_real_part:g})"
@@ -106,7 +106,7 @@ def solve_lyapunov(
     v = 0.5 * (v + v.T)
     scale = max(1.0, float(np.abs(q).max()))
     residual = float(np.abs(a @ v + v @ a.T + q).max())
-    if residual > residual_rtol * scale:
+    if residual > RESIDUAL_RTOL * scale:
         raise SolverError(f"Lyapunov residual {residual:g} exceeds tolerance")
     return CovarianceMatrix(entries=v)
 
@@ -115,7 +115,6 @@ def integrate_covariance(
     A: DriftMatrix | np.ndarray,
     Q: NoiseMatrix | np.ndarray,
     t_end: float,
-    dt_control: float = 1e-10,
     v0: np.ndarray | None = None,
 ) -> CovarianceMatrix:
     """Propagate dV/dt = A V + V A^T + Q from V(0) = v0 (default 0) to t_end.
@@ -123,7 +122,8 @@ def integrate_covariance(
     Uses exact exponential propagation: the inhomogeneous term over a base
     step h is S(h) = int_0^h exp(As) Q exp(A^T s) ds, evaluated with the
     block-exponential identity, then step-doubled up to t_end.  The base step
-    is refined until two successive refinements agree within dt_control.
+    is refined until two successive refinements agree within INTEGRATION_RTOL
+    (relative to max(1, ||V||_max)).
     This never touches the Lyapunov linear system, so it serves as an
     independent oracle for solve_lyapunov.
     """
@@ -143,7 +143,7 @@ def integrate_covariance(
         v = _propagate(a, q, v0, t_end, k)
         if prev is not None:
             diff = float(np.abs(v - prev).max())
-            if diff <= dt_control * max(1.0, float(np.abs(v).max())):
+            if diff <= INTEGRATION_RTOL * max(1.0, float(np.abs(v).max())):
                 return CovarianceMatrix(entries=0.5 * (v + v.T))
         prev = v
         k += 1
@@ -167,17 +167,14 @@ def _propagate(a: np.ndarray, q: np.ndarray, v0: np.ndarray, t_end: float, k: in
     return E @ v0 @ E.T + S
 
 
-def phonon_numbers(
-    V: CovarianceMatrix | np.ndarray,
-    config: SystemConfig,
-    imag_tol: float = 1e-6,
-) -> PhononReport:
+def phonon_numbers(V: CovarianceMatrix | np.ndarray, config: SystemConfig) -> PhononReport:
     """Extract final occupations from the covariance matrix.
 
     With C cavities and canonical ordering, the l-th mechanical occupation is
     Re V[M + C + l, C + l] - 1/2 (the V_73 - 1/2 and V_84 - 1/2 elements of
     the four-mode case).  Cavity photon fluctuation occupations are reported
-    as a diagnostic.
+    as a diagnostic.  A second moment whose imaginary part exceeds IMAG_TOL
+    raises SolverError.
     """
     v = _as_array(V)
     m = config.n_modes
@@ -187,7 +184,7 @@ def phonon_numbers(
 
     def occupation(idx: int) -> float:
         moment = v[m + idx, idx]
-        if abs(complex(moment).imag) > imag_tol:
+        if abs(complex(moment).imag) > IMAG_TOL:
             raise SolverError(
                 f"second moment at mode {idx} has imaginary part {complex(moment).imag:g}"
             )

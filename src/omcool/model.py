@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,10 @@ from .errors import ConfigError, ConvergenceError
 EDGE_KINDS = ("optomechanical", "photon_hop", "phonon_hop")
 PARAMETER_MODES = ("effective", "physical")
 TOPOLOGY_TAGS = ("n_type", "network4", "chain", "generic")
+
+AMPLITUDE_TOL = 1e-12
+AMPLITUDE_MAX_ITER = 10_000
+AMPLITUDE_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -82,15 +86,13 @@ class SystemConfig:
             raise ConfigError(f"dangling edge endpoint {mode_id!r}")
         return self.n_cavities + idx
 
-    def optomechanical_edges(self) -> tuple[CouplingEdge, ...]:
-        return tuple(e for e in self.edges if e.kind == "optomechanical")
-
 
 @dataclass(frozen=True)
 class SteadyAmplitudes:
     """Fixed point of the steady-state amplitude equations (physical mode).
 
-    ``linearized_couplings`` is aligned with ``config.optomechanical_edges()``;
+    ``linearized_couplings`` follows the optomechanical edges of the config in
+    edge order;
     ``coupling_phases`` holds, per coupling, the phase phi such that
     G * exp(-i phi) is real and non-negative.
     """
@@ -109,14 +111,10 @@ class DriftMatrix:
     [[E, F], [conj(F), conj(E)]]."""
 
     entries: np.ndarray
-    dimension: int = field(default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dimension", self.entries.shape[0])
 
     @property
     def half(self) -> int:
-        return self.dimension // 2
+        return self.entries.shape[0] // 2
 
     @property
     def E(self) -> np.ndarray:
@@ -214,12 +212,7 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     return config
 
 
-def solve_steady_amplitudes(
-    config: SystemConfig,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-    damping: float = 0.5,
-) -> SteadyAmplitudes:
+def solve_steady_amplitudes(config: SystemConfig) -> SteadyAmplitudes:
     """Damped Picard iteration for the coupled steady-state amplitude equations.
 
     Physical mode only.  The cavity amplitudes alpha, displacements beta, and
@@ -230,13 +223,14 @@ def solve_steady_amplitudes(
                   / (gamma_m + i omega_m)
         Delta'_c = Delta_c + 2 sum_m Re(conj(g_cm) beta_m)
 
-    Raises ConvergenceError after max_iter (bistable or unstable drive regime).
+    Each step keeps AMPLITUDE_DAMPING of the old iterate; the iteration stops
+    once the largest update is below AMPLITUDE_TOL (absolute).  Raises
+    ConvergenceError after AMPLITUDE_MAX_ITER steps (bistable or unstable
+    drive regime).
     """
     validate_config(config)
     if config.parameter_mode != "physical":
         raise ConfigError("solve_steady_amplitudes requires parameter_mode='physical'")
-    if tol <= 0:
-        raise ConfigError("tol must be > 0")
 
     nc, nm = config.n_cavities, config.n_mechanicals
     alpha = np.zeros(nc, dtype=complex)
@@ -261,7 +255,7 @@ def solve_steady_amplitudes(
             delta[c] += 2.0 * (np.conj(g) * beta_now[m]).real
         return delta
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, AMPLITUDE_MAX_ITER + 1):
         delta_eff = detunings(beta)
         alpha_new = np.zeros_like(alpha)
         for c, cav in enumerate(config.cavities):
@@ -284,14 +278,14 @@ def solve_steady_amplitudes(
 
         residual = max(np.abs(alpha_new - alpha).max(initial=0.0),
                        np.abs(beta_new - beta).max(initial=0.0))
-        alpha = damping * alpha + (1.0 - damping) * alpha_new
-        beta = damping * beta + (1.0 - damping) * beta_new
-        if residual < tol:
+        alpha = AMPLITUDE_DAMPING * alpha + (1.0 - AMPLITUDE_DAMPING) * alpha_new
+        beta = AMPLITUDE_DAMPING * beta + (1.0 - AMPLITUDE_DAMPING) * beta_new
+        if residual < AMPLITUDE_TOL:
             alpha, beta = alpha_new, beta_new
             break
     else:
         raise ConvergenceError(
-            f"steady-state amplitudes did not converge within {max_iter} iterations"
+            f"steady-state amplitudes did not converge within {AMPLITUDE_MAX_ITER} iterations"
         )
 
     delta_eff = detunings(beta)
@@ -316,45 +310,34 @@ def build_drift_matrix(
     -(gamma + i omega) plus the beam-splitter parts -iG, -iJ, -i eta;
     F carries only the counter-rotating optomechanical -iG entries.
 
-    In effective mode edge strengths are used as-is; in physical mode the
-    SteadyAmplitudes (converged by construction) supply Delta' and G = g * alpha.
+    In effective mode edge strengths are used as-is; a physical-mode config
+    is first translated by effective_config with its SteadyAmplitudes, which
+    supply Delta' and G = g * alpha.
     """
-    validate_config(config)
     if config.parameter_mode == "physical":
         if amplitudes is None:
             raise ConfigError("physical mode requires steady-state amplitudes")
-        detunings = amplitudes.effective_detunings
-        om_strengths = dict(
-            zip((e.endpoints for e in config.optomechanical_edges()),
-                amplitudes.linearized_couplings)
-        )
+        config = effective_config(config, amplitudes)
     else:
-        detunings = tuple(cav.detuning for cav in config.cavities)
-        om_strengths = {
-            e.endpoints: complex(e.strength) for e in config.optomechanical_edges()
-        }
+        validate_config(config)
 
     m = config.n_modes
     E = np.zeros((m, m), dtype=complex)
     F = np.zeros((m, m), dtype=complex)
     for c, cav in enumerate(config.cavities):
-        E[c, c] = -(cav.decay + 1j * detunings[c])
+        E[c, c] = -(cav.decay + 1j * cav.detuning)
     for j, mech in enumerate(config.mechanicals):
         k = config.n_cavities + j
         E[k, k] = -(mech.damping + 1j * mech.frequency)
     for edge in config.edges:
         i = config.mode_index(edge.endpoints[0])
         j = config.mode_index(edge.endpoints[1])
+        s = complex(edge.strength)
+        E[i, j] += -1j * s
+        E[j, i] += -1j * np.conj(s)
         if edge.kind == "optomechanical":
-            G = om_strengths[edge.endpoints]
-            E[i, j] += -1j * G
-            E[j, i] += -1j * np.conj(G)
-            F[i, j] += -1j * G
-            F[j, i] += -1j * G
-        else:
-            s = complex(edge.strength)
-            E[i, j] += -1j * s
-            E[j, i] += -1j * np.conj(s)
+            F[i, j] += -1j * s
+            F[j, i] += -1j * s
 
     A = np.block([[E, F], [np.conj(F), np.conj(E)]])
     return DriftMatrix(entries=A)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .darkmode import TAXONOMY_SIZES
 from .errors import ConfigError
 from .model import CavityMode, CouplingEdge, MechanicalMode, SystemConfig
 from .sweep import SweepAxis, SweepSpec
@@ -111,7 +112,7 @@ class Preset:
     description: str
     config: SystemConfig | None = None
     sweep: SweepSpec | None = None
-    taxonomy_sizes: tuple[int, ...] = ()
+    taxonomy_sizes: tuple[int, ...] = TAXONOMY_SIZES
     taxonomy_kappa: tuple[float, float] = (0.0, 0.0)
     atomic_levels: int = 0
     atomic_ratio: tuple[float, float] = (0.0, 0.0)

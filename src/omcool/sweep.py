@@ -14,8 +14,8 @@ import numpy as np
 from . import __version__
 from .atomic import four_level_eigensystem, three_level_eigensystem
 from .config_io import config_hash
-from .darkmode import classify_configurations, dark_mode_condition
-from .errors import ConfigError, OmcoolError, SolverError, UnstableSystemError
+from .darkmode import TAXONOMY_SIZES, classify_configurations, dark_mode_condition
+from .errors import ConfigError, OmcoolError
 from .lyapunov import phonon_numbers, solve_lyapunov, stability
 from .model import (
     SystemConfig,
@@ -60,6 +60,9 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError("a sweep needs one or two axes")
+        paths = [axis.path for axis in self.axes]
+        if len(set(paths)) != len(paths):
+            raise ConfigError(f"duplicate sweep axis {paths[0]!r}")
 
 
 def set_parameter(config: SystemConfig, path: str, value: float) -> SystemConfig:
@@ -88,9 +91,9 @@ def solve_record(config: SystemConfig) -> dict:
     numbers, and (for two-mechanical topologies) the dark-mode report.
 
     Unstable systems produce a flagged record with empty occupations instead
-    of raising.
+    of raising.  The config is validated by the first stage that reads it
+    (the amplitude solve in physical mode, drift assembly in effective mode).
     """
-    validate_config(config)
     if config.parameter_mode == "physical":
         amplitudes = solve_steady_amplitudes(config)
     else:
@@ -212,9 +215,11 @@ def run_sweep(spec: SweepSpec, parallelism: int | None = None) -> ResultTable:
     return table
 
 
-def run_taxonomy(base: SystemConfig, kappa_values=None) -> ResultTable:
-    """One row per closed-channel subset (14 rows), optionally crossed with a
-    sweep of the intermediate-cavity decay rate."""
+def run_taxonomy(base: SystemConfig, kappa_values=None,
+                 sizes: tuple[int, ...] = TAXONOMY_SIZES) -> ResultTable:
+    """One row per closed-channel subset whose size is in ``sizes`` (all 14
+    for the default TAXONOMY_SIZES), optionally crossed with a sweep of the
+    intermediate-cavity decay rate.  Subsets of other sizes are never solved."""
     results = classify_configurations(base)
     columns = ["closed_channels", "kappa", "dark", "zeta_residual",
                "gs_minus_residual", "stable", "n_f_1", "n_f_2"]
@@ -224,6 +229,8 @@ def run_taxonomy(base: SystemConfig, kappa_values=None) -> ResultTable:
     )
     kappas = [base.cavities[0].decay] if kappa_values is None else list(kappa_values)
     for closed, cfg, dm in results:
+        if len(closed) not in sizes:
+            continue
         label = "+".join(ch for ch in ("J", "eta", "Gs1", "Gs2") if ch in closed)
         for kappa in kappas:
             record = solve_record(set_parameter(cfg, "cavities.0.decay", float(kappa)))

@@ -214,6 +214,16 @@ def test_taxonomy_table_shape():
     assert sum(1 for row in table.rows if row[table.columns.index("dark")]) == 6
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_taxonomy_sizes_equal_filtered_full_table(k):
+    kappas = np.linspace(0.05, 1.0, 3)
+    full = run_taxonomy(network4_config(), kappas)
+    kept = run_taxonomy(network4_config(), kappas, sizes=(k,))
+    assert kept.columns == full.columns
+    assert kept.metadata == full.metadata
+    assert kept.rows == [row for row in full.rows if len(row[0].split("+")) == k]
+
+
 def test_atomic_table_dark_column():
     table = run_atomic(3, np.linspace(0.0, 3.0, 7))
     idx = [table.columns.index(f"lambda_{s}") for s in (1, 2, 3)]
@@ -354,6 +364,38 @@ def test_cli_sweep_jobs_deterministic(tmp_path):
 def test_cli_bad_axis_spec(tmp_path):
     cfg_path = _write_config(tmp_path, n_type_config())
     assert main(["sweep", "--config", cfg_path, "--axis", "cavities.0.decay"]) == 3
+
+
+@pytest.mark.parametrize("axes", [
+    ["cavities.0.decay:-1:1:5"],
+    ["cavities.0.decay:nan:1:5"],
+    ["cavities.0.flux:0:1:5"],
+    ["cavities.0.decay:0.05:1.0:3", "cavities.0.decay:0.1:0.2:2"],
+], ids=["negative-decay", "nan-bound", "unknown-field", "duplicate-axis"])
+def test_cli_sweep_input_error_exit_code(tmp_path, axes):
+    cfg_path = _write_config(tmp_path, n_type_config())
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", cfg_path, "--out", str(out)]
+    for axis in axes:
+        argv += ["--axis", axis]
+    assert main(argv) == 3
+    assert not out.exists()
+
+
+def test_cli_sweep_solver_failure_keeps_partial_table(tmp_path):
+    # the amplitude iteration converges at drive 60 and gives up at 3000
+    doc = config_to_dict(n_type_config())
+    doc["parameter_mode"] = "physical"
+    for cav, drive in zip(doc["cavities"], (60.0, 80.0)):
+        cav["drive_amplitude"] = drive
+    for edge, g in zip(doc["edges"], (5e-4, 5e-4, 8e-4)):
+        edge["strength"] = g
+    cfg_path = tmp_path / "physical.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
+    assert read_csv(out).column("cavities.0.drive_amplitude") == [60.0]
 
 
 def test_cli_taxonomy(tmp_path, capsys):

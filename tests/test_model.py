@@ -22,6 +22,7 @@ from omcool.model import (
     validate_config,
 )
 from omcool.presets import chain_config, n_type_config, network4_config
+from omcool.sweep import solve_record
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,67 @@ def test_physical_effective_consistency():
     A_phys = build_drift_matrix(cfg, amps).entries
     A_eff = build_drift_matrix(effective_config(cfg, amps)).entries
     assert np.abs(A_phys - A_eff).max() < 1e-10
+
+
+# Network-coupled four-mode system with complex hops and a complex drive.
+_NET4_G = {("c0", "m0"): 5e-4, ("c0", "m1"): 4e-4, ("c1", "m0"): 8e-4, ("c1", "m1"): 6e-4}
+_NET4_J = 0.02 + 0.015j
+_NET4_ETA = 0.01 - 0.012j
+
+
+def _physical_network4():
+    return SystemConfig(
+        cavities=(CavityMode(1.0, 0.1, 60.0), CavityMode(0.9, 0.15, 30.0 + 25.0j)),
+        mechanicals=(MechanicalMode(1.0, 1e-5, 1000.0), MechanicalMode(1.05, 1e-5, 1000.0)),
+        edges=tuple(CouplingEdge("optomechanical", ends, g) for ends, g in _NET4_G.items())
+        + (CouplingEdge("photon_hop", ("c0", "c1"), _NET4_J),
+           CouplingEdge("phonon_hop", ("m0", "m1"), _NET4_ETA)),
+        parameter_mode="physical",
+        topology="network4",
+    )
+
+
+def test_network4_amplitudes_match_root_finding_oracle():
+    cfg = _physical_network4()
+    amps = solve_steady_amplitudes(cfg)
+    g = {(int(c[1]), int(m[1])): v for (c, m), v in _NET4_G.items()}
+
+    def equations(x):
+        a = (x[0] + 1j * x[1], x[2] + 1j * x[3])
+        b = (x[4] + 1j * x[5], x[6] + 1j * x[7])
+        d = [cav.detuning + 2.0 * sum((np.conj(g[c, m]) * b[m]).real for m in (0, 1))
+             for c, cav in enumerate(cfg.cavities)]
+        photon = (_NET4_J * a[1], np.conj(_NET4_J) * a[0])
+        phonon = (_NET4_ETA * b[1], np.conj(_NET4_ETA) * b[0])
+        r = [(cav.decay + 1j * d[c]) * a[c] + 1j * (cav.drive_amplitude + photon[c])
+             for c, cav in enumerate(cfg.cavities)]
+        r += [(mech.damping + 1j * mech.frequency) * b[m]
+              + 1j * (sum(g[c, m] * abs(a[c]) ** 2 for c in (0, 1)) + phonon[m])
+              for m, mech in enumerate(cfg.mechanicals)]
+        return [w for z in r for w in (z.real, z.imag)]
+
+    sol = fsolve(equations, np.zeros(8), xtol=1e-13)
+    assert np.abs(equations(sol)).max() < 1e-9
+    oracle = sol[0::2] + 1j * sol[1::2]
+    for got, want in zip(amps.cavity_amplitudes + amps.mechanical_displacements, oracle):
+        assert abs(got - want) < 1e-10
+
+
+def test_network4_physical_drift_matrix_is_effective_translation():
+    cfg = _physical_network4()
+    amps = solve_steady_amplitudes(cfg)
+    A_phys = build_drift_matrix(cfg, amps).entries
+    A_eff = build_drift_matrix(effective_config(cfg, amps)).entries
+    assert np.array_equal(A_phys, A_eff)
+
+
+@pytest.mark.parametrize("physical", [False, True], ids=["effective", "physical"])
+def test_solve_record_rejects_invalid_config(physical):
+    base = _physical_n_type() if physical else n_type_config()
+    bad = dataclasses.replace(
+        base, cavities=(dataclasses.replace(base.cavities[0], decay=-1.0),) + base.cavities[1:])
+    with pytest.raises(ConfigError, match="decay must be >= 0"):
+        solve_record(bad)
 
 
 # ---------------------------------------------------------------------------
