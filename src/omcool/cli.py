@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Verbs: solve, sweep, taxonomy, atomic, preset, emit.
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 unstable
-system, 5 solver failure.
+Exit codes: 0 success, 2 parse error (including an unreadable --config or
+--in), 3 validation error (including --points below 1, --jobs below 1 on a
+sweep, or non-finite range bounds), 4 unstable system, 5 solver failure (or
+a failed write).
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ def _parse_range(spec: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad range spec {spec!r}: {exc}") from exc
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"bad range spec {spec!r}: MIN and MAX must be finite")
     if n < 1:
         raise ConfigError(f"bad range spec {spec!r}: need at least one point")
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])

@@ -95,8 +95,8 @@ def hybridize(
 
 def _two_mode_couplings(config: SystemConfig) -> dict[str, float]:
     """Extract (omega1, omega2, G1, G2, Gs1, Gs2, eta) from a two-mechanical
-    effective config; absent edges count as zero strength."""
-    validate_config(config)
+    effective config; absent edges count as zero strength.  The config must
+    have passed validate_config."""
     if config.n_mechanicals != 2:
         raise ConfigError("dark-mode analysis needs exactly two mechanical modes")
     if config.topology not in ("n_type", "network4"):

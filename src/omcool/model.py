@@ -167,7 +167,9 @@ def validate_config(config: SystemConfig) -> SystemConfig:
 
     Raises ConfigError on: empty mode lists, non-finite (NaN or infinite)
     numbers, negative rates, malformed or dangling endpoints, edge-kind
-    mismatch, self-loops, and duplicate edges.
+    mismatch, self-loops, and duplicate edges.  Called only where a config
+    enters: parse_config, run_sweep and classify_configurations (the base
+    config) and solve_record (every point); nothing downstream re-checks.
     """
     if not config.cavities or not config.mechanicals:
         raise ConfigError("empty mode list: need at least one cavity and one mechanical mode")
@@ -226,9 +228,8 @@ def solve_steady_amplitudes(config: SystemConfig) -> SteadyAmplitudes:
     Each step keeps AMPLITUDE_DAMPING of the old iterate; the iteration stops
     once the largest update is below AMPLITUDE_TOL (absolute).  Raises
     ConvergenceError after AMPLITUDE_MAX_ITER steps (bistable or unstable
-    drive regime).
+    drive regime).  The config must have passed validate_config.
     """
-    validate_config(config)
     if config.parameter_mode != "physical":
         raise ConfigError("solve_steady_amplitudes requires parameter_mode='physical'")
 
@@ -312,14 +313,13 @@ def build_drift_matrix(
 
     In effective mode edge strengths are used as-is; a physical-mode config
     is first translated by effective_config with its SteadyAmplitudes, which
-    supply Delta' and G = g * alpha.
+    supply Delta' and G = g * alpha.  The config must have passed
+    validate_config.
     """
     if config.parameter_mode == "physical":
         if amplitudes is None:
             raise ConfigError("physical mode requires steady-state amplitudes")
         config = effective_config(config, amplitudes)
-    else:
-        validate_config(config)
 
     m = config.n_modes
     E = np.zeros((m, m), dtype=complex)
@@ -349,8 +349,8 @@ def build_noise_matrix(config: SystemConfig) -> NoiseMatrix:
     The only nonzero entries of C sit on the off-diagonal blocks:
     2 kappa at (cavity, cavity+), 2 gamma (nbar + 1) at (mech, mech+) and
     2 gamma nbar at (mech+, mech), so Q couples each mode to its dagger.
+    The config must have passed validate_config.
     """
-    validate_config(config)
     m = config.n_modes
     Q = np.zeros((2 * m, 2 * m), dtype=float)
     for c, cav in enumerate(config.cavities):
@@ -363,8 +363,8 @@ def build_noise_matrix(config: SystemConfig) -> NoiseMatrix:
 
 def effective_config(config: SystemConfig, amplitudes: SteadyAmplitudes) -> SystemConfig:
     """Translate a physical-mode config plus its solved amplitudes into the
-    equivalent effective-mode config (Delta' detunings, linearized G)."""
-    validate_config(config)
+    equivalent effective-mode config (Delta' detunings, linearized G); the
+    config must have passed validate_config."""
     if config.parameter_mode != "physical":
         raise ConfigError("effective_config expects a physical-mode config")
     cavities = tuple(

@@ -127,11 +127,14 @@ def _sweep_preset(name, desc, base, axes, outputs, points) -> Preset:
 
 
 def get_preset(name: str, points: int | None = None) -> Preset:
-    """Resolve a preset by name; ``points`` overrides the grid resolution."""
+    """Resolve a preset by name; ``points`` (at least 1) overrides the grid
+    resolution."""
     pts = points if points is not None else DEFAULT_POINTS
     builder = _BUILDERS.get(name)
     if builder is None:
         raise ConfigError(f"unknown preset {name!r} (choose from {', '.join(preset_names())})")
+    if pts < 1:
+        raise ConfigError(f"preset {name}: points must be >= 1, got {pts}")
     return builder(pts)
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import SolverError
+from .errors import ParseError, SolverError
 
 
 @dataclass
@@ -70,17 +70,23 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> ResultTable:
+    """Parse a CSV written by ``table_to_csv``.  Raises ParseError when the
+    file cannot be read."""
     metadata = {}
     columns: list[str] = []
     rows: list[list] = []
-    with open(path, newline="") as fh:
-        data_lines = []
-        for line in fh:
-            if line.startswith("# ") and "=" in line:
-                key, _, value = line[2:].rstrip("\n").partition("=")
-                metadata[key] = value
-            else:
-                data_lines.append(line)
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    data_lines = []
+    for line in lines:
+        if line.startswith("# ") and "=" in line:
+            key, _, value = line[2:].rstrip("\n").partition("=")
+            metadata[key] = value
+        else:
+            data_lines.append(line)
     reader = csv.reader(data_lines)
     for i, record in enumerate(reader):
         if i == 0:

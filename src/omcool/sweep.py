@@ -91,9 +91,10 @@ def solve_record(config: SystemConfig) -> dict:
     numbers, and (for two-mechanical topologies) the dark-mode report.
 
     Unstable systems produce a flagged record with empty occupations instead
-    of raising.  The config is validated by the first stage that reads it
-    (the amplitude solve in physical mode, drift assembly in effective mode).
+    of raising.  The config is validated here, once per point; the stages
+    below take it as checked.
     """
+    validate_config(config)
     if config.parameter_mode == "physical":
         amplitudes = solve_steady_amplitudes(config)
     else:
@@ -168,8 +169,11 @@ def default_jobs() -> int:
 
 def run_sweep(spec: SweepSpec, parallelism: int | None = None) -> ResultTable:
     """Row-major grid evaluation.  Each point is an independent solve; row
-    order never depends on the parallelism level.  A hard failure aborts the
-    sweep with the partial table attached to the exception."""
+    order never depends on the parallelism level.  ``parallelism`` must be at
+    least 1.  A hard failure aborts the sweep with the partial table attached
+    to the exception."""
+    if parallelism is not None and parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     validate_config(spec.base)
     jobs = parallelism if parallelism is not None else default_jobs()
     axis_values = [axis.values() for axis in spec.axes]

@@ -455,3 +455,67 @@ def test_cli_chain_solve(tmp_path, capsys):
     assert main(["solve", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
     assert "n_f_3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["preset", "fig13a", "--run", "--points", "-1"],
+    ["preset", "fig7a", "--run", "--points", "-1"],
+    ["preset", "fig7a", "--run", "--points", "0"],
+    ["preset", "fig2a", "--points", "0"],
+    ["preset", "table1", "--dump", "--points", "0"],
+    ["atomic", "--levels", "3", "--ratio", "nan:1:3"],
+    ["atomic", "--levels", "4", "--ratio", "0:inf:3"],
+    ["preset", "fig2a", "--run", "--points", "2", "--jobs", "0"],
+], ids=["fig13a-negative-points", "fig7a-negative-points", "fig7a-zero-points",
+        "fig2a-zero-points", "dump-zero-points", "atomic-nan-min", "atomic-inf-max",
+        "preset-zero-jobs"])
+def test_cli_bad_option_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["nan:1:3", "0.05:-inf:3"])
+def test_cli_taxonomy_non_finite_kappa_exit_code(tmp_path, kappa):
+    cfg_path = _write_config(tmp_path, network4_config())
+    assert main(["taxonomy", "--config", cfg_path, "--kappa", kappa]) == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_cli_sweep_bad_jobs_exit_code(tmp_path, jobs):
+    cfg_path = _write_config(tmp_path, n_type_config())
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg_path, "--jobs", jobs, "--out", str(out),
+                 "--axis", "cavities.0.decay:0.05:1.0:3"]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_get_preset_rejects_points_below_one(points):
+    for name in preset_names():
+        with pytest.raises(ConfigError, match="points must be >= 1"):
+            get_preset(name, points=points)
+
+
+def test_run_sweep_rejects_parallelism_below_one():
+    spec = SweepSpec(base=n_type_config(), axes=(SweepAxis("cavities.0.decay", 0.1, 0.2, 2),))
+    with pytest.raises(ConfigError, match="parallelism"):
+        run_sweep(spec, parallelism=0)
+
+
+def test_cli_emit_unreadable_input_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["emit", "--in", str(missing), "--format", "csv"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    with pytest.raises(ParseError, match="cannot read"):
+        read_csv(missing)
+
+
+def test_cli_emit_unwritable_output_exit_code(tmp_path):
+    cfg_path = _write_config(tmp_path, n_type_config())
+    saved = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg_path, "--out", str(saved),
+                 "--axis", "cavities.0.decay:0.05:1.0:2"]) == 0
+    assert main(["emit", "--in", str(saved), "--format", "svg",
+                 "--out", str(tmp_path / "no-such-dir" / "out.svg")]) == 5

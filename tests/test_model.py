@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
+from omcool import darkmode, model, sweep
 from omcool.errors import ConfigError
 from omcool.lyapunov import phonon_numbers, solve_lyapunov
 from omcool.model import (
@@ -22,7 +23,7 @@ from omcool.model import (
     validate_config,
 )
 from omcool.presets import chain_config, n_type_config, network4_config
-from omcool.sweep import solve_record
+from omcool.sweep import SweepAxis, SweepSpec, run_sweep, solve_record
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +295,40 @@ def test_solve_record_rejects_invalid_config(physical):
         base, cavities=(dataclasses.replace(base.cavities[0], decay=-1.0),) + base.cavities[1:])
     with pytest.raises(ConfigError, match="decay must be >= 0"):
         solve_record(bad)
+
+
+def _count_validations(monkeypatch) -> list:
+    """Route every module-level binding of validate_config through one
+    counting wrapper; the returned list grows by one per call."""
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return validate_config(config)
+
+    for module in (sweep, model, darkmode):
+        monkeypatch.setattr(module, "validate_config", counting)
+    return calls
+
+
+@pytest.mark.parametrize("physical", [False, True], ids=["effective", "physical"])
+def test_solve_record_validates_once(monkeypatch, physical):
+    cfg = _physical_n_type() if physical else n_type_config()
+    calls = _count_validations(monkeypatch)
+    record = solve_record(cfg)
+    assert "dark" in record  # the dark-mode stage ran too
+    assert calls == [cfg]
+
+
+def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
+    k = 4
+    spec = SweepSpec(base=n_type_config(),
+                     axes=(SweepAxis("cavities.0.decay", 0.05, 1.0, k),))
+    calls = _count_validations(monkeypatch)
+    table = run_sweep(spec, parallelism=1)
+    assert len(table.rows) == k
+    assert len(calls) == k + 1
+    assert calls[0] is spec.base
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,32 @@
+"""Smoke test of the experiment scripts in scripts/, run in-process at small
+sizes."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from omcool.results import read_csv
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script, args, files, rows", [
+    ("cooling_landscape.py", ["--points", "4"], ["fig2a.csv", "fig2a.svg"], 16),
+    ("chain_cooling.py", ["--n", "3", "--points", "4"], ["chain_n3.csv", "chain_n3.svg"], 4),
+    ("atomic_probabilities.py", ["--points", "5"],
+     ["atomic_3level.csv", "atomic_3level.svg", "atomic_4level.csv", "atomic_4level.svg"], 5),
+    ("taxonomy_report.py", ["--kappa", "0.05:1.0:2"], ["taxonomy.csv"], 28),
+], ids=["cooling_landscape", "chain_cooling", "atomic_probabilities", "taxonomy_report"])
+def test_script_writes_its_tables(tmp_path, monkeypatch, capsys, script, args, files, rows):
+    monkeypatch.setattr(sys, "argv", [script, *args, "--outdir", str(tmp_path)])
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert "wrote" in capsys.readouterr().out
+    for name in files:
+        path = tmp_path / name
+        assert path.exists()
+        if name.endswith(".csv"):
+            assert len(read_csv(path).rows) == rows
+        else:
+            assert path.read_text().startswith("<svg")
