@@ -13,6 +13,7 @@ Usage: python scripts/chain_cooling.py [--n 3] [--points 80] [--jobs 4]
 import argparse
 from pathlib import Path
 
+from omcool.model import compile_config
 from omcool.presets import chain_config
 from omcool.results import write_csv, write_svg
 from omcool.sweep import SweepAxis, SweepSpec, run_sweep, solve_record
@@ -27,8 +28,8 @@ def main() -> None:
     args = parser.parse_args()
 
     n_f = [f"n_f_{l + 1}" for l in range(args.n)]
-    broken = solve_record(chain_config(args.n))
-    intact = solve_record(chain_config(args.n, Gs=0.0, eta=0.0))
+    broken = solve_record(compile_config(chain_config(args.n)))
+    intact = solve_record(compile_config(chain_config(args.n, Gs=0.0, eta=0.0)))
     print(f"N = {args.n}")
     print("  dark modes broken:", "  ".join(f"{broken[c]:.4f}" for c in n_f))
     print("  dark modes intact:", "  ".join(f"{intact[c]:.1f}" for c in n_f))

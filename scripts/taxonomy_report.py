@@ -13,8 +13,8 @@ Usage: python scripts/taxonomy_report.py [--kappa 0.05:1.0:100]
 import argparse
 from pathlib import Path
 
-import numpy as np
-
+from omcool.cli import parse_range
+from omcool.errors import ConfigError
 from omcool.presets import network4_config
 from omcool.results import write_csv
 from omcool.sweep import run_taxonomy
@@ -30,8 +30,10 @@ def main() -> None:
     base = network4_config()
     kappas = None
     if args.kappa:
-        lo, hi, n = args.kappa.split(":")
-        kappas = np.linspace(float(lo), float(hi), int(n))
+        try:
+            kappas = parse_range(args.kappa)
+        except ConfigError as exc:
+            parser.error(f"--kappa: {exc}")
 
     summary = run_taxonomy(base)
     print(f"{'closed':<14} {'dark':<6} {'n_f_1':>10} {'n_f_2':>10}")

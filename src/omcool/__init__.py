@@ -18,6 +18,7 @@ from .model import (  # noqa: F401
     SystemConfig,
     build_drift_matrix,
     build_noise_matrix,
+    compile_config,
     solve_steady_amplitudes,
     validate_config,
 )
@@ -29,7 +30,6 @@ from .lyapunov import (  # noqa: F401
 )
 from .darkmode import (  # noqa: F401
     chain_modes,
-    classify_configurations,
     dark_mode_condition,
     hybridize,
 )

@@ -3,8 +3,8 @@
 Verbs: solve, sweep, taxonomy, atomic, preset, emit.
 Exit codes: 0 success, 2 parse error (including an unreadable --config or
 --in), 3 validation error (including --points below 1, --jobs below 1 on a
-sweep, or non-finite range bounds), 4 unstable system, 5 solver failure (or
-a failed write).
+sweep or any preset, or non-finite range bounds), 4 unstable system, 5
+solver failure (or a failed write).
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ def _parse_axis(spec: str) -> SweepAxis:
         raise ConfigError(f"bad axis spec {spec!r}: {exc}") from exc
 
 
-def _parse_range(spec: str) -> np.ndarray:
+def parse_range(spec: str) -> np.ndarray:
+    """Values of a MIN:MAX:POINTS range (linear); ConfigError on a bad spec,
+    a NaN or infinite bound, or fewer than one point."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"bad range spec {spec!r} (want MIN:MAX:POINTS)")
@@ -54,6 +56,15 @@ def _parse_range(spec: str) -> np.ndarray:
     if n < 1:
         raise ConfigError(f"bad range spec {spec!r}: need at least one point")
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
+
+
+def _jobs(args) -> int:
+    """--jobs, checked here for every verb; without it, $OMCOOL_JOBS or 1."""
+    if args.jobs is None:
+        return default_jobs()
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def _write_table(table: ResultTable, out: str | None, fmt: str) -> None:
@@ -82,7 +93,7 @@ def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
     axes = tuple(_parse_axis(spec) for spec in args.axis)
     spec = SweepSpec(base=config, axes=axes)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = _jobs(args)
     try:
         table = run_sweep(spec, parallelism=jobs)
     except SolverError as exc:
@@ -97,14 +108,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_taxonomy(args) -> int:
     config = parse_config(args.config)
-    kappas = _parse_range(args.kappa) if args.kappa else None
+    kappas = parse_range(args.kappa) if args.kappa else None
     table = run_taxonomy(config, kappas)
     _write_table(table, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_atomic(args) -> int:
-    table = run_atomic(args.levels, _parse_range(args.ratio))
+    table = run_atomic(args.levels, parse_range(args.ratio))
     _write_table(table, args.out, args.format)
     return EXIT_OK
 
@@ -127,7 +138,7 @@ def _cmd_preset(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = _jobs(args)
     if preset.kind == "solve":
         table = run_solve(preset.config)
     elif preset.kind == "sweep":

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import CouplingEdge, SystemConfig, validate_config
+from .model import Model
 
 EPS_DARK = 1e-10
 
@@ -93,40 +93,34 @@ def hybridize(
     )
 
 
-def _two_mode_couplings(config: SystemConfig) -> dict[str, float]:
-    """Extract (omega1, omega2, G1, G2, Gs1, Gs2, eta) from a two-mechanical
-    effective config; absent edges count as zero strength.  The config must
-    have passed validate_config."""
-    if config.n_mechanicals != 2:
+def _two_mode_couplings(model: Model) -> dict[str, float]:
+    """Extract (omega1, omega2, G1, G2, Gs1, Gs2, eta) from the strength
+    slots of a two-mechanical model; absent edges count as zero strength."""
+    if model.n_mechanicals != 2:
         raise ConfigError("dark-mode analysis needs exactly two mechanical modes")
-    if config.topology not in ("n_type", "network4"):
-        raise ConfigError(f"dark-mode analysis does not apply to topology {config.topology!r}")
+    if model.topology not in ("n_type", "network4"):
+        raise ConfigError(f"dark-mode analysis does not apply to topology {model.topology!r}")
     values = {"G1": 0.0, "G2": 0.0, "Gs1": 0.0, "Gs2": 0.0, "eta": 0.0}
-    key_by_endpoints = {
-        ("c0", "m0"): "G1",
-        ("c0", "m1"): "G2",
-        ("c1", "m0"): "Gs1",
-        ("c1", "m1"): "Gs2",
-    }
-    for edge in config.edges:
-        if edge.kind == "optomechanical":
-            key = key_by_endpoints.get(edge.endpoints)
+    nc = model.n_cavities
+    key_by_ends = {(0, nc): "G1", (0, nc + 1): "G2", (1, nc): "Gs1", (1, nc + 1): "Gs2"}
+    for i, j, s, om in zip(model.edge_i.tolist(), model.edge_j.tolist(),
+                           model.strength.tolist(), model.optomechanical.tolist()):
+        if om:
+            key = key_by_ends.get((i, j))
             if key is None:
                 continue
-        elif edge.kind == "phonon_hop":
+        elif i >= nc:
             key = "eta"
         else:
             continue
-        s = complex(edge.strength)
         if abs(s.imag) > 0:
             raise ConfigError("dark-mode analysis requires real coupling strengths")
         values[key] = s.real
-    values["omega1"] = config.mechanicals[0].frequency
-    values["omega2"] = config.mechanicals[1].frequency
+    values["omega1"], values["omega2"] = model.frequency.tolist()
     return values
 
 
-def dark_mode_condition(config: SystemConfig) -> DarkModeReport:
+def dark_mode_condition(model: Model) -> DarkModeReport:
     """Evaluate the algebraic dark-mode conditions
 
         (omega1 - omega2) G1 G2 + eta (G2^2 - G1^2) = 0
@@ -135,7 +129,7 @@ def dark_mode_condition(config: SystemConfig) -> DarkModeReport:
     Each residual counts as zero below EPS_DARK * max(1, G+).  The
     photon-hopping strength J never enters: it cannot break the dark mode.
     """
-    p = _two_mode_couplings(config)
+    p = _two_mode_couplings(model)
     h = hybridize(p["G1"], p["G2"], p["omega1"], p["omega2"], p["eta"], p["Gs1"], p["Gs2"])
     scale = max(1.0, h.g_plus)
     zeta_res = abs(h.zeta)
@@ -153,50 +147,31 @@ def dark_mode_condition(config: SystemConfig) -> DarkModeReport:
     )
 
 
-def close_channels(config: SystemConfig, closed: frozenset[str]) -> SystemConfig:
-    """Return a copy of a network4 config with the given optional channels
-    (subset of J, eta, Gs1, Gs2) zeroed out."""
-    kill = set()
-    if "J" in closed:
-        kill.add(("photon_hop", frozenset(("c0", "c1"))))
-    if "eta" in closed:
-        kill.add(("phonon_hop", frozenset(("m0", "m1"))))
-    if "Gs1" in closed:
-        kill.add(("optomechanical", frozenset(("c1", "m0"))))
-    if "Gs2" in closed:
-        kill.add(("optomechanical", frozenset(("c1", "m1"))))
-    edges = []
-    for edge in config.edges:
-        key = (edge.kind, frozenset(edge.endpoints))
-        if key in kill:
-            edges.append(CouplingEdge(edge.kind, edge.endpoints, 0.0))
-        else:
-            edges.append(edge)
-    return SystemConfig(
-        cavities=config.cavities,
-        mechanicals=config.mechanicals,
-        edges=tuple(edges),
-        parameter_mode=config.parameter_mode,
-        topology=config.topology,
-    )
-
-
-def classify_configurations(
-    base: SystemConfig,
-) -> list[tuple[frozenset[str], SystemConfig, DarkModeReport]]:
-    """Enumerate the 14 coupling configurations (closed-channel subsets of
-    {J, eta, Gs1, Gs2} of sizes 1..3) and evaluate the dark-mode condition
-    for each.  Deterministic order: by subset size, then channel order."""
-    validate_config(base)
-    if base.topology != "network4":
+def closed_channel_variants(
+    model: Model, sizes: tuple[int, ...] = TAXONOMY_SIZES,
+) -> list[tuple[str, Model]]:
+    """The taxonomy's configurations of a network4 model: for each subset of
+    CHANNELS whose size is in ``sizes`` (all 14 by default), by size, then
+    channel order, its label ("J+Gs2") and the model with the closed
+    channels' strength slots zeroed."""
+    if model.topology != "network4":
         raise ConfigError("configuration taxonomy requires topology 'network4'")
-    results = []
+    nc = model.n_cavities
+    ends = {"J": (False, {0, 1}), "eta": (False, {nc, nc + 1}),
+            "Gs1": (True, {1, nc}), "Gs2": (True, {1, nc + 1})}
+    edges = list(zip(model.optomechanical.tolist(), model.edge_i.tolist(),
+                     model.edge_j.tolist()))
+    slots = {ch: [("strength", e) for e, (om, i, j) in enumerate(edges)
+                  if (om, {i, j}) == ends[ch]]
+             for ch in CHANNELS}
+    variants = []
     for size in TAXONOMY_SIZES:
-        for combo in itertools.combinations(CHANNELS, size):
-            closed = frozenset(combo)
-            cfg = close_channels(base, closed)
-            results.append((closed, cfg, dark_mode_condition(cfg)))
-    return results
+        if size not in sizes:
+            continue
+        for closed in itertools.combinations(CHANNELS, size):
+            cut = [slot for ch in closed for slot in slots[ch]]
+            variants.append(("+".join(closed), model.write(cut, [0.0] * len(cut))))
+    return variants
 
 
 def chain_modes(N: int, omega_m: float, eta: float, G: float, Gs: float) -> ChainModes:

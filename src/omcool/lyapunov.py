@@ -10,7 +10,7 @@ from scipy.linalg import expm, schur
 from scipy.linalg.lapack import ztrsyl
 
 from .errors import SolverError, UnstableSystemError
-from .model import DriftMatrix, NoiseMatrix, SystemConfig
+from .model import Model
 
 STABILITY_MARGIN = 1e-9
 RESIDUAL_RTOL = 1e-9
@@ -47,21 +47,16 @@ class PhononReport:
     cavity: tuple[float, ...]
 
 
-def _as_array(mat) -> np.ndarray:
-    return np.asarray(getattr(mat, "entries", mat))
-
-
-def stability(A: DriftMatrix | np.ndarray, margin: float = STABILITY_MARGIN) -> StabilityReport:
+def stability(A: np.ndarray, margin: float = STABILITY_MARGIN) -> StabilityReport:
     """Eigenvalue stability test: stable iff max Re(lambda) < -margin.
 
     Equivalent to the Routh-Hurwitz criterion for this purpose and tractable
     for arbitrary dimension.  The eigenvalues are the diagonal of the complex
     Schur form A = Z T Z^H, which the report carries for solve_lyapunov.
     """
-    arr = _as_array(A)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(A)):
         raise SolverError("drift matrix contains non-finite entries")
-    T, Z = schur(arr, output="complex")
+    T, Z = schur(A, output="complex")
     eigvals = np.diag(T)
     max_real = float(eigvals.real.max())
     return StabilityReport(
@@ -73,10 +68,10 @@ def stability(A: DriftMatrix | np.ndarray, margin: float = STABILITY_MARGIN) -> 
 
 
 def solve_lyapunov(
-    A: DriftMatrix | np.ndarray,
-    Q: NoiseMatrix | np.ndarray,
+    A: np.ndarray,
+    Q: np.ndarray,
     report: StabilityReport | None = None,
-) -> CovarianceMatrix:
+) -> np.ndarray:
     """Solve A V + V A^T = -Q by Bartels-Stewart on the complex Schur form.
 
     With A = Z T Z^H and W = Z^H V conj(Z), the equation becomes the
@@ -86,8 +81,8 @@ def solve_lyapunov(
     a fresh stability(A) with STABILITY_MARGIN.  V is symmetrized after the
     solve and the residual is checked against RESIDUAL_RTOL * max(1, ||Q||_max).
     """
-    a = _as_array(A).astype(complex)
-    q = _as_array(Q).astype(complex)
+    a = np.asarray(A, dtype=complex)
+    q = np.asarray(Q, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise SolverError("A and Q must be square matrices of equal dimension")
@@ -108,12 +103,12 @@ def solve_lyapunov(
     residual = float(np.abs(a @ v + v @ a.T + q).max())
     if residual > RESIDUAL_RTOL * scale:
         raise SolverError(f"Lyapunov residual {residual:g} exceeds tolerance")
-    return CovarianceMatrix(entries=v)
+    return v
 
 
 def integrate_covariance(
-    A: DriftMatrix | np.ndarray,
-    Q: NoiseMatrix | np.ndarray,
+    A: np.ndarray,
+    Q: np.ndarray,
     t_end: float,
     v0: np.ndarray | None = None,
 ) -> CovarianceMatrix:
@@ -129,8 +124,8 @@ def integrate_covariance(
     """
     if t_end <= 0:
         raise SolverError("t_end must be > 0")
-    a = _as_array(A).astype(complex)
-    q = _as_array(Q).astype(complex)
+    a = np.asarray(A, dtype=complex)
+    q = np.asarray(Q, dtype=complex)
     n = a.shape[0]
     if v0 is None:
         v0 = np.zeros((n, n), dtype=complex)
@@ -167,7 +162,7 @@ def _propagate(a: np.ndarray, q: np.ndarray, v0: np.ndarray, t_end: float, k: in
     return E @ v0 @ E.T + S
 
 
-def phonon_numbers(V: CovarianceMatrix | np.ndarray, config: SystemConfig) -> PhononReport:
+def phonon_numbers(V: np.ndarray, model: Model) -> PhononReport:
     """Extract final occupations from the covariance matrix.
 
     With C cavities and canonical ordering, the l-th mechanical occupation is
@@ -176,21 +171,20 @@ def phonon_numbers(V: CovarianceMatrix | np.ndarray, config: SystemConfig) -> Ph
     as a diagnostic.  A second moment whose imaginary part exceeds IMAG_TOL
     raises SolverError.
     """
-    v = _as_array(V)
-    m = config.n_modes
-    if v.shape != (2 * m, 2 * m):
+    m = model.n_modes
+    if V.shape != (2 * m, 2 * m):
         raise SolverError("covariance dimension does not match config")
-    nc = config.n_cavities
+    nc = model.n_cavities
 
     def occupation(idx: int) -> float:
-        moment = v[m + idx, idx]
+        moment = V[m + idx, idx]
         if abs(complex(moment).imag) > IMAG_TOL:
             raise SolverError(
                 f"second moment at mode {idx} has imaginary part {complex(moment).imag:g}"
             )
         return float(complex(moment).real) - 0.5
 
-    mech_raw = tuple(occupation(nc + l) for l in range(config.n_mechanicals))
+    mech_raw = tuple(occupation(nc + l) for l in range(model.n_mechanicals))
     cavity_raw = tuple(occupation(c) for c in range(nc))
     return PhononReport(
         mechanical=tuple(max(0.0, x) for x in mech_raw),

@@ -1,14 +1,21 @@
-"""Mode-graph configuration, steady-state amplitudes, and matrix assembly.
+"""Mode-graph configuration, its compiled array model, steady-state
+amplitudes, and matrix assembly.
 
 All rates are dimensionless multiples of the first mechanical frequency
 (omega_1 = 1 internally).  The canonical index order is cavities first,
 then mechanical modes, then the same sequence daggered, so the fluctuation
 vector is [da_0, ..., db_0, ..., da_0^+, ..., db_0^+, ...].
+
+A SystemConfig is validated and compiled once, where it enters, into a
+Model of plain arrays.  Every later stage reads the Model, and every
+variant of it (a sweep point, a closed taxonomy channel, the linearised
+couplings of a physical-mode point) is a copy with slots written.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import re
 from dataclasses import dataclass
 
@@ -16,7 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 
-EDGE_KINDS = ("optomechanical", "photon_hop", "phonon_hop")
+# edge kind -> the mode kinds its two endpoints must have
+EDGE_KINDS = {"optomechanical": ("c", "m"), "photon_hop": ("c", "c"), "phonon_hop": ("m", "m")}
 PARAMETER_MODES = ("effective", "physical")
 TOPOLOGY_TAGS = ("n_type", "network4", "chain", "generic")
 
@@ -71,20 +79,54 @@ class SystemConfig:
     def n_mechanicals(self) -> int:
         return len(self.mechanicals)
 
+
+@dataclass(frozen=True, eq=False)
+class Model:
+    """A validated SystemConfig compiled into arrays, by compile_config.
+
+    Slot layout, each array in config order: per cavity c ``detuning[c]``,
+    ``decay[c]`` and ``drive[c]`` (complex); per mechanical mode l
+    ``frequency[l]``, ``damping[l]`` and ``nbar[l]``; per edge e the
+    canonical indices ``edge_i[e]``, ``edge_j[e]`` of its endpoints
+    (cavities 0..C-1, then mechanical modes), ``strength[e]`` (complex) and
+    ``optomechanical[e]`` (the other edges are hops).  ``write`` makes the
+    variants; the index arrays are never written.
+    """
+
+    topology: str
+    parameter_mode: str
+    detuning: np.ndarray
+    decay: np.ndarray
+    drive: np.ndarray
+    frequency: np.ndarray
+    damping: np.ndarray
+    nbar: np.ndarray
+    edge_i: np.ndarray
+    edge_j: np.ndarray
+    strength: np.ndarray
+    optomechanical: np.ndarray
+
+    @property
+    def n_cavities(self) -> int:
+        return len(self.detuning)
+
+    @property
+    def n_mechanicals(self) -> int:
+        return len(self.frequency)
+
     @property
     def n_modes(self) -> int:
-        return len(self.cavities) + len(self.mechanicals)
+        return len(self.detuning) + len(self.frequency)
 
-    def mode_index(self, mode_id: str) -> int:
-        """Canonical index of a mode id within the first (undaggered) block."""
-        kind, idx = _split_mode_id(mode_id)
-        if kind == "c":
-            if idx >= self.n_cavities:
-                raise ConfigError(f"dangling edge endpoint {mode_id!r}")
-            return idx
-        if idx >= self.n_mechanicals:
-            raise ConfigError(f"dangling edge endpoint {mode_id!r}")
-        return self.n_cavities + idx
+    def write(self, slots, values) -> Model:
+        """A copy with each value written into its (array name, index) slot;
+        the arrays not written are shared with this model."""
+        arrays: dict[str, np.ndarray] = {}
+        for (name, index), value in zip(slots, values):
+            if name not in arrays:
+                arrays[name] = getattr(self, name).copy()
+            arrays[name][index] = value
+        return dataclasses.replace(self, **arrays)
 
 
 @dataclass(frozen=True)
@@ -92,46 +134,14 @@ class SteadyAmplitudes:
     """Fixed point of the steady-state amplitude equations (physical mode).
 
     ``linearized_couplings`` follows the optomechanical edges of the config in
-    edge order;
-    ``coupling_phases`` holds, per coupling, the phase phi such that
-    G * exp(-i phi) is real and non-negative.
+    edge order.
     """
 
     cavity_amplitudes: tuple[complex, ...]
     mechanical_displacements: tuple[complex, ...]
     effective_detunings: tuple[float, ...]
     linearized_couplings: tuple[complex, ...]
-    coupling_phases: tuple[float, ...]
     iterations: int
-
-
-@dataclass(frozen=True)
-class DriftMatrix:
-    """Complex 2M x 2M coefficient matrix with block structure
-    [[E, F], [conj(F), conj(E)]]."""
-
-    entries: np.ndarray
-
-    @property
-    def half(self) -> int:
-        return self.entries.shape[0] // 2
-
-    @property
-    def E(self) -> np.ndarray:
-        m = self.half
-        return self.entries[:m, :m]
-
-    @property
-    def F(self) -> np.ndarray:
-        m = self.half
-        return self.entries[:m, m:]
-
-
-@dataclass(frozen=True)
-class NoiseMatrix:
-    """Real symmetric 2M x 2M diffusion matrix Q = (C + C^T) / 2."""
-
-    entries: np.ndarray
 
 
 _MODE_ID = re.compile(r"[cm](0|[1-9][0-9]*)")
@@ -145,21 +155,43 @@ def _split_mode_id(mode_id: str) -> tuple[str, int]:
     return mode_id[0], int(mode_id[1:])
 
 
-def _require_finite(owner: str, obj, names: tuple[str, ...]) -> None:
-    for name in names:
-        if not cmath.isfinite(getattr(obj, name)):
-            raise ConfigError(f"{owner}: {name} must be finite")
+def _mode_index(config: SystemConfig, mode_id: str) -> int:
+    """Canonical index of a mode id within the first (undaggered) block."""
+    kind, idx = _split_mode_id(mode_id)
+    if idx >= (config.n_cavities if kind == "c" else config.n_mechanicals):
+        raise ConfigError(f"dangling edge endpoint {mode_id!r}")
+    return idx if kind == "c" else config.n_cavities + idx
 
 
-def _endpoint_kinds(edge: CouplingEdge) -> tuple[str, str]:
-    return _split_mode_id(edge.endpoints[0])[0], _split_mode_id(edge.endpoints[1])[0]
-
-
-_EXPECTED_ENDPOINTS = {
-    "optomechanical": ("c", "m"),
-    "photon_hop": ("c", "c"),
-    "phonon_hop": ("m", "m"),
+# The numeric fields of each config section and the Model array each one is
+# compiled into; a sweep axis path names one of them.
+_SLOTS = {
+    "cavities": {"detuning": "detuning", "decay": "decay", "drive_amplitude": "drive"},
+    "mechanicals": {"frequency": "frequency", "damping": "damping",
+                    "thermal_occupation": "nbar"},
+    "edges": {"strength": "strength"},
 }
+_COMPLEX_SLOTS = ("drive", "strength")
+_BOUNDS = {"decay": ">= 0", "frequency": "> 0", "damping": ">= 0", "thermal_occupation": ">= 0"}
+
+
+def _check_field(owner: str, name: str, value) -> None:
+    """The rule of one numeric field, for validate_config and axis_slot:
+    finite, and within its sign bound."""
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{owner}: {name} must be finite")
+    bound = _BOUNDS.get(name)
+    if bound == "> 0" and value <= 0 or bound == ">= 0" and value < 0:
+        raise ConfigError(f"{owner}: {name} must be {bound}")
+
+
+def _owner(config: SystemConfig, section: str, index: int) -> str:
+    if section == "cavities":
+        return f"cavity c{index}"
+    if section == "mechanicals":
+        return f"mechanical m{index}"
+    edge = config.edges[index]
+    return f"{edge.kind} edge {edge.endpoints}"
 
 
 def validate_config(config: SystemConfig) -> SystemConfig:
@@ -167,9 +199,10 @@ def validate_config(config: SystemConfig) -> SystemConfig:
 
     Raises ConfigError on: empty mode lists, non-finite (NaN or infinite)
     numbers, negative rates, malformed or dangling endpoints, edge-kind
-    mismatch, self-loops, and duplicate edges.  Called only where a config
-    enters: parse_config, run_sweep and classify_configurations (the base
-    config) and solve_record (every point); nothing downstream re-checks.
+    mismatch, self-loops, and duplicate edges.  Called where a config
+    enters: parse_config (documents) and compile_config, which every run
+    (solve, sweep, taxonomy, presets, scripts) calls once; nothing
+    downstream re-checks.
     """
     if not config.cavities or not config.mechanicals:
         raise ConfigError("empty mode list: need at least one cavity and one mechanical mode")
@@ -177,36 +210,25 @@ def validate_config(config: SystemConfig) -> SystemConfig:
         raise ConfigError(f"unknown parameter_mode {config.parameter_mode!r}")
     if config.topology not in TOPOLOGY_TAGS:
         raise ConfigError(f"unknown topology {config.topology!r}")
-    for i, cav in enumerate(config.cavities):
-        _require_finite(f"cavity c{i}", cav, ("detuning", "decay", "drive_amplitude"))
-        if cav.decay < 0:
-            raise ConfigError(f"cavity c{i}: decay must be >= 0")
-    for j, mech in enumerate(config.mechanicals):
-        _require_finite(f"mechanical m{j}", mech,
-                        ("frequency", "damping", "thermal_occupation"))
-        if mech.frequency <= 0:
-            raise ConfigError(f"mechanical m{j}: frequency must be > 0")
-        if mech.damping < 0:
-            raise ConfigError(f"mechanical m{j}: damping must be >= 0")
-        if mech.thermal_occupation < 0:
-            raise ConfigError(f"mechanical m{j}: thermal_occupation must be >= 0")
+    for section, fields in _SLOTS.items():
+        for index, item in enumerate(getattr(config, section)):
+            for name in fields:
+                _check_field(_owner(config, section, index), name, getattr(item, name))
 
     seen: set[tuple[str, frozenset[str]]] = set()
     for edge in config.edges:
         if edge.kind not in EDGE_KINDS:
             raise ConfigError(f"unknown edge kind {edge.kind!r}")
-        _require_finite(f"{edge.kind} edge {edge.endpoints}", edge, ("strength",))
-        kinds = _endpoint_kinds(edge)
-        if kinds != _EXPECTED_ENDPOINTS[edge.kind]:
+        kinds = (_split_mode_id(edge.endpoints[0])[0], _split_mode_id(edge.endpoints[1])[0])
+        if kinds != EDGE_KINDS[edge.kind]:
             raise ConfigError(
                 f"kind mismatch: {edge.kind} edge cannot join {edge.endpoints[0]!r}"
                 f" and {edge.endpoints[1]!r}"
             )
         if edge.endpoints[0] == edge.endpoints[1]:
             raise ConfigError(f"self-loop on {edge.endpoints[0]!r}")
-        # raises on dangling endpoints
-        config.mode_index(edge.endpoints[0])
-        config.mode_index(edge.endpoints[1])
+        for mode_id in edge.endpoints:
+            _mode_index(config, mode_id)  # raises on a dangling endpoint
         key = (edge.kind, frozenset(edge.endpoints))
         if key in seen:
             raise ConfigError(f"duplicate {edge.kind} edge between {edge.endpoints}")
@@ -214,7 +236,49 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     return config
 
 
-def solve_steady_amplitudes(config: SystemConfig) -> SteadyAmplitudes:
+def compile_config(config: SystemConfig) -> Model:
+    """Validate a config and compile it into its Model (see Model for the
+    slot layout); each mode id is resolved to its canonical index here."""
+    validate_config(config)
+    arrays = {slot: np.array([getattr(item, name) for item in getattr(config, section)],
+                             dtype=complex if slot in _COMPLEX_SLOTS else float)
+              for section, fields in _SLOTS.items() for name, slot in fields.items()}
+    ends = np.array([[_mode_index(config, mode_id) for mode_id in edge.endpoints]
+                     for edge in config.edges], dtype=np.intp).reshape(-1, 2)
+    return Model(
+        topology=config.topology, parameter_mode=config.parameter_mode,
+        edge_i=ends[:, 0], edge_j=ends[:, 1],
+        optomechanical=np.array([edge.kind == "optomechanical" for edge in config.edges],
+                                dtype=bool),
+        **arrays,
+    )
+
+
+def axis_slot(config: SystemConfig, path: str, values) -> tuple[str, int]:
+    """Resolve a path such as 'cavities.0.detuning' or 'edges.3.strength'
+    to its (array name, index) slot in the config's Model, and check each
+    value against that field's rule.  Every rule concerns one field, so a
+    point with these values written in is valid when the config and each
+    value are."""
+    parts = path.split(".")
+    if len(parts) != 3:
+        raise ConfigError(f"bad parameter path {path!r} (want section.index.field)")
+    section, idx_s, name = parts
+    if section not in _SLOTS:
+        raise ConfigError(f"bad parameter path {path!r}: unknown section {section!r}")
+    try:
+        index = range(len(getattr(config, section)))[int(idx_s)]
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"bad parameter path {path!r}: no element {idx_s}") from exc
+    if name not in _SLOTS[section]:
+        raise ConfigError(f"bad parameter path {path!r}: {name!r} is not a numeric field")
+    owner = _owner(config, section, index)
+    for value in values:
+        _check_field(owner, name, value)
+    return _SLOTS[section][name], index
+
+
+def solve_steady_amplitudes(model: Model) -> SteadyAmplitudes:
     """Damped Picard iteration for the coupled steady-state amplitude equations.
 
     Physical mode only.  The cavity amplitudes alpha, displacements beta, and
@@ -228,30 +292,31 @@ def solve_steady_amplitudes(config: SystemConfig) -> SteadyAmplitudes:
     Each step keeps AMPLITUDE_DAMPING of the old iterate; the iteration stops
     once the largest update is below AMPLITUDE_TOL (absolute).  Raises
     ConvergenceError after AMPLITUDE_MAX_ITER steps (bistable or unstable
-    drive regime).  The config must have passed validate_config.
+    drive regime).
     """
-    if config.parameter_mode != "physical":
+    if model.parameter_mode != "physical":
         raise ConfigError("solve_steady_amplitudes requires parameter_mode='physical'")
 
-    nc, nm = config.n_cavities, config.n_mechanicals
+    nc, nm = model.n_cavities, model.n_mechanicals
     alpha = np.zeros(nc, dtype=complex)
     beta = np.zeros(nm, dtype=complex)
 
     om_edges = []  # (cav index, mech index, g)
     photon_hops = []  # (i, j, J)
     phonon_hops = []  # (i, j, eta)
-    for edge in config.edges:
-        i0 = int(edge.endpoints[0][1:])
-        i1 = int(edge.endpoints[1][1:])
-        if edge.kind == "optomechanical":
-            om_edges.append((i0, i1, complex(edge.strength)))
-        elif edge.kind == "photon_hop":
-            photon_hops.append((i0, i1, complex(edge.strength)))
+    for i, j, s, om in zip(model.edge_i.tolist(), model.edge_j.tolist(),
+                           model.strength.tolist(), model.optomechanical.tolist()):
+        if om:
+            om_edges.append((i, j - nc, s))
+        elif i < nc:
+            photon_hops.append((i, j, s))
         else:
-            phonon_hops.append((i0, i1, complex(edge.strength)))
+            phonon_hops.append((i - nc, j - nc, s))
+    cavities = list(zip(model.drive.tolist(), model.decay.tolist()))
+    mechanicals = list(zip(model.damping.tolist(), model.frequency.tolist()))
 
     def detunings(beta_now: np.ndarray) -> np.ndarray:
-        delta = np.array([cav.detuning for cav in config.cavities], dtype=float)
+        delta = model.detuning.copy()
         for c, m, g in om_edges:
             delta[c] += 2.0 * (np.conj(g) * beta_now[m]).real
         return delta
@@ -259,14 +324,13 @@ def solve_steady_amplitudes(config: SystemConfig) -> SteadyAmplitudes:
     for iterations in range(1, AMPLITUDE_MAX_ITER + 1):
         delta_eff = detunings(beta)
         alpha_new = np.zeros_like(alpha)
-        for c, cav in enumerate(config.cavities):
-            drive = complex(cav.drive_amplitude)
+        for c, (drive, decay) in enumerate(cavities):
             for i, j, J in photon_hops:
                 if i == c:
                     drive += J * alpha[j]
                 elif j == c:
                     drive += np.conj(J) * alpha[i]
-            alpha_new[c] = -1j * drive / (cav.decay + 1j * delta_eff[c])
+            alpha_new[c] = -1j * drive / (decay + 1j * delta_eff[c])
         beta_new = np.zeros_like(beta)
         force = np.zeros(nm, dtype=complex)
         for c, m, g in om_edges:
@@ -274,8 +338,8 @@ def solve_steady_amplitudes(config: SystemConfig) -> SteadyAmplitudes:
         for i, j, eta in phonon_hops:
             force[i] += eta * beta[j]
             force[j] += np.conj(eta) * beta[i]
-        for m, mech in enumerate(config.mechanicals):
-            beta_new[m] = -1j * force[m] / (mech.damping + 1j * mech.frequency)
+        for m, (damping, frequency) in enumerate(mechanicals):
+            beta_new[m] = -1j * force[m] / (damping + 1j * frequency)
 
         residual = max(np.abs(alpha_new - alpha).max(initial=0.0),
                        np.abs(beta_new - beta).max(initial=0.0))
@@ -289,99 +353,63 @@ def solve_steady_amplitudes(config: SystemConfig) -> SteadyAmplitudes:
             f"steady-state amplitudes did not converge within {AMPLITUDE_MAX_ITER} iterations"
         )
 
-    delta_eff = detunings(beta)
-    couplings = tuple(g * alpha[c] for c, m, g in om_edges)
-    phases = tuple(cmath.phase(G) if G != 0 else 0.0 for G in couplings)
     return SteadyAmplitudes(
         cavity_amplitudes=tuple(alpha),
         mechanical_displacements=tuple(beta),
-        effective_detunings=tuple(delta_eff),
-        linearized_couplings=couplings,
-        coupling_phases=phases,
+        effective_detunings=tuple(detunings(beta)),
+        linearized_couplings=tuple(g * alpha[c] for c, m, g in om_edges),
         iterations=iterations,
     )
 
 
-def build_drift_matrix(
-    config: SystemConfig, amplitudes: SteadyAmplitudes | None = None
-) -> DriftMatrix:
+def linearized(model: Model, amplitudes: SteadyAmplitudes) -> Model:
+    """The effective-mode model of a physical-mode point: Delta' written into
+    the detuning slots and G = g * alpha into the optomechanical strength
+    slots."""
+    if model.parameter_mode != "physical":
+        raise ConfigError("linearized expects a physical-mode model")
+    written = model.write((("detuning", slice(None)), ("strength", model.optomechanical)),
+                          (amplitudes.effective_detunings, amplitudes.linearized_couplings))
+    return dataclasses.replace(written, parameter_mode="effective")
+
+
+def build_drift_matrix(model: Model) -> np.ndarray:
     """Assemble the 2M x 2M drift matrix A = [[E, F], [F*, E*]].
 
     E carries the diagonal decay+detuning terms -(kappa + i Delta') and
     -(gamma + i omega) plus the beam-splitter parts -iG, -iJ, -i eta;
-    F carries only the counter-rotating optomechanical -iG entries.
-
-    In effective mode edge strengths are used as-is; a physical-mode config
-    is first translated by effective_config with its SteadyAmplitudes, which
-    supply Delta' and G = g * alpha.  The config must have passed
-    validate_config.
+    F carries only the counter-rotating optomechanical -iG entries.  Edge
+    strengths are used as-is, so a physical-mode model must first be
+    translated by linearized with its SteadyAmplitudes.  The edge terms are
+    added into zeros: validation leaves at most one edge per mode pair.
     """
-    if config.parameter_mode == "physical":
-        if amplitudes is None:
-            raise ConfigError("physical mode requires steady-state amplitudes")
-        config = effective_config(config, amplitudes)
-
-    m = config.n_modes
-    E = np.zeros((m, m), dtype=complex)
-    F = np.zeros((m, m), dtype=complex)
-    for c, cav in enumerate(config.cavities):
-        E[c, c] = -(cav.decay + 1j * cav.detuning)
-    for j, mech in enumerate(config.mechanicals):
-        k = config.n_cavities + j
-        E[k, k] = -(mech.damping + 1j * mech.frequency)
-    for edge in config.edges:
-        i = config.mode_index(edge.endpoints[0])
-        j = config.mode_index(edge.endpoints[1])
-        s = complex(edge.strength)
-        E[i, j] += -1j * s
-        E[j, i] += -1j * np.conj(s)
-        if edge.kind == "optomechanical":
-            F[i, j] += -1j * s
-            F[j, i] += -1j * s
-
-    A = np.block([[E, F], [np.conj(F), np.conj(E)]])
-    return DriftMatrix(entries=A)
+    if model.parameter_mode == "physical":
+        raise ConfigError("physical mode requires steady-state amplitudes")
+    m = model.n_modes
+    A = np.zeros((2 * m, 2 * m), dtype=complex)
+    E, F = A[:m, :m], A[:m, m:]
+    np.fill_diagonal(E, np.concatenate((-(model.decay + 1j * model.detuning),
+                                        -(model.damping + 1j * model.frequency))))
+    i, j, s, om = model.edge_i, model.edge_j, model.strength, model.optomechanical
+    E[i, j] += -1j * s
+    E[j, i] += -1j * np.conj(s)
+    F[i[om], j[om]] += -1j * s[om]
+    F[j[om], i[om]] += -1j * s[om]
+    A[m:, :m] = np.conj(F)
+    A[m:, m:] = np.conj(E)
+    return A
 
 
-def build_noise_matrix(config: SystemConfig) -> NoiseMatrix:
+def build_noise_matrix(model: Model) -> np.ndarray:
     """Symmetrized noise matrix Q = (C + C^T)/2 for Markovian baths.
 
     The only nonzero entries of C sit on the off-diagonal blocks:
     2 kappa at (cavity, cavity+), 2 gamma (nbar + 1) at (mech, mech+) and
     2 gamma nbar at (mech+, mech), so Q couples each mode to its dagger.
-    The config must have passed validate_config.
     """
-    m = config.n_modes
+    m = model.n_modes
     Q = np.zeros((2 * m, 2 * m), dtype=float)
-    for c, cav in enumerate(config.cavities):
-        Q[c, m + c] = Q[m + c, c] = cav.decay
-    for j, mech in enumerate(config.mechanicals):
-        k = config.n_cavities + j
-        Q[k, m + k] = Q[m + k, k] = mech.damping * (2.0 * mech.thermal_occupation + 1.0)
-    return NoiseMatrix(entries=Q)
-
-
-def effective_config(config: SystemConfig, amplitudes: SteadyAmplitudes) -> SystemConfig:
-    """Translate a physical-mode config plus its solved amplitudes into the
-    equivalent effective-mode config (Delta' detunings, linearized G); the
-    config must have passed validate_config."""
-    if config.parameter_mode != "physical":
-        raise ConfigError("effective_config expects a physical-mode config")
-    cavities = tuple(
-        CavityMode(detuning=amplitudes.effective_detunings[c], decay=cav.decay)
-        for c, cav in enumerate(config.cavities)
-    )
-    om_iter = iter(amplitudes.linearized_couplings)
-    edges = []
-    for edge in config.edges:
-        if edge.kind == "optomechanical":
-            edges.append(CouplingEdge(edge.kind, edge.endpoints, next(om_iter)))
-        else:
-            edges.append(edge)
-    return SystemConfig(
-        cavities=cavities,
-        mechanicals=config.mechanicals,
-        edges=tuple(edges),
-        parameter_mode="effective",
-        topology=config.topology,
-    )
+    diag = np.concatenate((model.decay, model.damping * (2.0 * model.nbar + 1.0)))
+    np.fill_diagonal(Q[:m, m:], diag)
+    np.fill_diagonal(Q[m:, :m], diag)
+    return Q

@@ -3,7 +3,7 @@ and atomic ratio grids, all producing ResultTables."""
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -14,15 +14,18 @@ import numpy as np
 from . import __version__
 from .atomic import four_level_eigensystem, three_level_eigensystem
 from .config_io import config_hash
-from .darkmode import TAXONOMY_SIZES, classify_configurations, dark_mode_condition
+from .darkmode import TAXONOMY_SIZES, closed_channel_variants, dark_mode_condition
 from .errors import ConfigError, OmcoolError
 from .lyapunov import phonon_numbers, solve_lyapunov, stability
 from .model import (
+    Model,
     SystemConfig,
+    axis_slot,
     build_drift_matrix,
     build_noise_matrix,
+    compile_config,
+    linearized,
     solve_steady_amplitudes,
-    validate_config,
 )
 from .results import ResultTable
 
@@ -65,48 +68,27 @@ class SweepSpec:
             raise ConfigError(f"duplicate sweep axis {paths[0]!r}")
 
 
-def set_parameter(config: SystemConfig, path: str, value: float) -> SystemConfig:
-    """Return a copy of the config with one scalar replaced.  Paths look like
-    'cavities.0.detuning', 'mechanicals.1.frequency', or 'edges.3.strength'."""
-    parts = path.split(".")
-    if len(parts) != 3:
-        raise ConfigError(f"bad parameter path {path!r} (want section.index.field)")
-    section, idx_s, fld = parts
-    if section not in ("cavities", "mechanicals", "edges"):
-        raise ConfigError(f"bad parameter path {path!r}: unknown section {section!r}")
-    try:
-        idx = int(idx_s)
-        items = list(getattr(config, section))
-        old = items[idx]
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad parameter path {path!r}: no element {idx_s}") from exc
-    if fld not in {f.name for f in dataclasses.fields(old)}:
-        raise ConfigError(f"bad parameter path {path!r}: unknown field {fld!r}")
-    items[idx] = dataclasses.replace(old, **{fld: value})
-    return dataclasses.replace(config, **{section: tuple(items)})
-
-
-def solve_record(config: SystemConfig) -> dict:
-    """Full pipeline for one configuration: stability, covariance, phonon
-    numbers, and (for two-mechanical topologies) the dark-mode report.
+def solve_record(model: Model) -> dict:
+    """Full pipeline for one compiled point: stability, covariance, phonon
+    numbers, and (for two-mechanical topologies) the dark-mode report, which
+    in physical mode describes the single-photon couplings g.
 
     Unstable systems produce a flagged record with empty occupations instead
-    of raising.  The config is validated here, once per point; the stages
-    below take it as checked.
+    of raising.  The model was checked where its config entered
+    (compile_config) and each value written into it by axis_slot, so nothing
+    here re-checks.
     """
-    validate_config(config)
-    if config.parameter_mode == "physical":
-        amplitudes = solve_steady_amplitudes(config)
-    else:
-        amplitudes = None
-    A = build_drift_matrix(config, amplitudes)
-    Q = build_noise_matrix(config)
+    linear = model
+    if model.parameter_mode == "physical":
+        linear = linearized(model, solve_steady_amplitudes(model))
+    A = build_drift_matrix(linear)
+    Q = build_noise_matrix(model)
     report = stability(A)
     record: dict = {"stable": report.stable, "max_real_part": report.max_real_part}
-    nm, nc = config.n_mechanicals, config.n_cavities
+    nm, nc = model.n_mechanicals, model.n_cavities
     if report.stable:
         V = solve_lyapunov(A, Q, report=report)
-        phonons = phonon_numbers(V, config)
+        phonons = phonon_numbers(V, model)
         for l in range(nm):
             record[f"n_f_{l + 1}"] = phonons.mechanical[l]
         for c in range(nc):
@@ -116,9 +98,9 @@ def solve_record(config: SystemConfig) -> dict:
             record[f"n_f_{l + 1}"] = None
         for c in range(nc):
             record[f"n_c_{c + 1}"] = None
-    if nm == 2 and config.topology in ("n_type", "network4"):
+    if nm == 2 and model.topology in ("n_type", "network4"):
         try:
-            dm = dark_mode_condition(config)
+            dm = dark_mode_condition(model)
             record["dark"] = dm.dark_present
             record["zeta_residual"] = dm.zeta_residual
             record["gs_minus_residual"] = dm.gs_minus_residual
@@ -127,11 +109,11 @@ def solve_record(config: SystemConfig) -> dict:
     return record
 
 
-def _record_columns(config: SystemConfig) -> list[str]:
+def _record_columns(model: Model) -> list[str]:
     cols = ["stable", "max_real_part"]
-    cols += [f"n_f_{l + 1}" for l in range(config.n_mechanicals)]
-    cols += [f"n_c_{c + 1}" for c in range(config.n_cavities)]
-    if config.n_mechanicals == 2 and config.topology in ("n_type", "network4"):
+    cols += [f"n_f_{l + 1}" for l in range(model.n_mechanicals)]
+    cols += [f"n_c_{c + 1}" for c in range(model.n_cavities)]
+    if model.n_mechanicals == 2 and model.topology in ("n_type", "network4"):
         cols += ["dark", "zeta_residual", "gs_minus_residual"]
     return cols
 
@@ -143,8 +125,9 @@ def _base_metadata(config: SystemConfig, **extra: str) -> dict[str, str]:
 
 
 def run_solve(config: SystemConfig) -> ResultTable:
-    record = solve_record(config)
-    columns = _record_columns(config)
+    model = compile_config(config)
+    record = solve_record(model)
+    columns = _record_columns(model)
     return ResultTable(
         columns=columns,
         rows=[[record.get(c) for c in columns]],
@@ -167,30 +150,28 @@ def default_jobs() -> int:
     return jobs
 
 
+def _solve_points(model: Model, slots, points) -> list[dict]:
+    """Records of the grid points, each the model with its axis values
+    written into the axis slots."""
+    return [solve_record(model.write(slots, point)) for point in points]
+
+
 def run_sweep(spec: SweepSpec, parallelism: int | None = None) -> ResultTable:
     """Row-major grid evaluation.  Each point is an independent solve; row
     order never depends on the parallelism level.  ``parallelism`` must be at
-    least 1.  A hard failure aborts the sweep with the partial table attached
+    least 1.  The base config is compiled once and each axis value checked
+    once.  A hard failure aborts the sweep with the partial table attached
     to the exception."""
     if parallelism is not None and parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    validate_config(spec.base)
+    model = compile_config(spec.base)
     jobs = parallelism if parallelism is not None else default_jobs()
-    axis_values = [axis.values() for axis in spec.axes]
-    points: list[tuple[float, ...]] = []
-    configs: list[SystemConfig] = []
-    if len(spec.axes) == 1:
-        for x in axis_values[0]:
-            points.append((float(x),))
-            configs.append(set_parameter(spec.base, spec.axes[0].path, float(x)))
-    else:
-        for x in axis_values[0]:
-            cfg_x = set_parameter(spec.base, spec.axes[0].path, float(x))
-            for y in axis_values[1]:
-                points.append((float(x), float(y)))
-                configs.append(set_parameter(cfg_x, spec.axes[1].path, float(y)))
+    axis_values = [[float(x) for x in axis.values()] for axis in spec.axes]
+    slots = [axis_slot(spec.base, axis.path, values)
+             for axis, values in zip(spec.axes, axis_values)]
+    points = list(itertools.product(*axis_values))
 
-    record_cols = _record_columns(spec.base)
+    record_cols = _record_columns(model)
     out_cols = list(spec.outputs) if spec.outputs else record_cols
     columns = [axis.path for axis in spec.axes] + out_cols
     table = ResultTable(
@@ -200,15 +181,21 @@ def run_sweep(spec: SweepSpec, parallelism: int | None = None) -> ResultTable:
             spec.base, axes=",".join(axis.path for axis in spec.axes)
         ),
     )
+    # a task is a chunk: the model is sent once per chunk, each point as its
+    # axis values; serial chunks are single points, so a failure keeps every row before it
     if jobs > 1:
         executor = ProcessPoolExecutor(max_workers=jobs)
-        chunk = max(1, len(configs) // (jobs * 4))
-        iterator = executor.map(solve_record, configs, chunksize=chunk)
+        size = max(1, len(points) // (jobs * 4))
+        run = executor.map
     else:
         executor = None
-        iterator = map(solve_record, configs)
+        size = 1
+        run = map
+    chunks = [points[k:k + size] for k in range(0, len(points), size)]
+    records = itertools.chain.from_iterable(
+        run(_solve_points, itertools.repeat(model), itertools.repeat(slots), chunks))
     try:
-        for point, record in zip(points, iterator):
+        for point, record in zip(points, records):
             table.rows.append(list(point) + [record.get(c) for c in out_cols])
     except OmcoolError as exc:
         exc.partial = table  # type: ignore[attr-defined]
@@ -223,26 +210,25 @@ def run_taxonomy(base: SystemConfig, kappa_values=None,
                  sizes: tuple[int, ...] = TAXONOMY_SIZES) -> ResultTable:
     """One row per closed-channel subset whose size is in ``sizes`` (all 14
     for the default TAXONOMY_SIZES), optionally crossed with a sweep of the
-    intermediate-cavity decay rate.  Subsets of other sizes are never solved."""
-    results = classify_configurations(base)
+    intermediate-cavity decay rate.  Subsets of other sizes are never solved.
+    The dark-mode columns come from each row's solve_record: the decay rate
+    does not enter the dark-mode condition."""
+    variants = closed_channel_variants(compile_config(base), sizes)
+    kappas = [float(k) for k in
+              ([base.cavities[0].decay] if kappa_values is None else kappa_values)]
+    slot = axis_slot(base, "cavities.0.decay", kappas)
     columns = ["closed_channels", "kappa", "dark", "zeta_residual",
                "gs_minus_residual", "stable", "n_f_1", "n_f_2"]
     table = ResultTable(
         columns=columns, rows=[],
         metadata=_base_metadata(base, axes="kappa"),
     )
-    kappas = [base.cavities[0].decay] if kappa_values is None else list(kappa_values)
-    for closed, cfg, dm in results:
-        if len(closed) not in sizes:
-            continue
-        label = "+".join(ch for ch in ("J", "eta", "Gs1", "Gs2") if ch in closed)
+    for label, model in variants:
         for kappa in kappas:
-            record = solve_record(set_parameter(cfg, "cavities.0.decay", float(kappa)))
-            table.rows.append([
-                label, float(kappa), dm.dark_present, dm.zeta_residual,
-                dm.gs_minus_residual, record["stable"],
-                record.get("n_f_1"), record.get("n_f_2"),
-            ])
+            record = solve_record(model.write((slot,), (kappa,)))
+            if "dark" not in record:
+                dark_mode_condition(model)  # raises the reason the report is missing
+            table.rows.append([label, kappa] + [record.get(c) for c in columns[2:]])
     return table
 
 

@@ -20,7 +20,7 @@ from omcool.atomic import (
 from omcool.config_io import config_from_dict, dump_config
 from omcool.darkmode import chain_modes, hybridize, tridiagonal_chain_frequencies
 from omcool.lyapunov import integrate_covariance, phonon_numbers, solve_lyapunov
-from omcool.model import build_drift_matrix, build_noise_matrix
+from omcool.model import build_drift_matrix, build_noise_matrix, compile_config
 from omcool.presets import (
     chain_config,
     get_preset,
@@ -35,8 +35,9 @@ import json
 
 
 def _solve(config):
-    V = solve_lyapunov(build_drift_matrix(config), build_noise_matrix(config))
-    return phonon_numbers(V, config).mechanical
+    model = compile_config(config)
+    V = solve_lyapunov(build_drift_matrix(model), build_noise_matrix(model))
+    return phonon_numbers(V, model).mechanical
 
 
 def _report(n, text):
@@ -108,7 +109,7 @@ def test_criterion_5_lyapunov_correctness():
         slowest = -np.linalg.eigvals(a).real.max()
         b = rng.standard_normal((n, n))
         q = b @ b.T
-        V = solve_lyapunov(a, q).entries
+        V = solve_lyapunov(a, q)
         residual = np.abs(a @ V + V @ a.T + q).max() / max(1.0, np.abs(q).max())
         worst_residual = max(worst_residual, residual)
         assert residual <= 1e-9

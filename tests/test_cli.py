@@ -15,6 +15,7 @@ from omcool.config_io import (
     parse_config,
 )
 from omcool.errors import ConfigError, ParseError, SolverError
+from omcool.model import axis_slot, compile_config
 from omcool.presets import (
     chain_config,
     get_preset,
@@ -31,7 +32,6 @@ from omcool.sweep import (
     run_solve,
     run_sweep,
     run_taxonomy,
-    set_parameter,
 )
 
 
@@ -142,17 +142,23 @@ def test_empty_table_svg_rejected():
 # ---------------------------------------------------------------------------
 # sweeps
 
-def test_set_parameter_paths():
-    cfg = set_parameter(n_type_config(), "cavities.1.decay", 0.7)
-    assert cfg.cavities[1].decay == 0.7
-    cfg = set_parameter(cfg, "edges.2.strength", 0.12)
-    assert cfg.edges[2].strength == 0.12
+def test_axis_slot_paths():
+    cfg = n_type_config()
+    model = compile_config(cfg).write([axis_slot(cfg, "cavities.1.decay", [0.7])], [0.7])
+    assert model.decay[1] == 0.7
+    model = model.write([axis_slot(cfg, "edges.2.strength", [0.12])], [0.12])
+    assert model.strength[2] == 0.12
     with pytest.raises(ConfigError):
-        set_parameter(cfg, "cavities.9.decay", 0.1)
+        axis_slot(cfg, "cavities.9.decay", [0.1])
     with pytest.raises(ConfigError):
-        set_parameter(cfg, "cavities.0.flux", 0.1)
+        axis_slot(cfg, "cavities.0.flux", [0.1])
     with pytest.raises(ConfigError):
-        set_parameter(cfg, "decay", 0.1)
+        axis_slot(cfg, "decay", [0.1])
+    for field in ("kind", "endpoints"):
+        with pytest.raises(ConfigError, match="not a numeric field"):
+            axis_slot(cfg, f"edges.0.{field}", [0.1])
+    with pytest.raises(ConfigError, match="mechanical m1: frequency must be > 0"):
+        axis_slot(cfg, "mechanicals.-1.frequency", [1.0, 0.0])
 
 
 def test_single_point_sweep_equals_solve():
@@ -482,12 +488,19 @@ def test_cli_taxonomy_non_finite_kappa_exit_code(tmp_path, kappa):
     assert main(["taxonomy", "--config", cfg_path, "--kappa", kappa]) == 3
 
 
-@pytest.mark.parametrize("jobs", ["0", "-4"])
-def test_cli_sweep_bad_jobs_exit_code(tmp_path, jobs):
-    cfg_path = _write_config(tmp_path, n_type_config())
+@pytest.mark.parametrize("jobs, argv", [
+    ("0", None),
+    ("-4", None),
+    ("0", ["preset", "fig7a", "--run", "--points", "2"]),
+    ("-3", ["preset", "table1", "--run"]),
+    ("0", ["preset", "fig13a", "--run", "--points", "2"]),
+], ids=["0", "-4", "preset-fig7a-0", "preset-table1--3", "preset-fig13a-0"])
+def test_cli_sweep_bad_jobs_exit_code(tmp_path, jobs, argv):
+    if argv is None:
+        argv = ["sweep", "--config", _write_config(tmp_path, n_type_config()),
+                "--axis", "cavities.0.decay:0.05:1.0:3"]
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", cfg_path, "--jobs", jobs, "--out", str(out),
-                 "--axis", "cavities.0.decay:0.05:1.0:3"]) == 3
+    assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 3
     assert not out.exists()
 
 

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from omcool.darkmode import (
     chain_modes,
-    classify_configurations,
-    close_channels,
+    closed_channel_variants,
     dark_mode_condition,
     hybridize,
     tridiagonal_chain_frequencies,
 )
 from omcool.errors import ConfigError
+from omcool.model import compile_config
 from omcool.presets import n_type_config, network4_config
+from omcool.sweep import run_taxonomy
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
 coupling = st.floats(0.01, 1.0)
@@ -74,13 +75,13 @@ def test_proportional_couplings_dark():
     cfg = n_type_config(G1=0.04, G2=0.08, Gs1=0.03)
     # add Gs2 with Gs1/Gs2 = G1/G2
     cfg = network4_config(G1=0.04, G2=0.08, Gs1=0.03, Gs2=0.06, J=0.0, eta=0.0)
-    report = dark_mode_condition(cfg)
+    report = dark_mode_condition(compile_config(cfg))
     assert report.dark_present
 
 
 def test_asymmetric_auxiliary_coupling_breaks():
     cfg = network4_config(Gs1=0.02, Gs2=0.08, J=0.0, eta=0.03)
-    report = dark_mode_condition(cfg)
+    report = dark_mode_condition(compile_config(cfg))
     assert not report.dark_present
     assert report.gs_minus_residual > 1e-10
     assert report.zeta_residual < 1e-15
@@ -88,7 +89,7 @@ def test_asymmetric_auxiliary_coupling_breaks():
 
 def test_phonon_hop_with_unequal_couplings_breaks():
     cfg = network4_config(G1=0.04, G2=0.06, Gs1=0.0, Gs2=0.0, J=0.0, eta=0.03)
-    report = dark_mode_condition(cfg)
+    report = dark_mode_condition(compile_config(cfg))
     assert not report.dark_present
     assert report.zeta_residual > 1e-10
 
@@ -96,28 +97,36 @@ def test_phonon_hop_with_unequal_couplings_breaks():
 def test_photon_hop_never_enters():
     for J in (0.0, 0.03, 0.3):
         cfg = network4_config(Gs1=0.0, Gs2=0.0, J=J, eta=0.0)
-        assert dark_mode_condition(cfg).dark_present
+        assert dark_mode_condition(compile_config(cfg)).dark_present
 
 
 def test_n_type_with_auxiliary_broken():
-    assert not dark_mode_condition(n_type_config()).dark_present
+    assert not dark_mode_condition(compile_config(n_type_config())).dark_present
 
 
 def test_wrong_topology_rejected():
     from omcool.presets import chain_config
     with pytest.raises(ConfigError):
-        dark_mode_condition(chain_config(3))
+        dark_mode_condition(compile_config(chain_config(3)))
 
 
 # ---------------------------------------------------------------------------
 # taxonomy
 
+def _taxonomy(base):
+    """(closed-channel set, dark flag) of each row of the taxonomy at the base
+    decay rate, in row order."""
+    table = run_taxonomy(base)
+    return [(frozenset(label.split("+")), dark)
+            for label, dark in zip(table.column("closed_channels"), table.column("dark"))]
+
+
 def test_taxonomy_enumerates_fourteen():
-    results = classify_configurations(network4_config())
+    results = _taxonomy(network4_config())
     assert len(results) == 14
-    sizes = [len(closed) for closed, _, _ in results]
+    sizes = [len(closed) for closed, _ in results]
     assert sizes == sorted(sizes)
-    assert {tuple(sorted(c)) for c, _, _ in results} == {
+    assert {tuple(sorted(c)) for c, _ in results} == {
         tuple(sorted(c))
         for c in map(frozenset, (
             {"J"}, {"eta"}, {"Gs1"}, {"Gs2"},
@@ -130,33 +139,34 @@ def test_taxonomy_enumerates_fourteen():
 
 
 def test_taxonomy_default_split():
-    results = classify_configurations(network4_config())
-    dark = {tuple(sorted(c)) for c, _, r in results if r.dark_present}
+    results = _taxonomy(network4_config())
+    dark = {tuple(sorted(c)) for c, d in results if d}
     assert dark == {
         ("J",), ("eta",), ("J", "eta"),
         ("Gs1", "Gs2"), ("Gs1", "Gs2", "J"), ("Gs1", "Gs2", "eta"),
     }
-    assert sum(not r.dark_present for _, _, r in results) == 8
+    assert sum(not d for _, d in results) == 8
 
 
 def test_taxonomy_unequal_couplings_eta_open_always_broken():
     base = network4_config(G1=0.04, G2=0.06)
-    for closed, _, report in classify_configurations(base):
+    for closed, dark in _taxonomy(base):
         if "eta" not in closed:
-            assert not report.dark_present
+            assert not dark
 
 
 def test_taxonomy_no_auxiliary_all_dark():
     base = network4_config(Gs1=0.0, Gs2=0.0)
     # symmetric G1 = G2 and no auxiliary coupling: zeta and Gs- vanish
     # for every subset
-    for _, _, report in classify_configurations(base):
-        assert report.dark_present
+    for _, dark in _taxonomy(base):
+        assert dark
 
 
-def test_close_channels_zeroes_strengths():
-    cfg = close_channels(network4_config(), frozenset({"J", "Gs2"}))
-    by_key = {(e.kind, frozenset(e.endpoints)): e.strength for e in cfg.edges}
+def test_closed_channels_zero_strength_slots():
+    base = network4_config()
+    model = dict(closed_channel_variants(compile_config(base)))["J+Gs2"]
+    by_key = {(e.kind, frozenset(e.endpoints)): s for e, s in zip(base.edges, model.strength)}
     assert by_key[("photon_hop", frozenset(("c0", "c1")))] == 0.0
     assert by_key[("optomechanical", frozenset(("c1", "m1")))] == 0.0
     assert by_key[("optomechanical", frozenset(("c1", "m0")))] == 0.08

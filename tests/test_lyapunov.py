@@ -12,7 +12,7 @@ from omcool.lyapunov import (
     solve_lyapunov,
     stability,
 )
-from omcool.model import build_drift_matrix, build_noise_matrix
+from omcool.model import build_drift_matrix, build_noise_matrix, compile_config
 from omcool.presets import chain_config, n_type_config, network4_config
 
 
@@ -39,19 +39,19 @@ def kronecker_lyapunov(a, q):
 # stability
 
 def test_decoupled_system_stable():
-    cfg = dataclasses.replace(n_type_config(), edges=())
+    cfg = compile_config(dataclasses.replace(n_type_config(), edges=()))
     report = stability(build_drift_matrix(cfg))
     assert report.stable
     assert report.max_real_part == pytest.approx(-1e-5, rel=1e-6)
 
 
 def test_base_point_stable():
-    assert stability(build_drift_matrix(n_type_config())).stable
+    assert stability(build_drift_matrix(compile_config(n_type_config()))).stable
 
 
 def test_undamped_oscillator_marginal():
     cfg = n_type_config(gamma=0.0)
-    cfg = dataclasses.replace(cfg, edges=())
+    cfg = compile_config(dataclasses.replace(cfg, edges=()))
     report = stability(build_drift_matrix(cfg))
     assert report.max_real_part == pytest.approx(0.0, abs=1e-12)
     assert not report.stable
@@ -68,20 +68,20 @@ def test_nan_entries_rejected():
 
 def test_scalar_balance():
     V = solve_lyapunov(np.array([[-1.0]]), np.array([[2.0]]))
-    assert V.entries[0, 0] == pytest.approx(1.0)
+    assert V[0, 0] == pytest.approx(1.0)
 
 
 def test_diagonal_balance():
     a = np.diag([-1.0, -2.0, -0.5])
     q = np.diag([2.0, 4.0, 1.0])
-    V = solve_lyapunov(a, q).entries
+    V = solve_lyapunov(a, q)
     assert np.allclose(np.diag(V), -np.diag(q) / (2 * np.diag(a)))
 
 
 def test_solution_is_symmetric():
     rng = np.random.default_rng(7)
     a, q = random_stable_system(rng, 6)
-    V = solve_lyapunov(a, q).entries
+    V = solve_lyapunov(a, q)
     assert np.abs(V - V.T).max() < 1e-12
 
 
@@ -95,7 +95,7 @@ def test_residual_invariant_random_systems():
     for _ in range(20):
         n = int(rng.integers(2, 17))
         a, q = random_stable_system(rng, n)
-        V = solve_lyapunov(a, q).entries
+        V = solve_lyapunov(a, q)
         residual = np.abs(a @ V + V @ a.T + q).max()
         assert residual <= 1e-9 * max(1.0, np.abs(q).max())
 
@@ -103,22 +103,22 @@ def test_residual_invariant_random_systems():
 def test_agrees_with_kronecker_reference():
     rng = np.random.default_rng(3)
     systems = [random_stable_system(rng, n) for n in (1, 2, 3, 5, 8) for _ in range(4)]
-    cfg = n_type_config()
-    systems.append((build_drift_matrix(cfg).entries, build_noise_matrix(cfg).entries))
+    cfg = compile_config(n_type_config())
+    systems.append((build_drift_matrix(cfg), build_noise_matrix(cfg)))
     for a, q in systems:
-        V = solve_lyapunov(a, q).entries
+        V = solve_lyapunov(a, q)
         ref = kronecker_lyapunov(a, q)
         assert np.abs(V - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_report_reuse_matches_fresh_solve():
     rng = np.random.default_rng(5)
-    cfg = network4_config()
+    cfg = compile_config(network4_config())
     systems = [random_stable_system(rng, 6),
-               (build_drift_matrix(cfg).entries, build_noise_matrix(cfg).entries)]
+               (build_drift_matrix(cfg), build_noise_matrix(cfg))]
     for a, q in systems:
-        fresh = solve_lyapunov(a, q).entries
-        reused = solve_lyapunov(a, q, report=stability(a)).entries
+        fresh = solve_lyapunov(a, q)
+        reused = solve_lyapunov(a, q, report=stability(a))
         assert np.array_equal(fresh, reused)
 
 
@@ -135,14 +135,14 @@ def test_unstable_report_raises():
 
 def test_long_chain_solves():
     # n = 132: the Kronecker system would be 17424 x 17424 complex
-    cfg = chain_config(64)
+    cfg = compile_config(chain_config(64))
     A, Q = build_drift_matrix(cfg), build_noise_matrix(cfg)
-    assert A.entries.shape == (132, 132)
+    assert A.shape == (132, 132)
     report = stability(A)
     assert report.stable
-    V = solve_lyapunov(A, Q, report=report).entries
-    residual = np.abs(A.entries @ V + V @ A.entries.T + Q.entries).max()
-    assert residual <= 1e-9 * max(1.0, np.abs(Q.entries).max())
+    V = solve_lyapunov(A, Q, report=report)
+    residual = np.abs(A @ V + V @ A.T + Q).max()
+    assert residual <= 1e-9 * max(1.0, np.abs(Q).max())
     n = phonon_numbers(V, cfg).mechanical
     assert n[0] == min(n)
 
@@ -180,9 +180,9 @@ def test_nonpositive_horizon_rejected():
 
 
 def test_oracle_agreement_base_point():
-    cfg = n_type_config()
+    cfg = compile_config(n_type_config())
     A, Q = build_drift_matrix(cfg), build_noise_matrix(cfg)
-    V_direct = solve_lyapunov(A, Q).entries
+    V_direct = solve_lyapunov(A, Q)
     V_time = integrate_covariance(A, Q, t_end=50.0 / 1e-5).entries
     mask = np.abs(V_direct) > 1e-12
     rel = np.abs(V_time[mask] - V_direct[mask]) / np.abs(V_direct[mask])
@@ -193,7 +193,7 @@ def test_oracle_agreement_base_point():
 # phonon extraction
 
 def test_thermal_equilibrium_occupations():
-    cfg = dataclasses.replace(n_type_config(nbar=123.0), edges=())
+    cfg = compile_config(dataclasses.replace(n_type_config(nbar=123.0), edges=()))
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
     report = phonon_numbers(V, cfg)
     assert report.mechanical == pytest.approx((123.0, 123.0), rel=1e-8)
@@ -201,7 +201,7 @@ def test_thermal_equilibrium_occupations():
 
 
 def test_base_point_ground_state_cooling():
-    cfg = n_type_config()
+    cfg = compile_config(n_type_config())
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
     n1, n2 = phonon_numbers(V, cfg).mechanical
     assert n1 < 1 and n2 < 1
@@ -211,13 +211,13 @@ def test_base_point_ground_state_cooling():
 
 
 def test_dimension_mismatch_rejected():
-    cfg = n_type_config()
+    cfg = compile_config(n_type_config())
     with pytest.raises(SolverError):
         phonon_numbers(np.zeros((4, 4)), cfg)
 
 
 def test_occupations_clamped_but_raw_kept():
-    cfg = dataclasses.replace(n_type_config(nbar=0.0), edges=())
+    cfg = compile_config(dataclasses.replace(n_type_config(nbar=0.0), edges=()))
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
     report = phonon_numbers(V, cfg)
     assert all(n >= 0.0 for n in report.mechanical)
@@ -226,8 +226,8 @@ def test_occupations_clamped_but_raw_kept():
 
 def test_relabeling_symmetry():
     # permuting two identical mechanical modes with their couplings permutes n_f
-    cfg = network4_config(Gs1=0.02, Gs2=0.08)
-    swapped = network4_config(Gs1=0.08, Gs2=0.02)
+    cfg = compile_config(network4_config(Gs1=0.02, Gs2=0.08))
+    swapped = compile_config(network4_config(Gs1=0.08, Gs2=0.02))
     n = phonon_numbers(
         solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg)), cfg
     ).mechanical

@@ -1,6 +1,9 @@
-"""Configuration validation, steady-state amplitudes, and matrix assembly."""
+"""Configuration validation, the compiled model and its write path,
+steady-state amplitudes, and matrix assembly."""
 
 import dataclasses
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
-from omcool import darkmode, model, sweep
 from omcool.errors import ConfigError
 from omcool.lyapunov import phonon_numbers, solve_lyapunov
 from omcool.model import (
@@ -16,14 +18,16 @@ from omcool.model import (
     CouplingEdge,
     MechanicalMode,
     SystemConfig,
+    axis_slot,
     build_drift_matrix,
     build_noise_matrix,
-    effective_config,
+    compile_config,
+    linearized,
     solve_steady_amplitudes,
     validate_config,
 )
 from omcool.presets import chain_config, n_type_config, network4_config
-from omcool.sweep import SweepAxis, SweepSpec, run_sweep, solve_record
+from omcool.sweep import SweepAxis, SweepSpec, run_solve, run_sweep, solve_record
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +148,11 @@ def test_non_finite_input_rejected(section, field, value):
 
 def test_canonical_mode_index_order():
     cfg = n_type_config()
-    assert [cfg.mode_index(m) for m in ("c0", "c1", "m0", "m1")] == [0, 1, 2, 3]
+    model = compile_config(cfg)
+    index = {}
+    for edge, i, j in zip(cfg.edges, model.edge_i, model.edge_j):
+        index[edge.endpoints[0]], index[edge.endpoints[1]] = i, j
+    assert [index[m] for m in ("c0", "c1", "m0", "m1")] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +174,7 @@ def _physical_n_type(omega_c=1.0, omega_s=1.0, g=5e-4, gs=8e-4, drive=60.0, driv
 
 def test_no_drive_gives_zero_amplitudes():
     cfg = _physical_n_type(drive=0.0, drive_s=0.0)
-    amps = solve_steady_amplitudes(cfg)
+    amps = solve_steady_amplitudes(compile_config(cfg))
     assert all(a == 0 for a in amps.cavity_amplitudes)
     assert all(b == 0 for b in amps.mechanical_displacements)
     assert amps.effective_detunings == (1.0, 1.0)
@@ -180,13 +188,13 @@ def test_single_driven_cavity_closed_form():
         edges=(),
         parameter_mode="physical",
     )
-    amps = solve_steady_amplitudes(cfg)
+    amps = solve_steady_amplitudes(compile_config(cfg))
     assert amps.cavity_amplitudes[0] == pytest.approx(-1j, abs=1e-12)
 
 
 def test_amplitudes_match_root_finding_oracle():
     cfg = _physical_n_type()
-    amps = solve_steady_amplitudes(cfg)
+    amps = solve_steady_amplitudes(compile_config(cfg))
 
     g, gs = 5e-4, 8e-4
 
@@ -214,26 +222,37 @@ def test_amplitudes_match_root_finding_oracle():
         assert abs(got - want) < 1e-10
 
 
-def test_linearized_couplings_and_phases():
-    cfg = _physical_n_type()
-    amps = solve_steady_amplitudes(cfg)
-    for G, phi in zip(amps.linearized_couplings, amps.coupling_phases):
-        rotated = G * np.exp(-1j * phi)
-        assert rotated.imag == pytest.approx(0.0, abs=1e-12)
-        assert rotated.real >= 0
-
-
 def test_effective_mode_rejects_amplitude_solve():
     with pytest.raises(ConfigError):
-        solve_steady_amplitudes(n_type_config())
+        solve_steady_amplitudes(compile_config(n_type_config()))
+
+
+def _effective_translation(config, amps):
+    """Reference for linearized: the effective-mode config of a solved
+    physical-mode point (Delta' detunings, G = g * alpha), rebuilt through
+    dataclasses.replace."""
+    couplings = iter(amps.linearized_couplings)
+    return dataclasses.replace(
+        config,
+        cavities=tuple(CavityMode(detuning=d, decay=cav.decay)
+                       for d, cav in zip(amps.effective_detunings, config.cavities)),
+        edges=tuple(dataclasses.replace(edge, strength=next(couplings))
+                    if edge.kind == "optomechanical" else edge for edge in config.edges),
+        parameter_mode="effective",
+    )
 
 
 def test_physical_effective_consistency():
     cfg = _physical_n_type()
-    amps = solve_steady_amplitudes(cfg)
-    A_phys = build_drift_matrix(cfg, amps).entries
-    A_eff = build_drift_matrix(effective_config(cfg, amps)).entries
+    model = compile_config(cfg)
+    amps = solve_steady_amplitudes(model)
+    A_phys = build_drift_matrix(linearized(model, amps))
+    A_eff = build_drift_matrix(compile_config(_effective_translation(cfg, amps)))
     assert np.abs(A_phys - A_eff).max() < 1e-10
+    with pytest.raises(ConfigError, match="requires steady-state amplitudes"):
+        build_drift_matrix(model)
+    with pytest.raises(ConfigError, match="physical-mode model"):
+        linearized(compile_config(n_type_config()), amps)
 
 
 # Network-coupled four-mode system with complex hops and a complex drive.
@@ -256,7 +275,7 @@ def _physical_network4():
 
 def test_network4_amplitudes_match_root_finding_oracle():
     cfg = _physical_network4()
-    amps = solve_steady_amplitudes(cfg)
+    amps = solve_steady_amplitudes(compile_config(cfg))
     g = {(int(c[1]), int(m[1])): v for (c, m), v in _NET4_G.items()}
 
     def equations(x):
@@ -282,9 +301,10 @@ def test_network4_amplitudes_match_root_finding_oracle():
 
 def test_network4_physical_drift_matrix_is_effective_translation():
     cfg = _physical_network4()
-    amps = solve_steady_amplitudes(cfg)
-    A_phys = build_drift_matrix(cfg, amps).entries
-    A_eff = build_drift_matrix(effective_config(cfg, amps)).entries
+    model = compile_config(cfg)
+    amps = solve_steady_amplitudes(model)
+    A_phys = build_drift_matrix(linearized(model, amps))
+    A_eff = build_drift_matrix(compile_config(_effective_translation(cfg, amps)))
     assert np.array_equal(A_phys, A_eff)
 
 
@@ -294,7 +314,7 @@ def test_solve_record_rejects_invalid_config(physical):
     bad = dataclasses.replace(
         base, cavities=(dataclasses.replace(base.cavities[0], decay=-1.0),) + base.cavities[1:])
     with pytest.raises(ConfigError, match="decay must be >= 0"):
-        solve_record(bad)
+        solve_record(compile_config(bad))
 
 
 def _count_validations(monkeypatch) -> list:
@@ -306,8 +326,9 @@ def _count_validations(monkeypatch) -> list:
         calls.append(config)
         return validate_config(config)
 
-    for module in (sweep, model, darkmode):
-        monkeypatch.setattr(module, "validate_config", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("omcool") and hasattr(module, "validate_config"):
+            monkeypatch.setattr(module, "validate_config", counting)
     return calls
 
 
@@ -315,7 +336,7 @@ def _count_validations(monkeypatch) -> list:
 def test_solve_record_validates_once(monkeypatch, physical):
     cfg = _physical_n_type() if physical else n_type_config()
     calls = _count_validations(monkeypatch)
-    record = solve_record(cfg)
+    record = solve_record(compile_config(cfg))
     assert "dark" in record  # the dark-mode stage ran too
     assert calls == [cfg]
 
@@ -327,7 +348,7 @@ def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
     calls = _count_validations(monkeypatch)
     table = run_sweep(spec, parallelism=1)
     assert len(table.rows) == k
-    assert len(calls) == k + 1
+    assert len(calls) == 1  # the base, once per run; no point re-validates
     assert calls[0] is spec.base
 
 
@@ -336,7 +357,7 @@ def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
 
 def test_decoupled_drift_matrix_is_diagonal():
     cfg = dataclasses.replace(n_type_config(), edges=())
-    A = build_drift_matrix(cfg).entries
+    A = build_drift_matrix(compile_config(cfg))
     expected = np.diag([
         -(0.1 + 1j), -(0.1 + 1j), -(1e-5 + 1j), -(1e-5 + 1j),
         -(0.1 - 1j), -(0.1 - 1j), -(1e-5 - 1j), -(1e-5 - 1j),
@@ -345,25 +366,25 @@ def test_decoupled_drift_matrix_is_diagonal():
 
 
 def test_photon_hop_entry():
-    A = build_drift_matrix(network4_config(J=0.03))
-    assert A.E[0, 1] == pytest.approx(-0.03j, abs=1e-15)
-    assert A.E[1, 0] == pytest.approx(-0.03j, abs=1e-15)
+    A = build_drift_matrix(compile_config(network4_config(J=0.03)))
+    assert A[:4, :4][0, 1] == pytest.approx(-0.03j, abs=1e-15)
+    assert A[:4, :4][1, 0] == pytest.approx(-0.03j, abs=1e-15)
 
 
 def test_counter_rotating_block_positions():
     # 0-based first-block positions of the N-type F block:
     # (0,2),(0,3),(1,2),(2,0),(2,1),(3,0)
-    F = build_drift_matrix(n_type_config()).F
+    F = build_drift_matrix(compile_config(n_type_config()))[:4, 4:]
     nonzero = set(zip(*np.nonzero(np.abs(F) > 0)))
     assert nonzero == {(0, 2), (0, 3), (1, 2), (2, 0), (2, 1), (3, 0)}
 
 
 def test_optomechanical_entries():
-    A = build_drift_matrix(n_type_config(G1=0.05))
-    assert A.E[0, 2] == pytest.approx(-0.05j)
-    assert A.E[2, 0] == pytest.approx(-0.05j)
-    assert A.F[0, 2] == pytest.approx(-0.05j)
-    assert A.F[2, 0] == pytest.approx(-0.05j)
+    A = build_drift_matrix(compile_config(n_type_config(G1=0.05)))
+    assert A[:4, :4][0, 2] == pytest.approx(-0.05j)
+    assert A[:4, :4][2, 0] == pytest.approx(-0.05j)
+    assert A[:4, 4:][0, 2] == pytest.approx(-0.05j)
+    assert A[:4, 4:][2, 0] == pytest.approx(-0.05j)
 
 
 @st.composite
@@ -385,30 +406,87 @@ def random_configs(draw):
 @settings(max_examples=50, deadline=None)
 @given(random_configs())
 def test_block_conjugation_property(cfg):
-    A = build_drift_matrix(cfg)
-    m = A.half
-    assert np.abs(A.entries[m:, m:] - np.conj(A.entries[:m, :m])).max() < 1e-14
-    assert np.abs(A.entries[m:, :m] - np.conj(A.entries[:m, m:])).max() < 1e-14
+    A = build_drift_matrix(compile_config(cfg))
+    m = A.shape[0] // 2
+    assert np.abs(A[m:, m:] - np.conj(A[:m, :m])).max() < 1e-14
+    assert np.abs(A[m:, :m] - np.conj(A[:m, m:])).max() < 1e-14
 
 
 @settings(max_examples=50, deadline=None)
 @given(random_configs())
 def test_noise_matrix_symmetric(cfg):
-    Q = build_noise_matrix(cfg).entries
+    Q = build_noise_matrix(compile_config(cfg))
     assert np.array_equal(Q, Q.T)
 
 
+# ---------------------------------------------------------------------------
+# write path: a slot written into the compiled model against the rebuilt config
+
+def _rebuilt(config, path, value):
+    """Reference for the write path: the config with the field at ``path``
+    replaced, rebuilt through dataclasses.replace."""
+    section, index, name = path.split(".")
+    items = list(getattr(config, section))
+    items[int(index)] = dataclasses.replace(items[int(index)], **{name: value})
+    return dataclasses.replace(config, **{section: tuple(items)})
+
+
+_PATH_FIELDS = {
+    "cavities": ("detuning", "decay", "drive_amplitude"),
+    "mechanicals": ("frequency", "damping", "thermal_occupation"),
+    "edges": ("strength",),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_configs(), st.floats(-2.0, 2.0))
+def test_written_slot_matches_rebuilt_config(cfg, value):
+    model = compile_config(cfg)
+    for section, fields in _PATH_FIELDS.items():
+        for index in range(len(getattr(cfg, section))):
+            for name in fields:
+                path = f"{section}.{index}.{name}"
+                try:
+                    reference = compile_config(_rebuilt(cfg, path, value))
+                except ConfigError as exc:
+                    # the axis check gives the verdict and message of validation
+                    with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                        axis_slot(cfg, path, [value])
+                    continue
+                written = model.write([axis_slot(cfg, path, [value])], [value])
+                assert (build_drift_matrix(written).tobytes()
+                        == build_drift_matrix(reference).tobytes())
+                assert (build_noise_matrix(written).tobytes()
+                        == build_noise_matrix(reference).tobytes())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("base, axes", [
+    (network4_config(), (SweepAxis("cavities.1.detuning", 0.8, 1.2, 3),
+                         SweepAxis("edges.4.strength", -0.05, 0.05, 2))),
+    (_physical_n_type(), (SweepAxis("cavities.0.drive_amplitude", 50.0, 70.0, 2),
+                          SweepAxis("edges.0.strength", 4e-4, 6e-4, 2))),
+], ids=["network4", "physical"])
+def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
+    table = run_sweep(SweepSpec(base=base, axes=axes), parallelism=jobs)
+    assert len(table.rows) == axes[0].points * axes[1].points
+    for row in table.rows:
+        x, y = row[:2]
+        point = _rebuilt(_rebuilt(base, axes[0].path, x), axes[1].path, y)
+        assert row[2:] == run_solve(point).rows[0]
+
+
 def test_hop_symmetry_real_strengths():
-    A = build_drift_matrix(network4_config())
-    assert A.E[0, 1] == A.E[1, 0]  # photon hop
-    assert A.E[2, 3] == A.E[3, 2]  # phonon hop
+    A = build_drift_matrix(compile_config(network4_config()))
+    assert A[:4, :4][0, 1] == A[:4, :4][1, 0]  # photon hop
+    assert A[:4, :4][2, 3] == A[:4, :4][3, 2]  # phonon hop
 
 
 # ---------------------------------------------------------------------------
 # noise matrix
 
 def test_noise_matrix_four_mode_values():
-    Q = build_noise_matrix(n_type_config()).entries
+    Q = build_noise_matrix(compile_config(n_type_config()))
     # mechanical m0 sits at index 2, its dagger at 6: gamma (2 nbar + 1)
     assert Q[2, 6] == pytest.approx(1e-5 * 2001.0)
     assert Q[6, 2] == pytest.approx(1e-5 * 2001.0)
@@ -426,14 +504,14 @@ def test_noise_matrix_vacuum_bath():
         mechanicals=(MechanicalMode(1.0, 1e-3, 0.0),),
         edges=(),
     )
-    Q = build_noise_matrix(cfg).entries
+    Q = build_noise_matrix(compile_config(cfg))
     assert Q[1, 3] == pytest.approx(1e-3)
     assert Q[3, 1] == pytest.approx(1e-3)
 
 
 def test_noise_matrix_chain_block_structure():
     cfg = chain_config(3)
-    Q = build_noise_matrix(cfg).entries
+    Q = build_noise_matrix(compile_config(cfg))
     m = 5
     assert np.abs(Q[:m, :m]).max() == 0.0
     assert np.abs(Q[m:, m:]).max() == 0.0
@@ -441,7 +519,7 @@ def test_noise_matrix_chain_block_structure():
 
 
 def test_zero_coupling_thermal_equilibrium():
-    cfg = dataclasses.replace(n_type_config(), edges=())
+    cfg = compile_config(dataclasses.replace(n_type_config(), edges=()))
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
     report = phonon_numbers(V, cfg)
     for n in report.mechanical:

@@ -30,3 +30,14 @@ def test_script_writes_its_tables(tmp_path, monkeypatch, capsys, script, args, f
             assert len(read_csv(path).rows) == rows
         else:
             assert path.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("kappa", ["1:2", "0.05:1:0", "nan:1:3"])
+def test_taxonomy_report_rejects_bad_kappa(tmp_path, monkeypatch, capsys, kappa):
+    script = "taxonomy_report.py"
+    monkeypatch.setattr(sys, "argv", [script, "--kappa", kappa, "--outdir", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "--kappa: bad range spec" in capsys.readouterr().err
+    assert not (tmp_path / "taxonomy.csv").exists()
