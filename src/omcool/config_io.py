@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 
 from .errors import ParseError
-from .model import CavityMode, CouplingEdge, MechanicalMode, SystemConfig, validate_config
+from .model import CavityMode, CouplingEdge, MechanicalMode, SystemConfig
 
 
 def _number(value, where: str) -> float:
@@ -146,7 +146,8 @@ def config_hash(config: SystemConfig) -> str:
 
 
 def parse_config(path: str | Path) -> SystemConfig:
-    """Read, schema-check, and validate a config document."""
+    """Read and schema-check a config document.  It is validated once, by
+    the compile_config of the run it enters."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -155,5 +156,4 @@ def parse_config(path: str | Path) -> SystemConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    config = config_from_dict(doc)
-    return validate_config(config)
+    return config_from_dict(doc)

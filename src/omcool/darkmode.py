@@ -38,7 +38,6 @@ class DarkModeReport:
     dark_present: bool
     zeta_residual: float
     gs_minus_residual: float
-    breaking_channels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -131,19 +130,13 @@ def dark_mode_condition(model: Model) -> DarkModeReport:
     """
     p = _two_mode_couplings(model)
     h = hybridize(p["G1"], p["G2"], p["omega1"], p["omega2"], p["eta"], p["Gs1"], p["Gs2"])
-    scale = max(1.0, h.g_plus)
+    tol = EPS_DARK * max(1.0, h.g_plus)
     zeta_res = abs(h.zeta)
     gs_res = abs(h.gs_minus)
-    channels = []
-    if zeta_res >= EPS_DARK * scale:
-        channels.append("hybrid-mode mixing (zeta != 0: frequency mismatch or phonon hopping)")
-    if gs_res >= EPS_DARK * scale:
-        channels.append("asymmetric auxiliary coupling (Gs- != 0)")
     return DarkModeReport(
-        dark_present=not channels,
+        dark_present=zeta_res < tol and gs_res < tol,
         zeta_residual=zeta_res,
         gs_minus_residual=gs_res,
-        breaking_channels=tuple(channels),
     )
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm, schur
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import SolverError, UnstableSystemError
 from .model import Model
@@ -15,18 +15,17 @@ from .model import Model
 STABILITY_MARGIN = 1e-9
 RESIDUAL_RTOL = 1e-9
 INTEGRATION_RTOL = 1e-10
-IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Eigenvalues and stability verdict of a drift matrix.
+    """Stability verdict of a drift matrix.
 
-    ``schur`` holds the complex Schur factors (T, Z) with A = Z T Z^H that the
-    eigenvalues were read from; solve_lyapunov reuses them.
+    ``schur`` holds the Schur factors (T, Z) with A = Z T Z^H that
+    max_real_part was read from, real for a real A and complex otherwise;
+    solve_lyapunov reuses them.
     """
 
-    eigenvalues: tuple[complex, ...]
     max_real_part: float
     stable: bool
     schur: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
@@ -51,16 +50,17 @@ def stability(A: np.ndarray, margin: float = STABILITY_MARGIN) -> StabilityRepor
     """Eigenvalue stability test: stable iff max Re(lambda) < -margin.
 
     Equivalent to the Routh-Hurwitz criterion for this purpose and tractable
-    for arbitrary dimension.  The eigenvalues are the diagonal of the complex
-    Schur form A = Z T Z^H, which the report carries for solve_lyapunov.
+    for arbitrary dimension.  The report carries the Schur form A = Z T Z^H
+    for solve_lyapunov: the real form for a real A, the complex form
+    otherwise.  Either way the real parts of the eigenvalues sit on the
+    diagonal of T; LAPACK leaves each 2x2 block of the real form standardized
+    as [[a, b], [c, a]], whose eigenvalue pair a +- sqrt(bc) has real part a.
     """
     if not np.all(np.isfinite(A)):
         raise SolverError("drift matrix contains non-finite entries")
-    T, Z = schur(A, output="complex")
-    eigvals = np.diag(T)
-    max_real = float(eigvals.real.max())
+    T, Z = schur(A, output="real" if np.isrealobj(A) else "complex")
+    max_real = float(np.diag(T).real.max())
     return StabilityReport(
-        eigenvalues=tuple(eigvals),
         max_real_part=max_real,
         stable=max_real < -margin,
         schur=(T, Z),
@@ -72,17 +72,19 @@ def solve_lyapunov(
     Q: np.ndarray,
     report: StabilityReport | None = None,
 ) -> np.ndarray:
-    """Solve A V + V A^T = -Q by Bartels-Stewart on the complex Schur form.
+    """Solve A V + V A^T = -Q by Bartels-Stewart on the Schur form of A.
 
     With A = Z T Z^H and W = Z^H V conj(Z), the equation becomes the
-    triangular Sylvester equation T W + W T^T = -Z^H Q conj(Z), solved by
-    LAPACK ztrsyl in O(n^3); then V = Z W Z^T.  The Schur factors come from
-    ``report`` (a stability(A) result, whose own margin then applies) or from
-    a fresh stability(A) with STABILITY_MARGIN.  V is symmetrized after the
-    solve and the residual is checked against RESIDUAL_RTOL * max(1, ||Q||_max).
+    triangular Sylvester equation T W + W T^T = -Z^H Q conj(Z), solved in
+    O(n^3) by the LAPACK ?trsyl of the operands' dtype (dtrsyl on the real
+    Schur form of a real A, ztrsyl otherwise); then V = Z W Z^T.  The Schur
+    factors come from ``report`` (a stability(A) result, whose own margin
+    then applies) or from a fresh stability(A) with STABILITY_MARGIN.  V is
+    symmetrized after the solve and the residual is checked against
+    RESIDUAL_RTOL * max(1, ||Q||_max).
     """
-    a = np.asarray(A, dtype=complex)
-    q = np.asarray(Q, dtype=complex)
+    a = np.asarray(A)
+    q = np.asarray(Q)
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise SolverError("A and Q must be square matrices of equal dimension")
@@ -93,8 +95,10 @@ def solve_lyapunov(
             f"drift matrix is not stable (max Re eigenvalue = {report.max_real_part:g})"
         )
     T, Z = report.schur
-    # op(conj(T)) with tranb="C" is conj(T)^H = T^T
-    w, w_scale, info = ztrsyl(T, T.conj(), -(Z.conj().T @ q @ Z.conj()), tranb="C")
+    rhs = -(Z.conj().T @ q @ Z.conj())
+    trsyl, = get_lapack_funcs(("trsyl",), (T, rhs))
+    # op(conj(T)) with tranb="C" is conj(T)^H = T^T; for real T "C" is the transpose
+    w, w_scale, info = trsyl(T, T.conj(), rhs, tranb="C")
     if info != 0:
         raise SolverError(f"singular Lyapunov system (marginal stability, info={info})")
     v = (Z @ w @ Z.T) / w_scale
@@ -120,16 +124,15 @@ def integrate_covariance(
     is refined until two successive refinements agree within INTEGRATION_RTOL
     (relative to max(1, ||V||_max)).
     This never touches the Lyapunov linear system, so it serves as an
-    independent oracle for solve_lyapunov.
+    independent oracle for solve_lyapunov.  It runs in the dtype of its
+    inputs, so a ladder-basis (complex) pair works as well as a real one.
     """
     if t_end <= 0:
         raise SolverError("t_end must be > 0")
-    a = np.asarray(A, dtype=complex)
-    q = np.asarray(Q, dtype=complex)
+    a = np.asarray(A)
+    q = np.asarray(Q)
     n = a.shape[0]
-    if v0 is None:
-        v0 = np.zeros((n, n), dtype=complex)
-    v0 = np.asarray(v0, dtype=complex)
+    v0 = np.zeros((n, n)) if v0 is None else np.asarray(v0)
 
     norm_a = float(np.abs(a).max()) or 1.0
     k = max(0, int(np.ceil(np.log2(max(t_end * norm_a, 1.0) / 0.25))))
@@ -149,7 +152,7 @@ def _propagate(a: np.ndarray, q: np.ndarray, v0: np.ndarray, t_end: float, k: in
     """V(t_end) with base step h = t_end / 2**k and k doublings."""
     n = a.shape[0]
     h = t_end / (2**k)
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, q, float))
     block[:n, :n] = a * h
     block[:n, n:] = q * h
     block[n:, n:] = -a.T * h
@@ -163,31 +166,21 @@ def _propagate(a: np.ndarray, q: np.ndarray, v0: np.ndarray, t_end: float, k: in
 
 
 def phonon_numbers(V: np.ndarray, model: Model) -> PhononReport:
-    """Extract final occupations from the covariance matrix.
+    """Extract final occupations from the quadrature covariance matrix.
 
-    With C cavities and canonical ordering, the l-th mechanical occupation is
-    Re V[M + C + l, C + l] - 1/2 (the V_73 - 1/2 and V_84 - 1/2 elements of
-    the four-mode case).  Cavity photon fluctuation occupations are reported
-    as a diagnostic.  A second moment whose imaginary part exceeds IMAG_TOL
-    raises SolverError.
+    With M modes in canonical order, mode k has occupation
+    n_k = (V[k, k] + V[M + k, M + k])/2 - 1/2, since <x^2> + <p^2> = 2n + 1.
+    Cavity photon fluctuation occupations are reported as a diagnostic.
     """
     m = model.n_modes
     if V.shape != (2 * m, 2 * m):
         raise SolverError("covariance dimension does not match config")
     nc = model.n_cavities
-
-    def occupation(idx: int) -> float:
-        moment = V[m + idx, idx]
-        if abs(complex(moment).imag) > IMAG_TOL:
-            raise SolverError(
-                f"second moment at mode {idx} has imaginary part {complex(moment).imag:g}"
-            )
-        return float(complex(moment).real) - 0.5
-
-    mech_raw = tuple(occupation(nc + l) for l in range(model.n_mechanicals))
-    cavity_raw = tuple(occupation(c) for c in range(nc))
+    d = np.diag(V)
+    occupations = ((d[:m] + d[m:]) / 2 - 0.5).tolist()
+    mech_raw = tuple(occupations[nc:])
     return PhononReport(
         mechanical=tuple(max(0.0, x) for x in mech_raw),
         mechanical_raw=mech_raw,
-        cavity=cavity_raw,
+        cavity=tuple(occupations[:nc]),
     )

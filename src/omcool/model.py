@@ -2,9 +2,12 @@
 amplitudes, and matrix assembly.
 
 All rates are dimensionless multiples of the first mechanical frequency
-(omega_1 = 1 internally).  The canonical index order is cavities first,
-then mechanical modes, then the same sequence daggered, so the fluctuation
-vector is [da_0, ..., db_0, ..., da_0^+, ..., db_0^+, ...].
+(omega_1 = 1 internally).  The canonical mode order is cavities first, then
+mechanical modes.  The fluctuations are taken in the real quadrature basis:
+first every x quadrature in that order, then every p quadrature, so the
+vector is [dx_a0, ..., dx_b0, ..., dp_a0, ..., dp_b0, ...] with
+x = (a + a^+)/sqrt2 and p = -i (a - a^+)/sqrt2.  The drift, noise and
+covariance matrices are real.
 
 A SystemConfig is validated and compiled once, where it enters, into a
 Model of plain arrays.  Every later stage reads the Model, and every
@@ -200,9 +203,8 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     Raises ConfigError on: empty mode lists, non-finite (NaN or infinite)
     numbers, negative rates, malformed or dangling endpoints, edge-kind
     mismatch, self-loops, and duplicate edges.  Called where a config
-    enters: parse_config (documents) and compile_config, which every run
-    (solve, sweep, taxonomy, presets, scripts) calls once; nothing
-    downstream re-checks.
+    enters: compile_config, which every run (solve, sweep, taxonomy,
+    presets, scripts) calls once; nothing downstream re-checks.
     """
     if not config.cavities or not config.mechanicals:
         raise ConfigError("empty mode list: need at least one cavity and one mechanical mode")
@@ -374,20 +376,25 @@ def linearized(model: Model, amplitudes: SteadyAmplitudes) -> Model:
 
 
 def build_drift_matrix(model: Model) -> np.ndarray:
-    """Assemble the 2M x 2M drift matrix A = [[E, F], [F*, E*]].
+    """Assemble the real 2M x 2M drift matrix of the (x, p) quadratures.
 
+    In the ladder basis (da, da^+) the drift matrix is [[E, F], [F*, E*]]:
     E carries the diagonal decay+detuning terms -(kappa + i Delta') and
-    -(gamma + i omega) plus the beam-splitter parts -iG, -iJ, -i eta;
-    F carries only the counter-rotating optomechanical -iG entries.  Edge
-    strengths are used as-is, so a physical-mode model must first be
+    -(gamma + i omega) plus the beam-splitter parts -iG, -iJ, -i eta; F
+    carries only the counter-rotating optomechanical -iG entries.  In the
+    quadrature basis the same dynamics read
+
+        A = [[Re(E + F), Im(F - E)], [Im(E + F), Re(E - F)]].
+
+    Edge strengths are used as-is, so a physical-mode model must first be
     translated by linearized with its SteadyAmplitudes.  The edge terms are
     added into zeros: validation leaves at most one edge per mode pair.
     """
     if model.parameter_mode == "physical":
         raise ConfigError("physical mode requires steady-state amplitudes")
     m = model.n_modes
-    A = np.zeros((2 * m, 2 * m), dtype=complex)
-    E, F = A[:m, :m], A[:m, m:]
+    E = np.zeros((m, m), dtype=complex)
+    F = np.zeros((m, m), dtype=complex)
     np.fill_diagonal(E, np.concatenate((-(model.decay + 1j * model.detuning),
                                         -(model.damping + 1j * model.frequency))))
     i, j, s, om = model.edge_i, model.edge_j, model.strength, model.optomechanical
@@ -395,21 +402,17 @@ def build_drift_matrix(model: Model) -> np.ndarray:
     E[j, i] += -1j * np.conj(s)
     F[i[om], j[om]] += -1j * s[om]
     F[j[om], i[om]] += -1j * s[om]
-    A[m:, :m] = np.conj(F)
-    A[m:, m:] = np.conj(E)
+    plus, minus = E + F, E - F
+    A = np.empty((2 * m, 2 * m))
+    A[:m, :m], A[:m, m:] = plus.real, -minus.imag
+    A[m:, :m], A[m:, m:] = plus.imag, minus.real
     return A
 
 
 def build_noise_matrix(model: Model) -> np.ndarray:
-    """Symmetrized noise matrix Q = (C + C^T)/2 for Markovian baths.
-
-    The only nonzero entries of C sit on the off-diagonal blocks:
-    2 kappa at (cavity, cavity+), 2 gamma (nbar + 1) at (mech, mech+) and
-    2 gamma nbar at (mech+, mech), so Q couples each mode to its dagger.
-    """
-    m = model.n_modes
-    Q = np.zeros((2 * m, 2 * m), dtype=float)
+    """Noise matrix Q = diag(D, D) of the (x, p) quadratures for Markovian
+    baths: both quadratures of cavity c receive D = kappa_c (vacuum bath)
+    and both of mechanical mode l receive D = gamma_l (2 nbar_l + 1), with
+    no cross-correlations."""
     diag = np.concatenate((model.decay, model.damping * (2.0 * model.nbar + 1.0)))
-    np.fill_diagonal(Q[:m, m:], diag)
-    np.fill_diagonal(Q[m:, :m], diag)
-    return Q
+    return np.diag(np.concatenate((diag, diag)))

@@ -16,9 +16,12 @@ from omcool.model import build_drift_matrix, build_noise_matrix, compile_config
 from omcool.presets import chain_config, n_type_config, network4_config
 
 
-def random_stable_system(rng, n):
-    """Random stable (A, Q) pair; Q symmetric positive semidefinite."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def random_stable_system(rng, n, real=False):
+    """Random stable (A, Q) pair, A complex unless ``real``; Q real symmetric
+    positive semidefinite."""
+    a = rng.standard_normal((n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((n, n))
     shift = max(np.linalg.eigvals(a).real.max(), 0.0) + rng.uniform(0.5, 2.0)
     a = a - shift * np.eye(n)
     b = rng.standard_normal((n, n))
@@ -105,8 +108,11 @@ def test_agrees_with_kronecker_reference():
     systems = [random_stable_system(rng, n) for n in (1, 2, 3, 5, 8) for _ in range(4)]
     cfg = compile_config(n_type_config())
     systems.append((build_drift_matrix(cfg), build_noise_matrix(cfg)))
+    # real pairs take the real Schur form and dtrsyl
+    systems += [random_stable_system(rng, n, real=True) for n in (1, 2, 3, 5, 8) for _ in range(4)]
     for a, q in systems:
         V = solve_lyapunov(a, q)
+        assert np.isrealobj(V) == np.isrealobj(a)
         ref = kronecker_lyapunov(a, q)
         assert np.abs(V - ref).max() <= 1e-12 * np.abs(ref).max()
 

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
+from omcool.cli import main
+from omcool.config_io import dump_config
 from omcool.errors import ConfigError
 from omcool.lyapunov import phonon_numbers, solve_lyapunov
 from omcool.model import (
@@ -352,12 +354,36 @@ def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
     assert calls[0] is spec.base
 
 
+@pytest.mark.parametrize("physical", [False, True], ids=["effective", "physical"])
+def test_solve_verb_validates_document_once(monkeypatch, tmp_path, physical):
+    cfg = _physical_n_type() if physical else n_type_config()
+    path = tmp_path / "config.json"
+    path.write_text(dump_config(cfg))
+    calls = _count_validations(monkeypatch)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == [cfg]  # by the run's compile_config; parsing does not validate
+
+
 # ---------------------------------------------------------------------------
 # drift matrix
+
+def _ladder(M, noise=False):
+    """A quadrature-basis matrix read in the ladder basis (da, da^+): U^-1 A U
+    for a drift matrix, U^-1 Q U^-T for a noise matrix, where
+    U = [[I, I], [-iI, iI]]/sqrt2 maps (a, a^+) to (x, p).  U is unitary, so
+    U^-1 = U^H and U^-T = conj(U); the sqrt2 factors are applied as one
+    final /2 so that every product with an entry of U is exact."""
+    m = M.shape[0] // 2
+    eye = np.eye(m)
+    u = np.block([[eye, eye], [-1j * eye, 1j * eye]])
+    return u.conj().T @ M @ (u.conj() if noise else u) / 2
+
 
 def test_decoupled_drift_matrix_is_diagonal():
     cfg = dataclasses.replace(n_type_config(), edges=())
     A = build_drift_matrix(compile_config(cfg))
+    assert np.isrealobj(A)
+    A = _ladder(A)
     expected = np.diag([
         -(0.1 + 1j), -(0.1 + 1j), -(1e-5 + 1j), -(1e-5 + 1j),
         -(0.1 - 1j), -(0.1 - 1j), -(1e-5 - 1j), -(1e-5 - 1j),
@@ -367,6 +393,8 @@ def test_decoupled_drift_matrix_is_diagonal():
 
 def test_photon_hop_entry():
     A = build_drift_matrix(compile_config(network4_config(J=0.03)))
+    assert np.isrealobj(A)
+    A = _ladder(A)
     assert A[:4, :4][0, 1] == pytest.approx(-0.03j, abs=1e-15)
     assert A[:4, :4][1, 0] == pytest.approx(-0.03j, abs=1e-15)
 
@@ -374,13 +402,17 @@ def test_photon_hop_entry():
 def test_counter_rotating_block_positions():
     # 0-based first-block positions of the N-type F block:
     # (0,2),(0,3),(1,2),(2,0),(2,1),(3,0)
-    F = build_drift_matrix(compile_config(n_type_config()))[:4, 4:]
+    A = build_drift_matrix(compile_config(n_type_config()))
+    assert np.isrealobj(A)
+    F = _ladder(A)[:4, 4:]
     nonzero = set(zip(*np.nonzero(np.abs(F) > 0)))
     assert nonzero == {(0, 2), (0, 3), (1, 2), (2, 0), (2, 1), (3, 0)}
 
 
 def test_optomechanical_entries():
     A = build_drift_matrix(compile_config(n_type_config(G1=0.05)))
+    assert np.isrealobj(A)
+    A = _ladder(A)
     assert A[:4, :4][0, 2] == pytest.approx(-0.05j)
     assert A[:4, :4][2, 0] == pytest.approx(-0.05j)
     assert A[:4, 4:][0, 2] == pytest.approx(-0.05j)
@@ -407,6 +439,8 @@ def random_configs(draw):
 @given(random_configs())
 def test_block_conjugation_property(cfg):
     A = build_drift_matrix(compile_config(cfg))
+    assert np.isrealobj(A)
+    A = _ladder(A)
     m = A.shape[0] // 2
     assert np.abs(A[m:, m:] - np.conj(A[:m, :m])).max() < 1e-14
     assert np.abs(A[m:, :m] - np.conj(A[:m, m:])).max() < 1e-14
@@ -478,6 +512,8 @@ def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
 
 def test_hop_symmetry_real_strengths():
     A = build_drift_matrix(compile_config(network4_config()))
+    assert np.isrealobj(A)
+    A = _ladder(A)
     assert A[:4, :4][0, 1] == A[:4, :4][1, 0]  # photon hop
     assert A[:4, :4][2, 3] == A[:4, :4][3, 2]  # phonon hop
 
@@ -487,6 +523,8 @@ def test_hop_symmetry_real_strengths():
 
 def test_noise_matrix_four_mode_values():
     Q = build_noise_matrix(compile_config(n_type_config()))
+    assert np.isrealobj(Q)
+    Q = _ladder(Q, noise=True)
     # mechanical m0 sits at index 2, its dagger at 6: gamma (2 nbar + 1)
     assert Q[2, 6] == pytest.approx(1e-5 * 2001.0)
     assert Q[6, 2] == pytest.approx(1e-5 * 2001.0)
@@ -505,6 +543,8 @@ def test_noise_matrix_vacuum_bath():
         edges=(),
     )
     Q = build_noise_matrix(compile_config(cfg))
+    assert np.isrealobj(Q)
+    Q = _ladder(Q, noise=True)
     assert Q[1, 3] == pytest.approx(1e-3)
     assert Q[3, 1] == pytest.approx(1e-3)
 
@@ -512,6 +552,8 @@ def test_noise_matrix_vacuum_bath():
 def test_noise_matrix_chain_block_structure():
     cfg = chain_config(3)
     Q = build_noise_matrix(compile_config(cfg))
+    assert np.isrealobj(Q)
+    Q = _ladder(Q, noise=True)
     m = 5
     assert np.abs(Q[:m, :m]).max() == 0.0
     assert np.abs(Q[m:, m:]).max() == 0.0
