@@ -11,9 +11,10 @@ Usage: python scripts/taxonomy_report.py [--kappa 0.05:1.0:100]
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from omcool.cli import parse_range
+from omcool.cli import attach_range_values, parse_range
 from omcool.errors import ConfigError
 from omcool.presets import network4_config
 from omcool.results import write_csv
@@ -25,17 +26,16 @@ def main() -> None:
     parser.add_argument("--kappa", default=None, metavar="MIN:MAX:POINTS",
                         help="optional decay-rate sweep per configuration")
     parser.add_argument("--outdir", default="results")
-    args = parser.parse_args()
+    args = parser.parse_args(attach_range_values(sys.argv[1:]))
 
     base = network4_config()
-    kappas = None
+    summary = table = run_taxonomy(base)
     if args.kappa:
         try:
-            kappas = parse_range(args.kappa)
+            table = run_taxonomy(base, parse_range(args.kappa))
         except ConfigError as exc:
             parser.error(f"--kappa: {exc}")
 
-    summary = run_taxonomy(base)
     print(f"{'closed':<14} {'dark':<6} {'n_f_1':>10} {'n_f_2':>10}")
     for row in summary.rows:
         label, _, dark, _, _, _, n1, n2 = row
@@ -45,7 +45,6 @@ def main() -> None:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = run_taxonomy(base, kappas) if kappas is not None else summary
     path = outdir / "taxonomy.csv"
     write_csv(table, path)
     print(f"wrote {path}")

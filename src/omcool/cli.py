@@ -58,6 +58,19 @@ def parse_range(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
 
 
+def attach_range_values(argv: list[str]) -> list[str]:
+    """argv with each --ratio/--kappa glued to the value after it
+    (``--ratio=-3:3:7``), so argparse takes a range that starts with '-' as
+    the value, not as an option."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in ("--ratio", "--kappa") and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _jobs(args) -> int:
     """--jobs, checked here for every verb; without it, $OMCOOL_JOBS or 1."""
     if args.jobs is None:
@@ -219,24 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (OmcoolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except UnstableSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except OmcoolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        codes = ((ParseError, EXIT_PARSE), (ConfigError, EXIT_VALIDATION),
+                 (UnstableSystemError, EXIT_UNSTABLE))
+        return next((code for kind, code in codes if isinstance(exc, kind)), EXIT_SOLVER)
 
 
 if __name__ == "__main__":

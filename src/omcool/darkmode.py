@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import Model
+from .model import Model, coupling_matrix
 
 EPS_DARK = 1e-10
 
@@ -92,29 +92,37 @@ def hybridize(
     )
 
 
-def _two_mode_couplings(model: Model) -> dict[str, float]:
-    """Extract (omega1, omega2, G1, G2, Gs1, Gs2, eta) from the strength
-    slots of a two-mechanical model; absent edges count as zero strength."""
+def _inapplicable(model: Model) -> str:
+    """Why the two-resonator dark-mode analysis does not apply to a model,
+    or "" when it does."""
     if model.n_mechanicals != 2:
-        raise ConfigError("dark-mode analysis needs exactly two mechanical modes")
+        return "dark-mode analysis needs exactly two mechanical modes"
     if model.topology not in ("n_type", "network4"):
-        raise ConfigError(f"dark-mode analysis does not apply to topology {model.topology!r}")
-    values = {"G1": 0.0, "G2": 0.0, "Gs1": 0.0, "Gs2": 0.0, "eta": 0.0}
+        return f"dark-mode analysis does not apply to topology {model.topology!r}"
+    return ""
+
+
+def dark_mode_applies(model: Model) -> bool:
+    """Whether dark_mode_condition applies: two mechanical modes on an
+    n_type or network4 topology."""
+    return not _inapplicable(model)
+
+
+def _two_mode_couplings(model: Model) -> dict[str, float]:
+    """Read (omega1, omega2, G1, G2, Gs1, Gs2, eta) off the coupling matrix
+    of a two-mechanical model: G1, G2 couple cavity c0 and Gs1, Gs2 cavity
+    c1 to m0, m1; absent edges count as zero strength."""
+    reason = _inapplicable(model)
+    if reason:
+        raise ConfigError(reason)
     nc = model.n_cavities
-    key_by_ends = {(0, nc): "G1", (0, nc + 1): "G2", (1, nc): "Gs1", (1, nc + 1): "Gs2"}
-    for i, j, s, om in zip(model.edge_i.tolist(), model.edge_j.tolist(),
-                           model.strength.tolist(), model.optomechanical.tolist()):
-        if om:
-            key = key_by_ends.get((i, j))
-            if key is None:
-                continue
-        elif i >= nc:
-            key = "eta"
-        else:
-            continue
-        if abs(s.imag) > 0:
-            raise ConfigError("dark-mode analysis requires real coupling strengths")
-        values[key] = s.real
+    K = coupling_matrix(model)
+    G = np.zeros((2, 2), dtype=complex)  # rows c0, c1; a lone cavity leaves c1 at zero
+    G[:nc] = K[:nc, nc:][:2]
+    strengths = np.append(G.ravel(), K[nc, nc + 1])
+    if np.any(strengths.imag != 0):
+        raise ConfigError("dark-mode analysis requires real coupling strengths")
+    values = dict(zip(("G1", "G2", "Gs1", "Gs2", "eta"), strengths.real.tolist()))
     values["omega1"], values["omega2"] = model.frequency.tolist()
     return values
 

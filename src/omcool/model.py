@@ -280,86 +280,75 @@ def axis_slot(config: SystemConfig, path: str, values) -> tuple[str, int]:
     return _SLOTS[section][name], index
 
 
+def coupling_matrix(model: Model) -> np.ndarray:
+    """The Hermitian M x M coupling matrix K of the model's edges, in
+    canonical mode order: K[i, j] = s and K[j, i] = conj(s) for an edge of
+    strength s from mode i to mode j, zero elsewhere.  Its cavity block holds
+    the photon hops J, its mechanical block the phonon hops eta, and the
+    cavity x mechanical block K[:C, C:] the optomechanical g (physical mode)
+    or G (effective mode).  The only reader of the edge arrays on the solve
+    path."""
+    K = np.zeros((model.n_modes, model.n_modes), dtype=complex)
+    K[model.edge_i, model.edge_j] = model.strength
+    K[model.edge_j, model.edge_i] = np.conj(model.strength)
+    return K
+
+
 def solve_steady_amplitudes(model: Model) -> SteadyAmplitudes:
     """Damped Picard iteration for the coupled steady-state amplitude equations.
 
-    Physical mode only.  The cavity amplitudes alpha, displacements beta, and
+    Physical mode only.  With K = coupling_matrix(model), g = K[:C, C:] and
+    z = (alpha, beta), the cavity amplitudes alpha, displacements beta, and
     effective detunings satisfy
 
-        alpha_c = -i (Omega_c + sum_hops J alpha_c') / (kappa_c + i Delta'_c)
-        beta_m  = -i (sum_c g_cm |alpha_c|^2 + sum_hops eta beta_m')
-                  / (gamma_m + i omega_m)
-        Delta'_c = Delta_c + 2 sum_m Re(conj(g_cm) beta_m)
+        alpha   = -i (Omega + K_cc alpha) / (kappa + i Delta')
+        beta    = -i (g^T |alpha|^2 + K_mm beta) / (gamma + i omega)
+        Delta'  = Delta + 2 Re(conj(g) beta)
 
-    Each step keeps AMPLITUDE_DAMPING of the old iterate; the iteration stops
-    once the largest update is below AMPLITUDE_TOL (absolute).  Raises
-    ConvergenceError after AMPLITUDE_MAX_ITER steps (bistable or unstable
-    drive regime).
+    Each step updates all of z from the old iterate with one matrix product
+    on w = (alpha, beta, |alpha|^2), keeping AMPLITUDE_DAMPING of the old
+    iterate; the iteration stops once the largest update is below
+    AMPLITUDE_TOL (absolute).  Raises ConvergenceError after
+    AMPLITUDE_MAX_ITER steps (bistable or unstable drive regime).
     """
     if model.parameter_mode != "physical":
         raise ConfigError("solve_steady_amplitudes requires parameter_mode='physical'")
 
-    nc, nm = model.n_cavities, model.n_mechanicals
-    alpha = np.zeros(nc, dtype=complex)
-    beta = np.zeros(nm, dtype=complex)
-
-    om_edges = []  # (cav index, mech index, g)
-    photon_hops = []  # (i, j, J)
-    phonon_hops = []  # (i, j, eta)
-    for i, j, s, om in zip(model.edge_i.tolist(), model.edge_j.tolist(),
-                           model.strength.tolist(), model.optomechanical.tolist()):
-        if om:
-            om_edges.append((i, j - nc, s))
-        elif i < nc:
-            photon_hops.append((i, j, s))
-        else:
-            phonon_hops.append((i - nc, j - nc, s))
-    cavities = list(zip(model.drive.tolist(), model.decay.tolist()))
-    mechanicals = list(zip(model.damping.tolist(), model.frequency.tolist()))
-
-    def detunings(beta_now: np.ndarray) -> np.ndarray:
-        delta = model.detuning.copy()
-        for c, m, g in om_edges:
-            delta[c] += 2.0 * (np.conj(g) * beta_now[m]).real
-        return delta
+    nc, m = model.n_cavities, model.n_modes
+    K = coupling_matrix(model)
+    g = K[:nc, nc:]
+    # rows :m give the force on z (hops, then g^T |alpha|^2), rows m: the
+    # detuning shift of each cavity (zero for the mechanical modes)
+    step = np.zeros((2 * m, m + nc), dtype=complex)
+    step[:nc, :nc] = K[:nc, :nc]
+    step[nc:m, nc:m] = K[nc:, nc:]
+    step[nc:m, m:] = g.T
+    step[m:m + nc, nc:m] = 2.0 * np.conj(g)
+    drive = np.concatenate((model.drive, np.zeros(m - nc)))
+    rates = (np.concatenate((model.decay, model.damping))
+             + 1j * np.concatenate((model.detuning, model.frequency)))
+    z = np.zeros(m, dtype=complex)
 
     for iterations in range(1, AMPLITUDE_MAX_ITER + 1):
-        delta_eff = detunings(beta)
-        alpha_new = np.zeros_like(alpha)
-        for c, (drive, decay) in enumerate(cavities):
-            for i, j, J in photon_hops:
-                if i == c:
-                    drive += J * alpha[j]
-                elif j == c:
-                    drive += np.conj(J) * alpha[i]
-            alpha_new[c] = -1j * drive / (decay + 1j * delta_eff[c])
-        beta_new = np.zeros_like(beta)
-        force = np.zeros(nm, dtype=complex)
-        for c, m, g in om_edges:
-            force[m] += g * abs(alpha[c]) ** 2
-        for i, j, eta in phonon_hops:
-            force[i] += eta * beta[j]
-            force[j] += np.conj(eta) * beta[i]
-        for m, (damping, frequency) in enumerate(mechanicals):
-            beta_new[m] = -1j * force[m] / (damping + 1j * frequency)
-
-        residual = max(np.abs(alpha_new - alpha).max(initial=0.0),
-                       np.abs(beta_new - beta).max(initial=0.0))
-        alpha = AMPLITUDE_DAMPING * alpha + (1.0 - AMPLITUDE_DAMPING) * alpha_new
-        beta = AMPLITUDE_DAMPING * beta + (1.0 - AMPLITUDE_DAMPING) * beta_new
+        out = step @ np.concatenate((z, np.abs(z[:nc]) ** 2))
+        z_new = -1j * (drive + out[:m]) / (rates + 1j * out[m:].real)
+        residual = np.abs(z_new - z).max()
+        z = AMPLITUDE_DAMPING * z + (1.0 - AMPLITUDE_DAMPING) * z_new
         if residual < AMPLITUDE_TOL:
-            alpha, beta = alpha_new, beta_new
+            z = z_new
             break
     else:
         raise ConvergenceError(
             f"steady-state amplitudes did not converge within {AMPLITUDE_MAX_ITER} iterations"
         )
 
+    alpha, beta = z[:nc], z[nc:]
+    om = model.optomechanical
     return SteadyAmplitudes(
         cavity_amplitudes=tuple(alpha),
         mechanical_displacements=tuple(beta),
-        effective_detunings=tuple(detunings(beta)),
-        linearized_couplings=tuple(g * alpha[c] for c, m, g in om_edges),
+        effective_detunings=tuple(model.detuning + 2.0 * (np.conj(g) @ beta).real),
+        linearized_couplings=tuple(model.strength[om] * alpha[model.edge_i[om]]),
         iterations=iterations,
     )
 
@@ -378,30 +367,31 @@ def linearized(model: Model, amplitudes: SteadyAmplitudes) -> Model:
 def build_drift_matrix(model: Model) -> np.ndarray:
     """Assemble the real 2M x 2M drift matrix of the (x, p) quadratures.
 
-    In the ladder basis (da, da^+) the drift matrix is [[E, F], [F*, E*]]:
-    E carries the diagonal decay+detuning terms -(kappa + i Delta') and
-    -(gamma + i omega) plus the beam-splitter parts -iG, -iJ, -i eta; F
-    carries only the counter-rotating optomechanical -iG entries.  In the
-    quadrature basis the same dynamics read
+    In the ladder basis (da, da^+) the drift matrix is [[E, F], [F*, E*]]
+    with K = coupling_matrix(model):
+
+        E = -diag(kappa + i Delta', gamma + i omega) - i K
+        F = -i G on the cavity x mechanical block K[:C, C:] = G and its
+            transpose, zero elsewhere (the counter-rotating terms).
+
+    In the quadrature basis the same dynamics read
 
         A = [[Re(E + F), Im(F - E)], [Im(E + F), Re(E - F)]].
 
     Edge strengths are used as-is, so a physical-mode model must first be
-    translated by linearized with its SteadyAmplitudes.  The edge terms are
-    added into zeros: validation leaves at most one edge per mode pair.
+    translated by linearized with its SteadyAmplitudes.
     """
     if model.parameter_mode == "physical":
         raise ConfigError("physical mode requires steady-state amplitudes")
-    m = model.n_modes
-    E = np.zeros((m, m), dtype=complex)
-    F = np.zeros((m, m), dtype=complex)
+    m, nc = model.n_modes, model.n_cavities
+    # -1j * K leaves -0.0 where a part of K is zero; + 0.0 makes it +0.0, so
+    # A is bit-identical to the sum of the edge terms into zeros
+    E = -1j * coupling_matrix(model) + 0.0
     np.fill_diagonal(E, np.concatenate((-(model.decay + 1j * model.detuning),
                                         -(model.damping + 1j * model.frequency))))
-    i, j, s, om = model.edge_i, model.edge_j, model.strength, model.optomechanical
-    E[i, j] += -1j * s
-    E[j, i] += -1j * np.conj(s)
-    F[i[om], j[om]] += -1j * s[om]
-    F[j[om], i[om]] += -1j * s[om]
+    F = np.zeros((m, m), dtype=complex)
+    F[:nc, nc:] = E[:nc, nc:]
+    F[nc:, :nc] = E[:nc, nc:].T
     plus, minus = E + F, E - F
     A = np.empty((2 * m, 2 * m))
     A[:m, :m], A[:m, m:] = plus.real, -minus.imag

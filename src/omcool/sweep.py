@@ -14,7 +14,12 @@ import numpy as np
 from . import __version__
 from .atomic import four_level_eigensystem, three_level_eigensystem
 from .config_io import config_hash
-from .darkmode import TAXONOMY_SIZES, closed_channel_variants, dark_mode_condition
+from .darkmode import (
+    TAXONOMY_SIZES,
+    closed_channel_variants,
+    dark_mode_applies,
+    dark_mode_condition,
+)
 from .errors import ConfigError, OmcoolError
 from .lyapunov import phonon_numbers, solve_lyapunov, stability
 from .model import (
@@ -85,20 +90,13 @@ def solve_record(model: Model) -> dict:
     Q = build_noise_matrix(model)
     report = stability(A)
     record: dict = {"stable": report.stable, "max_real_part": report.max_real_part}
-    nm, nc = model.n_mechanicals, model.n_cavities
+    n_f, n_c = [None] * model.n_mechanicals, [None] * model.n_cavities
     if report.stable:
-        V = solve_lyapunov(A, Q, report=report)
-        phonons = phonon_numbers(V, model)
-        for l in range(nm):
-            record[f"n_f_{l + 1}"] = phonons.mechanical[l]
-        for c in range(nc):
-            record[f"n_c_{c + 1}"] = phonons.cavity[c]
-    else:
-        for l in range(nm):
-            record[f"n_f_{l + 1}"] = None
-        for c in range(nc):
-            record[f"n_c_{c + 1}"] = None
-    if nm == 2 and model.topology in ("n_type", "network4"):
+        phonons = phonon_numbers(solve_lyapunov(A, Q, report=report), model)
+        n_f, n_c = phonons.mechanical, phonons.cavity
+    record.update({f"n_f_{l + 1}": n for l, n in enumerate(n_f)})
+    record.update({f"n_c_{c + 1}": n for c, n in enumerate(n_c)})
+    if dark_mode_applies(model):
         try:
             dm = dark_mode_condition(model)
             record["dark"] = dm.dark_present
@@ -113,7 +111,7 @@ def _record_columns(model: Model) -> list[str]:
     cols = ["stable", "max_real_part"]
     cols += [f"n_f_{l + 1}" for l in range(model.n_mechanicals)]
     cols += [f"n_c_{c + 1}" for c in range(model.n_cavities)]
-    if model.n_mechanicals == 2 and model.topology in ("n_type", "network4"):
+    if dark_mode_applies(model):
         cols += ["dark", "zeta_residual", "gs_minus_residual"]
     return cols
 

@@ -488,6 +488,15 @@ def test_cli_taxonomy_non_finite_kappa_exit_code(tmp_path, kappa):
     assert main(["taxonomy", "--config", cfg_path, "--kappa", kappa]) == 3
 
 
+def test_cli_range_value_may_start_with_minus(tmp_path, capsys):
+    out = tmp_path / "atomic.csv"
+    assert main(["atomic", "--levels", "3", "--ratio", "-3:3:7", "--out", str(out)]) == 0
+    assert read_csv(out).column("ratio") == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    cfg_path = _write_config(tmp_path, network4_config())
+    assert main(["taxonomy", "--config", cfg_path, "--kappa", "-1:1:3"]) == 3
+    assert "decay must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs, argv", [
     ("0", None),
     ("-4", None),

@@ -263,20 +263,35 @@ _NET4_J = 0.02 + 0.015j
 _NET4_ETA = 0.01 - 0.012j
 
 
-def _physical_network4():
+def _hop(kind, ends, strength, reverse):
+    """A hop edge written forward, or reversed with the conjugate strength:
+    both describe the same coupling."""
+    if reverse:
+        return CouplingEdge(kind, ends[::-1], strength.conjugate())
+    return CouplingEdge(kind, ends, strength)
+
+
+def _physical_network4(reverse_j=False, reverse_eta=False):
     return SystemConfig(
         cavities=(CavityMode(1.0, 0.1, 60.0), CavityMode(0.9, 0.15, 30.0 + 25.0j)),
         mechanicals=(MechanicalMode(1.0, 1e-5, 1000.0), MechanicalMode(1.05, 1e-5, 1000.0)),
         edges=tuple(CouplingEdge("optomechanical", ends, g) for ends, g in _NET4_G.items())
-        + (CouplingEdge("photon_hop", ("c0", "c1"), _NET4_J),
-           CouplingEdge("phonon_hop", ("m0", "m1"), _NET4_ETA)),
+        + (_hop("photon_hop", ("c0", "c1"), _NET4_J, reverse_j),
+           _hop("phonon_hop", ("m0", "m1"), _NET4_ETA, reverse_eta)),
         parameter_mode="physical",
         topology="network4",
     )
 
 
-def test_network4_amplitudes_match_root_finding_oracle():
-    cfg = _physical_network4()
+# the direction each of the two hops is written in
+_HOP_DIRECTIONS = pytest.mark.parametrize("reverse_j, reverse_eta", [
+    (False, False), (True, False), (False, True), (True, True),
+], ids=["c0c1-m0m1", "c1c0-m0m1", "c0c1-m1m0", "c1c0-m1m0"])
+
+
+@_HOP_DIRECTIONS
+def test_network4_amplitudes_match_root_finding_oracle(reverse_j, reverse_eta):
+    cfg = _physical_network4(reverse_j, reverse_eta)
     amps = solve_steady_amplitudes(compile_config(cfg))
     g = {(int(c[1]), int(m[1])): v for (c, m), v in _NET4_G.items()}
 
@@ -301,13 +316,17 @@ def test_network4_amplitudes_match_root_finding_oracle():
         assert abs(got - want) < 1e-10
 
 
-def test_network4_physical_drift_matrix_is_effective_translation():
-    cfg = _physical_network4()
+@_HOP_DIRECTIONS
+def test_network4_physical_drift_matrix_is_effective_translation(reverse_j, reverse_eta):
+    cfg = _physical_network4(reverse_j, reverse_eta)
     model = compile_config(cfg)
     amps = solve_steady_amplitudes(model)
     A_phys = build_drift_matrix(linearized(model, amps))
     A_eff = build_drift_matrix(compile_config(_effective_translation(cfg, amps)))
     assert np.array_equal(A_phys, A_eff)
+    forward = compile_config(_physical_network4())
+    A_forward = build_drift_matrix(linearized(forward, solve_steady_amplitudes(forward)))
+    assert A_phys.tobytes() == A_forward.tobytes()
 
 
 @pytest.mark.parametrize("physical", [False, True], ids=["effective", "physical"])

@@ -41,3 +41,15 @@ def test_taxonomy_report_rejects_bad_kappa(tmp_path, monkeypatch, capsys, kappa)
     assert exc.value.code == 2
     assert "--kappa: bad range spec" in capsys.readouterr().err
     assert not (tmp_path / "taxonomy.csv").exists()
+
+
+def test_taxonomy_report_accepts_negative_kappa_range(tmp_path, monkeypatch, capsys):
+    """A range starting with '-' reaches the decay check instead of being
+    taken for an option."""
+    script = "taxonomy_report.py"
+    monkeypatch.setattr(sys, "argv", [script, "--kappa", "-1:1:3", "--outdir", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "--kappa: cavity c0: decay must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "taxonomy.csv").exists()
