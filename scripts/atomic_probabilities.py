@@ -13,10 +13,8 @@ Usage: python scripts/atomic_probabilities.py [--points 120]
 import argparse
 from pathlib import Path
 
-import numpy as np
-
+from omcool.presets import get_preset
 from omcool.results import write_csv, write_svg
-from omcool.sweep import run_atomic
 
 
 def main() -> None:
@@ -27,9 +25,8 @@ def main() -> None:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ratios = np.linspace(0.0, 3.0, args.points)
-    for levels in (3, 4):
-        table = run_atomic(levels, ratios)
+    for levels, name in ((3, "fig13a"), (4, "fig13b")):
+        table = get_preset(name, points=args.points).run(1)
         probs = [row[1 + levels:] for row in table.rows]
         floor = min(min(p) for p in probs)
         print(f"{levels}-level system: minimum excited-state probability "

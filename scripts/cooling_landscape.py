@@ -15,7 +15,6 @@ from pathlib import Path
 
 from omcool.presets import get_preset
 from omcool.results import write_csv, write_svg
-from omcool.sweep import run_sweep
 
 
 def main() -> None:
@@ -29,7 +28,7 @@ def main() -> None:
     args = parser.parse_args()
 
     preset = get_preset(args.preset, points=args.points)
-    table = run_sweep(preset.sweep, parallelism=args.jobs)
+    table = preset.run(args.jobs)
     table.metadata["preset"] = preset.name
 
     outdir = Path(args.outdir)

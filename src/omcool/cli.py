@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
-from .config_io import dump_config, parse_config
+from .config_io import parse_config
 from .errors import ConfigError, OmcoolError, ParseError, SolverError, UnstableSystemError
 from .presets import get_preset, preset_names
 from .results import ResultTable, read_csv, table_to_csv, table_to_svg, write_csv, write_svg
-from .sweep import SweepAxis, SweepSpec, default_jobs, run_atomic, run_solve, run_sweep, run_taxonomy
+from .sweep import SweepAxis, SweepSpec, run_atomic, run_solve, run_sweep, run_taxonomy
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -72,9 +72,7 @@ def attach_range_values(argv: list[str]) -> list[str]:
 
 
 def _jobs(args) -> int:
-    """--jobs, checked here for every verb; without it, $OMCOOL_JOBS or 1."""
-    if args.jobs is None:
-        return default_jobs()
+    """--jobs (default 1), checked here for every verb that takes it."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     return args.jobs
@@ -136,33 +134,14 @@ def _cmd_atomic(args) -> int:
 def _cmd_preset(args) -> int:
     preset = get_preset(args.name, points=args.points)
     if args.dump:
-        if preset.config is not None:
-            text = dump_config(preset.config)
-        else:
-            text = json.dumps(
-                {"atomic": {"levels": preset.atomic_levels,
-                            "ratio": list(preset.atomic_ratio),
-                            "points": preset.points}},
-                indent=2, sort_keys=True) + "\n"
+        text = json.dumps(preset.document, indent=2, sort_keys=True) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
         return EXIT_OK
-
-    jobs = _jobs(args)
-    if preset.kind == "solve":
-        table = run_solve(preset.config)
-    elif preset.kind == "sweep":
-        table = run_sweep(preset.sweep, parallelism=jobs)
-    elif preset.kind == "taxonomy":
-        lo, hi = preset.taxonomy_kappa
-        table = run_taxonomy(preset.config, np.linspace(lo, hi, preset.points),
-                             preset.taxonomy_sizes)
-    else:
-        lo, hi = preset.atomic_ratio
-        table = run_atomic(preset.atomic_levels, np.linspace(lo, hi, preset.points))
+    table = preset.run(_jobs(args))
     table.metadata["preset"] = preset.name
     _write_table(table, args.out, args.format)
     return EXIT_OK
@@ -194,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--axis", action="append", required=True,
                    metavar="PATH:MIN:MAX:POINTS[:log]")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: $OMCOOL_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     add_output(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -215,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="dump or run a named figure/table preset")
     p.add_argument("name", choices=preset_names())
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--dump", action="store_true", help="emit the preset config as JSON")
+    group.add_argument("--dump", action="store_true", help="emit the preset's config (or atomic grid) as JSON")
     group.add_argument("--run", action="store_true", help="run the preset (default)")
     p.add_argument("--points", type=int, default=None, help="grid points per axis")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     add_output(p)
     p.set_defaults(func=_cmd_preset)
 

@@ -97,14 +97,16 @@ def _inapplicable(model: Model) -> str:
     or "" when it does."""
     if model.n_mechanicals != 2:
         return "dark-mode analysis needs exactly two mechanical modes"
+    if model.n_cavities > 2:
+        return "dark-mode analysis needs at most two cavities"
     if model.topology not in ("n_type", "network4"):
         return f"dark-mode analysis does not apply to topology {model.topology!r}"
     return ""
 
 
 def dark_mode_applies(model: Model) -> bool:
-    """Whether dark_mode_condition applies: two mechanical modes on an
-    n_type or network4 topology."""
+    """Whether dark_mode_condition applies: two mechanical modes and at most
+    two cavities on an n_type or network4 topology."""
     return not _inapplicable(model)
 
 
@@ -118,7 +120,7 @@ def _two_mode_couplings(model: Model) -> dict[str, float]:
     nc = model.n_cavities
     K = coupling_matrix(model)
     G = np.zeros((2, 2), dtype=complex)  # rows c0, c1; a lone cavity leaves c1 at zero
-    G[:nc] = K[:nc, nc:][:2]
+    G[:nc] = K[:nc, nc:]
     strengths = np.append(G.ravel(), K[nc, nc + 1])
     if np.any(strengths.imag != 0):
         raise ConfigError("dark-mode analysis requires real coupling strengths")

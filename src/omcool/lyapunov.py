@@ -38,16 +38,15 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class PhononReport:
-    """Final occupations per mode; raw values keep the (tiny) negative
-    round-off, the clamped ones are floored at zero for reporting."""
+    """Final occupations per mode; the mechanical ones are floored at zero
+    for reporting, which drops the (tiny) negative round-off."""
 
     mechanical: tuple[float, ...]
-    mechanical_raw: tuple[float, ...]
     cavity: tuple[float, ...]
 
 
-def stability(A: np.ndarray, margin: float = STABILITY_MARGIN) -> StabilityReport:
-    """Eigenvalue stability test: stable iff max Re(lambda) < -margin.
+def stability(A: np.ndarray) -> StabilityReport:
+    """Eigenvalue stability test: stable iff max Re(lambda) < -STABILITY_MARGIN.
 
     Equivalent to the Routh-Hurwitz criterion for this purpose and tractable
     for arbitrary dimension.  The report carries the Schur form A = Z T Z^H
@@ -62,7 +61,7 @@ def stability(A: np.ndarray, margin: float = STABILITY_MARGIN) -> StabilityRepor
     max_real = float(np.diag(T).real.max())
     return StabilityReport(
         max_real_part=max_real,
-        stable=max_real < -margin,
+        stable=max_real < -STABILITY_MARGIN,
         schur=(T, Z),
     )
 
@@ -78,9 +77,9 @@ def solve_lyapunov(
     triangular Sylvester equation T W + W T^T = -Z^H Q conj(Z), solved in
     O(n^3) by the LAPACK ?trsyl of the operands' dtype (dtrsyl on the real
     Schur form of a real A, ztrsyl otherwise); then V = Z W Z^T.  The Schur
-    factors come from ``report`` (a stability(A) result, whose own margin
-    then applies) or from a fresh stability(A) with STABILITY_MARGIN.  V is
-    symmetrized after the solve and the residual is checked against
+    factors and the stability verdict come from ``report`` (a stability(A)
+    result) or from a fresh stability(A).  V is symmetrized after the solve
+    and the residual is checked against
     RESIDUAL_RTOL * max(1, ||Q||_max).
     """
     a = np.asarray(A)
@@ -178,9 +177,7 @@ def phonon_numbers(V: np.ndarray, model: Model) -> PhononReport:
     nc = model.n_cavities
     d = np.diag(V)
     occupations = ((d[:m] + d[m:]) / 2 - 0.5).tolist()
-    mech_raw = tuple(occupations[nc:])
     return PhononReport(
-        mechanical=tuple(max(0.0, x) for x in mech_raw),
-        mechanical_raw=mech_raw,
+        mechanical=tuple(max(0.0, x) for x in occupations[nc:]),
         cavity=tuple(occupations[:nc]),
     )

@@ -147,7 +147,9 @@ class SteadyAmplitudes:
     iterations: int
 
 
-_MODE_ID = re.compile(r"[cm](0|[1-9][0-9]*)")
+# The one spelling of an index: no sign, no leading zero.
+_INDEX = "0|[1-9][0-9]*"
+_MODE_ID = re.compile(f"[cm]({_INDEX})")
 
 
 def _split_mode_id(mode_id: str) -> tuple[str, int]:
@@ -261,17 +263,17 @@ def axis_slot(config: SystemConfig, path: str, values) -> tuple[str, int]:
     to its (array name, index) slot in the config's Model, and check each
     value against that field's rule.  Every rule concerns one field, so a
     point with these values written in is valid when the config and each
-    value are."""
+    value are.  The index must be spelled canonically, so that no two paths
+    name one slot."""
     parts = path.split(".")
     if len(parts) != 3:
         raise ConfigError(f"bad parameter path {path!r} (want section.index.field)")
     section, idx_s, name = parts
     if section not in _SLOTS:
         raise ConfigError(f"bad parameter path {path!r}: unknown section {section!r}")
-    try:
-        index = range(len(getattr(config, section)))[int(idx_s)]
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad parameter path {path!r}: no element {idx_s}") from exc
+    if not re.fullmatch(_INDEX, idx_s) or int(idx_s) >= len(getattr(config, section)):
+        raise ConfigError(f"bad parameter path {path!r}: no element {idx_s}")
+    index = int(idx_s)
     if name not in _SLOTS[section]:
         raise ConfigError(f"bad parameter path {path!r}: {name!r} is not a numeric field")
     owner = _owner(config, section, index)

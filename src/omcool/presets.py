@@ -6,12 +6,16 @@ resolutions are presentation choices and default to 100 points per axis.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .darkmode import TAXONOMY_SIZES
+import numpy as np
+
+from .config_io import config_to_dict
 from .errors import ConfigError
 from .model import CavityMode, CouplingEdge, MechanicalMode, SystemConfig
-from .sweep import SweepAxis, SweepSpec
+from .results import ResultTable
+from .sweep import SweepAxis, SweepSpec, run_atomic, run_solve, run_sweep, run_taxonomy
 
 DEFAULT_POINTS = 100
 
@@ -107,23 +111,24 @@ def chain_config(
 
 @dataclass(frozen=True)
 class Preset:
+    """A figure or table of the paper.  ``document`` is the JSON object
+    ``preset --dump`` writes: the config, or the atomic grid of fig13a/b.
+    ``run(jobs)`` computes the table ``preset --run`` writes, over the ranges
+    and grid sizes its figure fixes; only the sweeps use ``jobs``."""
+
     name: str
-    kind: str  # solve | sweep | taxonomy | atomic
-    description: str
-    config: SystemConfig | None = None
-    sweep: SweepSpec | None = None
-    taxonomy_sizes: tuple[int, ...] = TAXONOMY_SIZES
-    taxonomy_kappa: tuple[float, float] = (0.0, 0.0)
-    atomic_levels: int = 0
-    atomic_ratio: tuple[float, float] = (0.0, 0.0)
-    points: int = DEFAULT_POINTS
+    config: SystemConfig | None
+    document: dict
+    run: Callable[[int], ResultTable]
 
 
-def _sweep_preset(name, desc, base, axes, outputs, points) -> Preset:
-    return Preset(
-        name=name, kind="sweep", description=desc, config=base,
-        sweep=SweepSpec(base=base, axes=axes, outputs=outputs), points=points,
-    )
+def _preset(name: str, config: SystemConfig, run: Callable[[int], ResultTable]) -> Preset:
+    return Preset(name, config, config_to_dict(config), run)
+
+
+def _sweep_preset(name, base, axes, outputs) -> Preset:
+    spec = SweepSpec(base=base, axes=axes, outputs=outputs)
+    return _preset(name, base, lambda jobs: run_sweep(spec, parallelism=jobs))
 
 
 def get_preset(name: str, points: int | None = None) -> Preset:
@@ -143,6 +148,9 @@ def preset_names() -> list[str]:
 
 
 def _fig2(panel: str, pts: int) -> Preset:
+    """n_f_1 (a, c) or n_f_2 (b, d) over the driving-detuning x decay plane
+    of the intermediate (a, b) or auxiliary (c, d) cavity, degenerate
+    resonators."""
     base = n_type_config()
     if panel in "ab":
         axes = (SweepAxis("cavities.0.detuning", 0.5, 1.5, pts),
@@ -151,57 +159,54 @@ def _fig2(panel: str, pts: int) -> Preset:
         axes = (SweepAxis("cavities.1.detuning", 0.5, 1.5, pts),
                 SweepAxis("cavities.1.decay", 0.05, 1.0, pts))
     out = "n_f_1" if panel in "ac" else "n_f_2"
-    return _sweep_preset(
-        f"fig2{panel}",
-        f"{out} over driving-detuning x decay plane (degenerate resonators)",
-        base, axes, (out, "stable"), pts)
+    return _sweep_preset(f"fig2{panel}", base, axes, (out, "stable"))
 
 
 def _fig3(panel: str, pts: int) -> Preset:
+    """n_f_1 (a, c) or n_f_2 (b, d) over the frequency-ratio x decay plane,
+    auxiliary coupling off (a, b) or on (c, d)."""
     base = n_type_config(Gs1=0.0 if panel in "ab" else 0.08)
     axes = (SweepAxis("mechanicals.1.frequency", 0.5, 1.5, pts),
             SweepAxis("cavities.0.decay", 0.05, 1.0, pts))
     out = "n_f_1" if panel in "ac" else "n_f_2"
-    state = "auxiliary coupling off" if panel in "ab" else "auxiliary coupling on"
-    return _sweep_preset(
-        f"fig3{panel}", f"{out} over frequency-ratio x decay plane ({state})",
-        base, axes, (out, "stable"), pts)
+    return _sweep_preset(f"fig3{panel}", base, axes, (out, "stable"))
 
 
 def _fig4(panel: str, pts: int) -> Preset:
+    """n_f_1 (a) or n_f_2 (b) vs auxiliary coupling strength at three decay
+    rates."""
     base = n_type_config()
     axes = (SweepAxis("edges.2.strength", 0.0, 0.3, pts),
             SweepAxis("cavities.1.decay", 0.4, 1.2, 3))
     out = "n_f_1" if panel == "a" else "n_f_2"
-    return _sweep_preset(
-        f"fig4{panel}", f"{out} vs auxiliary coupling strength at three decay rates",
-        base, axes, (out, "stable"), pts)
+    return _sweep_preset(f"fig4{panel}", base, axes, (out, "stable"))
 
 
 def _fig7(panel: str, pts: int) -> Preset:
+    """Taxonomy rows with one (a, b), two (c, d) or three (e, f) closed
+    channels, swept over the intermediate-cavity decay in [0.05, 1]."""
     sizes = {"a": (1,), "b": (1,), "c": (2,), "d": (2,), "e": (3,), "f": (3,)}[panel]
-    return Preset(
-        name=f"fig7{panel}", kind="taxonomy",
-        description=f"taxonomy rows with {sizes[0]} closed channel(s), swept over kappa",
-        config=network4_config(), taxonomy_sizes=sizes,
-        taxonomy_kappa=(0.05, 1.0), points=pts)
+    base = network4_config()
+    return _preset(f"fig7{panel}", base,
+                   lambda jobs: run_taxonomy(base, np.linspace(0.05, 1.0, pts), sizes))
 
 
 def _fig8(panel: str, pts: int) -> Preset:
+    """Phonon numbers (a) vs decay for Gs2 = 4 Gs1 = 0.08, the swapped case
+    following by the exchange symmetry, or (b) vs Gs2 (ratio Gs2/Gs1 in
+    [0, 3]) at Gs1 = 0.08."""
     if panel == "a":
         base = network4_config(Gs1=0.02, Gs2=0.08)
         axes = (SweepAxis("cavities.0.decay", 0.05, 1.0, pts),)
-        desc = ("phonon numbers vs decay for Gs2 = 4 Gs1 = 0.08; the swapped "
-                "case follows by the exchange symmetry")
     else:
         base = network4_config(Gs1=0.08, Gs2=0.08)
         axes = (SweepAxis("edges.3.strength", 0.0, 0.24, pts),)
-        desc = "phonon numbers vs Gs2 (ratio Gs2/Gs1 in [0, 3]) at Gs1 = 0.08"
-    return _sweep_preset(f"fig8{panel}", desc, base, axes,
-                         ("n_f_1", "n_f_2", "stable", "dark"), pts)
+    return _sweep_preset(f"fig8{panel}", base, axes, ("n_f_1", "n_f_2", "stable", "dark"))
 
 
 def _fig11(panel: str, pts: int) -> Preset:
+    """Chain cooling with the dark modes broken, N = 3 (a, c) or 4 (b, d),
+    over the intermediate cavity's detuning (a, b) or decay (c, d)."""
     N = {"a": 3, "b": 4, "c": 3, "d": 4}[panel]
     base = chain_config(N)
     if panel in "ab":
@@ -209,24 +214,22 @@ def _fig11(panel: str, pts: int) -> Preset:
     else:
         axes = (SweepAxis("cavities.0.decay", 0.05, 1.0, pts),)
     outputs = tuple(f"n_f_{l + 1}" for l in range(N)) + ("stable",)
-    return _sweep_preset(f"fig11{panel}",
-                         f"chain cooling, N={N}, dark modes broken",
-                         base, axes, outputs, pts)
+    return _sweep_preset(f"fig11{panel}", base, axes, outputs)
 
 
 def _fig13(panel: str, pts: int) -> Preset:
+    """Excited-state probabilities of the three- (a) or four-level (b)
+    system vs amplitude ratio in [0, 3]."""
     levels = 3 if panel == "a" else 4
-    return Preset(
-        name=f"fig13{panel}", kind="atomic",
-        description=f"excited-state probabilities of the {levels}-level system vs amplitude ratio",
-        atomic_levels=levels, atomic_ratio=(0.0, 3.0), points=pts)
+    grid = {"atomic": {"levels": levels, "ratio": [0.0, 3.0], "points": pts}}
+    return Preset(f"fig13{panel}", None, grid,
+                  lambda jobs: run_atomic(levels, np.linspace(0.0, 3.0, pts)))
 
 
 def _table1(pts: int) -> Preset:
-    return Preset(
-        name="table1", kind="solve",
-        description="scaled electromechanical parameter set, single solve",
-        config=network4_config(J=0.03, eta=0.03), points=pts)
+    """Scaled electromechanical parameter set, single solve."""
+    config = network4_config(J=0.03, eta=0.03)
+    return _preset("table1", config, lambda jobs: run_solve(config))
 
 
 _BUILDERS = {}

@@ -4,8 +4,6 @@ and atomic ratio grids, all producing ResultTables."""
 from __future__ import annotations
 
 import itertools
-import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -133,37 +131,21 @@ def run_solve(config: SystemConfig) -> ResultTable:
     )
 
 
-def default_jobs() -> int:
-    """Worker count from $OMCOOL_JOBS (default 1).  A value that is not a
-    positive integer falls back to 1 with a RuntimeWarning on stderr."""
-    raw = os.environ.get("OMCOOL_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        warnings.warn(f"ignoring OMCOOL_JOBS={raw!r}: not a positive integer; using 1 worker",
-                      RuntimeWarning, stacklevel=2)
-        return 1
-    return jobs
-
-
 def _solve_points(model: Model, slots, points) -> list[dict]:
     """Records of the grid points, each the model with its axis values
     written into the axis slots."""
     return [solve_record(model.write(slots, point)) for point in points]
 
 
-def run_sweep(spec: SweepSpec, parallelism: int | None = None) -> ResultTable:
+def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
     """Row-major grid evaluation.  Each point is an independent solve; row
     order never depends on the parallelism level.  ``parallelism`` must be at
     least 1.  The base config is compiled once and each axis value checked
     once.  A hard failure aborts the sweep with the partial table attached
     to the exception."""
-    if parallelism is not None and parallelism < 1:
+    if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     model = compile_config(spec.base)
-    jobs = parallelism if parallelism is not None else default_jobs()
     axis_values = [[float(x) for x in axis.values()] for axis in spec.axes]
     slots = [axis_slot(spec.base, axis.path, values)
              for axis, values in zip(spec.axes, axis_values)]
@@ -181,9 +163,9 @@ def run_sweep(spec: SweepSpec, parallelism: int | None = None) -> ResultTable:
     )
     # a task is a chunk: the model is sent once per chunk, each point as its
     # axis values; serial chunks are single points, so a failure keeps every row before it
-    if jobs > 1:
-        executor = ProcessPoolExecutor(max_workers=jobs)
-        size = max(1, len(points) // (jobs * 4))
+    if parallelism > 1:
+        executor = ProcessPoolExecutor(max_workers=parallelism)
+        size = max(1, len(points) // (parallelism * 4))
         run = executor.map
     else:
         executor = None

@@ -27,7 +27,6 @@ from omcool.results import ResultTable, read_csv, table_to_csv, table_to_svg, wr
 from omcool.sweep import (
     SweepAxis,
     SweepSpec,
-    default_jobs,
     run_atomic,
     run_solve,
     run_sweep,
@@ -158,7 +157,7 @@ def test_axis_slot_paths():
         with pytest.raises(ConfigError, match="not a numeric field"):
             axis_slot(cfg, f"edges.0.{field}", [0.1])
     with pytest.raises(ConfigError, match="mechanical m1: frequency must be > 0"):
-        axis_slot(cfg, "mechanicals.-1.frequency", [1.0, 0.0])
+        axis_slot(cfg, "mechanicals.1.frequency", [1.0, 0.0])
 
 
 def test_single_point_sweep_equals_solve():
@@ -377,7 +376,11 @@ def test_cli_bad_axis_spec(tmp_path):
     ["cavities.0.decay:nan:1:5"],
     ["cavities.0.flux:0:1:5"],
     ["cavities.0.decay:0.05:1.0:3", "cavities.0.decay:0.1:0.2:2"],
-], ids=["negative-decay", "nan-bound", "unknown-field", "duplicate-axis"])
+    ["cavities.1.decay:0.1:0.5:3", "cavities.-1.decay:0.2:0.6:2"],
+    ["cavities.00.decay:0.1:0.5:3"],
+    ["cavities.+0.detuning:0.5:1.5:3"],
+], ids=["negative-decay", "nan-bound", "unknown-field", "duplicate-axis",
+        "negative-index", "leading-zero-index", "signed-index"])
 def test_cli_sweep_input_error_exit_code(tmp_path, axes):
     cfg_path = _write_config(tmp_path, n_type_config())
     out = tmp_path / "sweep.csv"
@@ -439,21 +442,51 @@ def test_cli_preset_run_taxonomy_filter(tmp_path):
     assert labels == {"J", "eta", "Gs1", "Gs2"}
 
 
-def test_cli_jobs_env_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("OMCOOL_JOBS", "2")
-    cfg_path = _write_config(tmp_path, n_type_config())
-    assert main(["sweep", "--config", cfg_path,
-                 "--axis", "cavities.0.decay:0.05:1.0:4"]) == 0
-    assert "n_f_1" in capsys.readouterr().out
+_FIG2 = "cavities.{0}.detuning,cavities.{0}.decay,{1},stable"
+_FIG3 = "mechanicals.1.frequency,cavities.0.decay,{},stable"
+_FIG7 = "closed_channels,kappa,dark,zeta_residual,gs_minus_residual,stable,n_f_1,n_f_2"
+_FIG8 = "{},n_f_1,n_f_2,stable,dark"
+_FIG11 = "cavities.0.{},n_f_1,n_f_2,n_f_3{},stable"
+_FIG13 = "ratio,lambda_1,lambda_2,lambda_3{0},p_e_1,p_e_2,p_e_3{1}"
+# header and row count of `preset NAME --run --points 2`
+_PRESET_RUNS = {
+    "fig2a": (_FIG2.format(0, "n_f_1"), 4), "fig2b": (_FIG2.format(0, "n_f_2"), 4),
+    "fig2c": (_FIG2.format(1, "n_f_1"), 4), "fig2d": (_FIG2.format(1, "n_f_2"), 4),
+    "fig3a": (_FIG3.format("n_f_1"), 4), "fig3b": (_FIG3.format("n_f_2"), 4),
+    "fig3c": (_FIG3.format("n_f_1"), 4), "fig3d": (_FIG3.format("n_f_2"), 4),
+    "fig4a": ("edges.2.strength,cavities.1.decay,n_f_1,stable", 6),
+    "fig4b": ("edges.2.strength,cavities.1.decay,n_f_2,stable", 6),
+    "fig7a": (_FIG7, 8), "fig7b": (_FIG7, 8), "fig7c": (_FIG7, 12),
+    "fig7d": (_FIG7, 12), "fig7e": (_FIG7, 8), "fig7f": (_FIG7, 8),
+    "fig8a": (_FIG8.format("cavities.0.decay"), 2),
+    "fig8b": (_FIG8.format("edges.3.strength"), 2),
+    "fig11a": (_FIG11.format("detuning", ""), 2), "fig11b": (_FIG11.format("detuning", ",n_f_4"), 2),
+    "fig11c": (_FIG11.format("decay", ""), 2), "fig11d": (_FIG11.format("decay", ",n_f_4"), 2),
+    "fig13a": (_FIG13.format("", ""), 2), "fig13b": (_FIG13.format(",lambda_4", ",p_e_4"), 2),
+    "table1": ("stable,max_real_part,n_f_1,n_f_2,n_c_1,n_c_2,dark,zeta_residual,"
+               "gs_minus_residual", 1),
+}
 
 
-def test_invalid_jobs_env_warns(monkeypatch):
-    for raw in ("abc", "0", "-2", ""):
-        monkeypatch.setenv("OMCOOL_JOBS", raw)
-        with pytest.warns(RuntimeWarning, match="OMCOOL_JOBS"):
-            assert default_jobs() == 1
-    monkeypatch.setenv("OMCOOL_JOBS", "2")
-    assert default_jobs() == 2
+@pytest.mark.parametrize("name", preset_names())
+def test_cli_every_preset_runs_and_dumps(tmp_path, name):
+    """--run writes the figure's columns and one row per grid point; --dump
+    writes the config, or the atomic grid of fig13a/b."""
+    header, rows = _PRESET_RUNS[name]
+    out = tmp_path / "run.csv"
+    assert main(["preset", name, "--run", "--points", "2", "--out", str(out)]) == 0
+    table = read_csv(out)
+    assert ",".join(table.columns) == header
+    assert len(table.rows) == rows
+    assert table.metadata["preset"] == name
+    dump = tmp_path / "dump.json"
+    assert main(["preset", name, "--dump", "--points", "2", "--out", str(dump)]) == 0
+    doc = json.loads(dump.read_text())
+    if name.startswith("fig13"):
+        levels = 3 if name == "fig13a" else 4
+        assert doc == {"atomic": {"levels": levels, "ratio": [0.0, 3.0], "points": 2}}
+    else:
+        assert config_from_dict(doc) == get_preset(name).config
 
 
 def test_cli_chain_solve(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Hybrid-mode transform, dark-mode conditions, taxonomy, chain modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,9 @@ from omcool.darkmode import (
     tridiagonal_chain_frequencies,
 )
 from omcool.errors import ConfigError
-from omcool.model import compile_config
+from omcool.model import CavityMode, CouplingEdge, compile_config
 from omcool.presets import n_type_config, network4_config
-from omcool.sweep import run_taxonomy
+from omcool.sweep import run_solve, run_taxonomy
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
 coupling = st.floats(0.01, 1.0)
@@ -108,6 +110,17 @@ def test_wrong_topology_rejected():
     from omcool.presets import chain_config
     with pytest.raises(ConfigError):
         dark_mode_condition(compile_config(chain_config(3)))
+    # a third cavity on m1 cools both modes (n_f 0.66, 0.26), so the
+    # two-cavity conditions, which read only c0 and c1, do not apply
+    for base in (n_type_config(Gs1=0.0), network4_config()):
+        three = dataclasses.replace(
+            base, cavities=base.cavities + (CavityMode(1.0, 0.1),),
+            edges=base.edges + (CouplingEdge("optomechanical", ("c2", "m1"), 0.08),))
+        with pytest.raises(ConfigError, match="at most two cavities"):
+            dark_mode_condition(compile_config(three))
+        assert "dark" not in run_solve(three).columns
+    with pytest.raises(ConfigError, match="at most two cavities"):
+        run_taxonomy(three)
 
 
 # ---------------------------------------------------------------------------
