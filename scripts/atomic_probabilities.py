@@ -22,6 +22,8 @@ def main() -> None:
     parser.add_argument("--points", type=int, default=120)
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
+    if args.points < 1:
+        parser.error(f"--points must be >= 1, got {args.points}")
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -26,6 +26,10 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
+    for flag, value, low in (("--n", args.n, 2), ("--points", args.points, 1),
+                             ("--jobs", args.jobs, 1)):
+        if value < low:
+            parser.error(f"{flag} must be >= {low}, got {value}")
 
     n_f = [f"n_f_{l + 1}" for l in range(args.n)]
     broken = solve_record(compile_config(chain_config(args.n)))

@@ -26,6 +26,9 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
+    for flag, value in (("--points", args.points), ("--jobs", args.jobs)):
+        if value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
 
     preset = get_preset(args.preset, points=args.points)
     table = preset.run(args.jobs)

@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, schur
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import SolverError, UnstableSystemError
 from .model import Model
@@ -21,14 +19,13 @@ INTEGRATION_RTOL = 1e-10
 class StabilityReport:
     """Stability verdict of a drift matrix.
 
-    ``schur`` holds the Schur factors (T, Z) with A = Z T Z^H that
-    max_real_part was read from, real for a real A and complex otherwise;
-    solve_lyapunov reuses them.
+    ``eigen`` holds the eigendecomposition (lam, S) with A S = S diag(lam)
+    that max_real_part was read from; solve_lyapunov solves in that basis.
     """
 
     max_real_part: float
     stable: bool
-    schur: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    eigen: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -49,20 +46,17 @@ def stability(A: np.ndarray) -> StabilityReport:
     """Eigenvalue stability test: stable iff max Re(lambda) < -STABILITY_MARGIN.
 
     Equivalent to the Routh-Hurwitz criterion for this purpose and tractable
-    for arbitrary dimension.  The report carries the Schur form A = Z T Z^H
-    for solve_lyapunov: the real form for a real A, the complex form
-    otherwise.  Either way the real parts of the eigenvalues sit on the
-    diagonal of T; LAPACK leaves each 2x2 block of the real form standardized
-    as [[a, b], [c, a]], whose eigenvalue pair a +- sqrt(bc) has real part a.
+    for arbitrary dimension.  The eigenvalues and eigenvectors come from one
+    np.linalg.eig, and the report carries both for solve_lyapunov.
     """
     if not np.all(np.isfinite(A)):
         raise SolverError("drift matrix contains non-finite entries")
-    T, Z = schur(A, output="real" if np.isrealobj(A) else "complex")
-    max_real = float(np.diag(T).real.max())
+    lam, S = np.linalg.eig(A)
+    max_real = float(lam.real.max())
     return StabilityReport(
         max_real_part=max_real,
         stable=max_real < -STABILITY_MARGIN,
-        schur=(T, Z),
+        eigen=(lam, S),
     )
 
 
@@ -71,16 +65,16 @@ def solve_lyapunov(
     Q: np.ndarray,
     report: StabilityReport | None = None,
 ) -> np.ndarray:
-    """Solve A V + V A^T = -Q by Bartels-Stewart on the Schur form of A.
+    """Solve A V + V A^T = -Q in the eigenbasis of A.
 
-    With A = Z T Z^H and W = Z^H V conj(Z), the equation becomes the
-    triangular Sylvester equation T W + W T^T = -Z^H Q conj(Z), solved in
-    O(n^3) by the LAPACK ?trsyl of the operands' dtype (dtrsyl on the real
-    Schur form of a real A, ztrsyl otherwise); then V = Z W Z^T.  The Schur
-    factors and the stability verdict come from ``report`` (a stability(A)
-    result) or from a fresh stability(A).  V is symmetrized after the solve
-    and the residual is checked against
-    RESIDUAL_RTOL * max(1, ||Q||_max).
+    With A = S diag(lam) S^-1 and V = S W S^T, the equation decouples into
+    W_ij = -(S^-1 Q S^-T)_ij / (lam_i + lam_j).  The eigenpairs and the
+    stability verdict come from ``report`` (a stability(A) result) or from a
+    fresh stability(A).  V is symmetrized, and is real when A and Q are.  It
+    is returned only if its residual is within RESIDUAL_RTOL * max(1,
+    ||Q||_max); a singular S or a failed residual (a defective or
+    near-defective A) falls back to Bartels-Stewart on the Schur form, which
+    checks its own residual.
     """
     a = np.asarray(A)
     q = np.asarray(Q)
@@ -93,7 +87,43 @@ def solve_lyapunov(
         raise UnstableSystemError(
             f"drift matrix is not stable (max Re eigenvalue = {report.max_real_part:g})"
         )
-    T, Z = report.schur
+    tol = RESIDUAL_RTOL * max(1.0, float(np.abs(q).max()))
+    lam, S = report.eigen
+    # overflow or NaN from an ill-conditioned S fails the residual check and
+    # falls back, rather than warning
+    with np.errstate(all="ignore"):
+        try:
+            s_inv = np.linalg.inv(S)
+        except np.linalg.LinAlgError:
+            return _schur_solve(a, q, tol)
+        w = s_inv @ q @ s_inv.T
+        w /= lam[:, None] + lam
+        v = S @ w @ S.T
+        if np.isrealobj(a) and np.isrealobj(q):
+            v = v.real
+        v = -0.5 * (v + v.T)
+        av = a @ v  # v is symmetric, so v A^T = (A v)^T
+        residual = np.abs(av + av.T + q).max()
+    if not residual <= tol:
+        return _schur_solve(a, q, tol)
+    return v
+
+
+def _schur_solve(a: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """Bartels-Stewart on the Schur form A = Z T Z^H: the fallback of
+    solve_lyapunov.
+
+    With W = Z^H V conj(Z) the equation becomes the triangular Sylvester
+    equation T W + W T^T = -Z^H Q conj(Z), solved by the LAPACK ?trsyl of the
+    operands' dtype (dtrsyl on the real Schur form when A and Q are real,
+    ztrsyl on the complex form otherwise); then V = Z W Z^T, symmetrized and
+    checked against ``tol``.
+    """
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    # ztrsyl needs a triangular T, so a complex Q takes the complex form
+    T, Z = schur(a, output="real" if np.isrealobj(a) and np.isrealobj(q) else "complex")
     rhs = -(Z.conj().T @ q @ Z.conj())
     trsyl, = get_lapack_funcs(("trsyl",), (T, rhs))
     # op(conj(T)) with tranb="C" is conj(T)^H = T^T; for real T "C" is the transpose
@@ -102,9 +132,8 @@ def solve_lyapunov(
         raise SolverError(f"singular Lyapunov system (marginal stability, info={info})")
     v = (Z @ w @ Z.T) / w_scale
     v = 0.5 * (v + v.T)
-    scale = max(1.0, float(np.abs(q).max()))
     residual = float(np.abs(a @ v + v @ a.T + q).max())
-    if residual > RESIDUAL_RTOL * scale:
+    if not residual <= tol:
         raise SolverError(f"Lyapunov residual {residual:g} exceeds tolerance")
     return v
 
@@ -149,6 +178,8 @@ def integrate_covariance(
 
 def _propagate(a: np.ndarray, q: np.ndarray, v0: np.ndarray, t_end: float, k: int) -> np.ndarray:
     """V(t_end) with base step h = t_end / 2**k and k doublings."""
+    from scipy.linalg import expm
+
     n = a.shape[0]
     h = t_end / (2**k)
     block = np.zeros((2 * n, 2 * n), dtype=np.result_type(a, q, float))

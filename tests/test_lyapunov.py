@@ -1,19 +1,35 @@
 """Stability, Lyapunov solve, time-domain propagation, phonon extraction."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import omcool
+from omcool import lyapunov
+from omcool.config_io import config_to_dict
 from omcool.errors import SolverError, UnstableSystemError
 from omcool.lyapunov import (
+    StabilityReport,
     integrate_covariance,
     phonon_numbers,
     solve_lyapunov,
     stability,
 )
 from omcool.model import build_drift_matrix, build_noise_matrix, compile_config
-from omcool.presets import chain_config, n_type_config, network4_config
+from omcool.presets import (
+    chain_config,
+    get_preset,
+    n_type_config,
+    network4_config,
+    preset_names,
+)
 
 
 def random_stable_system(rng, n, real=False):
@@ -151,6 +167,140 @@ def test_long_chain_solves():
     assert residual <= 1e-9 * max(1.0, np.abs(Q).max())
     n = phonon_numbers(V, cfg).mechanical
     assert n[0] == min(n)
+
+
+def test_complex_noise_gives_complex_solution():
+    # V is real exactly when A and Q are: a real A with a dense complex
+    # symmetric Q stays complex
+    rng = np.random.default_rng(13)
+    a, _ = random_stable_system(rng, 5, real=True)
+    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    q = b @ b.T
+    ref = kronecker_lyapunov(a, q)
+    # the Schur fallback takes the complex form here: ztrsyl on the real
+    # form's 2x2 blocks would solve the wrong equation
+    for V in (solve_lyapunov(a, q), lyapunov._schur_solve(a, q, 1e-9 * np.abs(q).max())):
+        assert np.iscomplexobj(V)
+        assert np.abs(V - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# eigenbasis solve and its Schur fallback
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The argument tuples of every call solve_lyapunov makes to its Schur
+    fallback."""
+    calls = []
+    schur_solve = lyapunov._schur_solve
+
+    def counted(*args):
+        calls.append(args)
+        return schur_solve(*args)
+
+    monkeypatch.setattr(lyapunov, "_schur_solve", counted)
+    return calls
+
+
+def _solve_without_warnings(a, q, report=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solve_lyapunov(a, q, report=report)
+
+
+@pytest.mark.parametrize("a", [
+    -np.eye(2) + np.eye(2, k=1),
+    -np.eye(4) + np.eye(4, k=1),
+    -np.eye(8) + np.eye(8, k=1),
+    np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-8]]),
+], ids=["jordan2", "jordan4", "jordan8", "near_defective2"])
+def test_defective_drift_falls_back_to_schur(fallbacks, a):
+    # the eigenvectors of a (near-)Jordan block are (nearly) parallel, so the
+    # eigenbasis result fails the residual check and the Schur path answers
+    q = np.eye(a.shape[0])
+    V = _solve_without_warnings(a, q)
+    assert len(fallbacks) == 1
+    ref = kronecker_lyapunov(a, q)
+    assert np.abs(V - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_singular_or_non_finite_eigenbasis_falls_back(fallbacks):
+    a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    q = np.eye(2)
+    ref = kronecker_lyapunov(a, q)
+    singular = StabilityReport(-1.0, True, (np.array([-1.0, -2.0]), np.zeros((2, 2))))
+    # lambda_i + lambda_j = 0 turns the eigenbasis result into inf and NaN
+    zero_sum = StabilityReport(-1.0, True, (np.zeros(2), np.eye(2)))
+    for report in (singular, zero_sum):
+        V = _solve_without_warnings(a, q, report=report)
+        assert np.abs(V - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert len(fallbacks) == 2
+
+
+def _preset_base_points():
+    for name in preset_names():
+        config = get_preset(name).config
+        if config is not None:
+            yield pytest.param(config, 1e-12, id=name)
+    # the chain's nearly dark modes make its steady state ill-conditioned:
+    # against a solution refined with long-double residuals, both paths are
+    # off by about 3e-12 relative, so they can differ by more than 1e-12
+    yield pytest.param(chain_config(64), 1e-11, id="chain64")
+
+
+@pytest.mark.parametrize("config, rtol", _preset_base_points())
+def test_eigen_and_schur_paths_agree(fallbacks, config, rtol):
+    model = compile_config(config)
+    A, Q = build_drift_matrix(model), build_noise_matrix(model)
+    V = solve_lyapunov(A, Q)
+    assert not fallbacks
+    ref = lyapunov._schur_solve(A, Q, lyapunov.RESIDUAL_RTOL * max(1.0, np.abs(Q).max()))
+    assert np.abs(V - ref).max() <= rtol * np.abs(ref).max()
+
+
+NO_SCIPY_RUN = """
+import json, sys
+from omcool.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_never_import_scipy(tmp_path):
+    """Solves, sweeps, presets and the taxonomy stay on the eigenbasis path,
+    so a fresh interpreter that runs them never loads scipy."""
+    physical = config_to_dict(n_type_config())
+    physical["parameter_mode"] = "physical"
+    for cav, drive in zip(physical["cavities"], (60.0, 80.0)):
+        cav["drive_amplitude"] = drive
+    for edge, g in zip(physical["edges"], (5e-4, 5e-4, 8e-4)):
+        edge["strength"] = g
+    docs = {"effective": config_to_dict(n_type_config()), "physical": physical,
+            "chain24": config_to_dict(chain_config(24)),
+            "network4": config_to_dict(network4_config())}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    commands = [
+        ["solve", "--config", "effective.json", "--out", "solve_effective.csv"],
+        ["solve", "--config", "physical.json", "--out", "solve_physical.csv"],
+        ["preset", "fig2a", "--run", "--points", "6", "--jobs", "2", "--out", "fig2a.csv"],
+        ["preset", "fig7a", "--run", "--points", "3", "--out", "fig7a.csv"],
+        ["sweep", "--config", "chain24.json", "--axis", "cavities.0.detuning:0.5:1.5:2",
+         "--out", "chain24.csv"],
+        ["taxonomy", "--config", "network4.json", "--out", "taxonomy.csv"],
+    ]
+    src = str(Path(omcool.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, json.dumps(commands)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    for argv in commands:
+        assert (tmp_path / argv[-1]).exists()
 
 
 # ---------------------------------------------------------------------------

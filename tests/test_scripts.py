@@ -32,6 +32,24 @@ def test_script_writes_its_tables(tmp_path, monkeypatch, capsys, script, args, f
             assert path.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("script, args, message", [
+    ("cooling_landscape.py", ["--points", "0"], "--points must be >= 1, got 0"),
+    ("cooling_landscape.py", ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    ("atomic_probabilities.py", ["--points", "0"], "--points must be >= 1, got 0"),
+    ("chain_cooling.py", ["--n", "1"], "--n must be >= 2, got 1"),
+    ("chain_cooling.py", ["--points", "0"], "--points must be >= 1, got 0"),
+    ("chain_cooling.py", ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+])
+def test_script_rejects_bad_argument(tmp_path, monkeypatch, capsys, script, args, message):
+    outdir = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", [script, *args, "--outdir", str(outdir)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("kappa", ["1:2", "0.05:1:0", "nan:1:3"])
 def test_taxonomy_report_rejects_bad_kappa(tmp_path, monkeypatch, capsys, kappa):
     script = "taxonomy_report.py"
