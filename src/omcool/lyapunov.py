@@ -74,7 +74,8 @@ def solve_lyapunov(
     is returned only if its residual is within RESIDUAL_RTOL * max(1,
     ||Q||_max); a singular S or a failed residual (a defective or
     near-defective A) falls back to Bartels-Stewart on the Schur form, which
-    checks its own residual.
+    checks its own residual.  Q must be symmetric, as A V + V A^T always
+    is; the fallback refuses a Q that is not, before it solves.
     """
     a = np.asarray(A)
     q = np.asarray(Q)
@@ -117,8 +118,13 @@ def _schur_solve(a: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
     equation T W + W T^T = -Z^H Q conj(Z), solved by the LAPACK ?trsyl of the
     operands' dtype (dtrsyl on the real Schur form when A and Q are real,
     ztrsyl on the complex form otherwise); then V = Z W Z^T, symmetrized and
-    checked against ``tol``.
+    checked against ``tol``.  A Q that is not symmetric within ``tol`` has
+    no solution and raises a SolverError that says so.
     """
+    asymmetry = float(np.abs(q - q.T).max())
+    if asymmetry > tol:
+        raise SolverError(f"noise matrix Q is not symmetric (max |Q - Q^T| = {asymmetry:g}),"
+                          " so no covariance solves A V + V A^T = -Q")
     from scipy.linalg import schur
     from scipy.linalg.lapack import get_lapack_funcs
 

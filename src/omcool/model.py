@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,3 +410,54 @@ def build_noise_matrix(model: Model) -> np.ndarray:
     no cross-correlations."""
     diag = np.concatenate((model.decay, model.damping * (2.0 * model.nbar + 1.0)))
     return np.diag(np.concatenate((diag, diag)))
+
+
+@dataclass(frozen=True, eq=False)
+class Assembly:
+    """The matrix ``build(model.write(slots, point))`` of every point of a
+    run, made by ``assembly``: ``base`` is the matrix with every slot at
+    zero, and ``steps[k]`` holds the flat indices and values of the
+    difference that a unit step in slot k makes."""
+
+    build: Callable[[Model], np.ndarray]
+    model: Model
+    slots: tuple[tuple[str, int], ...]
+    base: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def at(self, point) -> np.ndarray:
+        """The matrix with ``point[k]`` written into slot k.  A -0.0 value
+        leaves signed zeros of the builder's own that no step records, so
+        that point is built."""
+        if any(x == 0.0 and math.copysign(1.0, x) < 0 for x in point):
+            return self.build(self.model.write(self.slots, point))
+        out = self.base.copy()
+        flat = out.reshape(-1)
+        for (index, coef), x in zip(self.steps, point):
+            if x:  # at +0.0 the base entries are the builder's, signed zeros included
+                flat[index] += x * coef
+        return out
+
+
+def assembly(build: Callable[[Model], np.ndarray], model: Model, slots) -> Assembly:
+    """The Assembly of ``build`` over the slots, from len(slots) + 1 builds.
+
+    It is bit-identical to the builder when every entry of the matrix reads
+    at most one slot, linearly and with no offset: the entry at a point is
+    then the builder's own product x * coef, added to a zero base entry.
+    That holds for build_drift_matrix of an effective-mode model (each
+    entry is +-1 or +-2 times one slot) and for build_noise_matrix while no
+    slot is a thermal occupation (gamma (2 nbar + 1) reads nbar with an
+    offset, and reads gamma too).
+    """
+    slots = tuple(slots)
+    zeros = [0.0] * len(slots)
+    base = build(model.write(slots, zeros))
+    steps = []
+    for k in range(len(slots)):
+        unit = zeros.copy()
+        unit[k] = 1.0
+        diff = (build(model.write(slots, unit)) - base).reshape(-1)
+        index = np.flatnonzero(diff)
+        steps.append((index, diff[index]))
+    return Assembly(build, model, slots, base, tuple(steps))

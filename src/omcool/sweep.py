@@ -4,7 +4,6 @@ and atomic ratio grids, all producing ResultTables."""
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,10 @@ from .darkmode import (
 from .errors import ConfigError, OmcoolError
 from .lyapunov import phonon_numbers, solve_lyapunov, stability
 from .model import (
+    Assembly,
     Model,
     SystemConfig,
+    assembly,
     axis_slot,
     build_drift_matrix,
     build_noise_matrix,
@@ -42,18 +43,20 @@ class SweepAxis:
     scale: str = "linear"
 
     def values(self) -> np.ndarray:
+        """The axis points; the scale and its bounds are checked for every
+        point count, one point included."""
         if self.points < 1:
             raise ConfigError("axis needs at least one point")
+        if self.points > 1 and self.lo >= self.hi:
+            raise ConfigError(f"axis {self.path}: min must be < max")
+        if self.scale == "log" and self.lo <= 0:
+            raise ConfigError(f"axis {self.path}: log scale needs min > 0")
+        if self.scale not in ("linear", "log"):
+            raise ConfigError(f"axis {self.path}: unknown scale {self.scale!r}")
         if self.points == 1:
             return np.array([self.lo])
-        if self.lo >= self.hi:
-            raise ConfigError(f"axis {self.path}: min must be < max")
         if self.scale == "log":
-            if self.lo <= 0:
-                raise ConfigError(f"axis {self.path}: log scale needs min > 0")
             return np.logspace(np.log10(self.lo), np.log10(self.hi), self.points)
-        if self.scale != "linear":
-            raise ConfigError(f"axis {self.path}: unknown scale {self.scale!r}")
         return np.linspace(self.lo, self.hi, self.points)
 
 
@@ -71,21 +74,74 @@ class SweepSpec:
             raise ConfigError(f"duplicate sweep axis {paths[0]!r}")
 
 
-def solve_record(model: Model) -> dict:
-    """Full pipeline for one compiled point: stability, covariance, phonon
-    numbers, and (for two-mechanical topologies) the dark-mode report, which
-    in physical mode describes the single-photon couplings g.
+@dataclass(frozen=True, eq=False)
+class PointPlan:
+    """The parts of a run's point solves that no point changes, made once
+    per run by point_plan.  A point is the run's model with its values
+    written into ``slots``.  ``drift`` and ``noise`` assemble the point's A
+    and Q, and ``dark`` holds its dark-mode columns ({} where there are
+    none); each is None where it is made per point from the written model
+    instead."""
+
+    slots: tuple[tuple[str, int], ...]
+    drift: Assembly | None
+    noise: Assembly | None
+    dark: dict | None
+
+
+def point_plan(model: Model, slots=()) -> PointPlan:
+    """The plan of the points that write ``slots`` of ``model``.  What is
+    made per point: the drift of a physical-mode model, whose linearisation
+    is not affine in any slot; the noise under a thermal-occupation slot,
+    which gamma (2 nbar + 1) reads with an offset; and the dark-mode columns
+    under a frequency or strength slot, the only slots they read."""
+    slots = tuple(slots)
+    names = {name for name, _ in slots}
+    return PointPlan(
+        slots=slots,
+        drift=(None if model.parameter_mode == "physical"
+               else assembly(build_drift_matrix, model, slots)),
+        noise=None if "nbar" in names else assembly(build_noise_matrix, model, slots),
+        dark=None if names & {"frequency", "strength"} else _dark_columns(model),
+    )
+
+
+def _dark_columns(model: Model) -> dict:
+    """The dark-mode columns of a point: none where the two-mode analysis
+    does not apply or rejects the couplings (complex strengths)."""
+    if not dark_mode_applies(model):
+        return {}
+    try:
+        dm = dark_mode_condition(model)
+    except ConfigError:
+        return {}
+    return {"dark": dm.dark_present, "zeta_residual": dm.zeta_residual,
+            "gs_minus_residual": dm.gs_minus_residual}
+
+
+def solve_record(model: Model, plan: PointPlan | None = None, point=()) -> dict:
+    """Full pipeline for one point, ``model`` with ``point`` written into
+    the plan's slots: stability, covariance, phonon numbers, and (for
+    two-mechanical topologies) the dark-mode report, which in physical mode
+    describes the single-photon couplings g.  A run passes the plan it made
+    once with point_plan; without one, the point is ``model`` itself and its
+    plan is made here.
 
     Unstable systems produce a flagged record with empty occupations instead
     of raising.  The model was checked where its config entered
     (compile_config) and each value written into it by axis_slot, so nothing
     here re-checks.
     """
-    linear = model
-    if model.parameter_mode == "physical":
-        linear = linearized(model, solve_steady_amplitudes(model))
-    A = build_drift_matrix(linear)
-    Q = build_noise_matrix(model)
+    if plan is None:
+        plan = point_plan(model)
+    written = model
+    if plan.drift is None or plan.noise is None or plan.dark is None:
+        written = model.write(plan.slots, point)
+    if plan.drift is None:
+        A = build_drift_matrix(linearized(written, solve_steady_amplitudes(written)))
+    else:
+        A = plan.drift.at(point)
+    Q = build_noise_matrix(written) if plan.noise is None else plan.noise.at(point)
     report = stability(A)
     record: dict = {"stable": report.stable, "max_real_part": report.max_real_part}
     n_f, n_c = [None] * model.n_mechanicals, [None] * model.n_cavities
@@ -94,14 +150,7 @@ def solve_record(model: Model) -> dict:
         n_f, n_c = phonons.mechanical, phonons.cavity
     record.update({f"n_f_{l + 1}": n for l, n in enumerate(n_f)})
     record.update({f"n_c_{c + 1}": n for c, n in enumerate(n_c)})
-    if dark_mode_applies(model):
-        try:
-            dm = dark_mode_condition(model)
-            record["dark"] = dm.dark_present
-            record["zeta_residual"] = dm.zeta_residual
-            record["gs_minus_residual"] = dm.gs_minus_residual
-        except ConfigError:
-            pass
+    record.update(_dark_columns(written) if plan.dark is None else plan.dark)
     return record
 
 
@@ -131,18 +180,21 @@ def run_solve(config: SystemConfig) -> ResultTable:
     )
 
 
-def _solve_points(model: Model, slots, points) -> list[dict]:
+def _solve_points(model: Model, plan: PointPlan, points) -> list[dict]:
     """Records of the grid points, each the model with its axis values
-    written into the axis slots."""
-    return [solve_record(model.write(slots, point)) for point in points]
+    written into the plan's slots."""
+    return [solve_record(model, plan, point) for point in points]
 
 
 def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
     """Row-major grid evaluation.  Each point is an independent solve; row
     order never depends on the parallelism level.  ``parallelism`` must be at
-    least 1.  The base config is compiled once and each axis value checked
-    once.  A hard failure aborts the sweep with the partial table attached
-    to the exception."""
+    least 1.  The base config is compiled once, each axis value checked
+    once, and the run's point_plan made once: an effective-mode point's A
+    and Q are the plan's base plus its axis values times unit-slot steps,
+    and the dark-mode columns come once per run unless an axis writes a
+    frequency or strength.  A hard failure aborts the sweep with the partial
+    table attached to the exception."""
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     model = compile_config(spec.base)
@@ -150,6 +202,7 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
     slots = [axis_slot(spec.base, axis.path, values)
              for axis, values in zip(spec.axes, axis_values)]
     points = list(itertools.product(*axis_values))
+    plan = point_plan(model, slots)
 
     record_cols = _record_columns(model)
     out_cols = list(spec.outputs) if spec.outputs else record_cols
@@ -161,9 +214,12 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
             spec.base, axes=",".join(axis.path for axis in spec.axes)
         ),
     )
-    # a task is a chunk: the model is sent once per chunk, each point as its
-    # axis values; serial chunks are single points, so a failure keeps every row before it
+    # a task is a chunk: the model and plan are sent once per chunk, each point
+    # as its axis values; serial chunks are single points, so a failure keeps
+    # every row before it
     if parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
+
         executor = ProcessPoolExecutor(max_workers=parallelism)
         size = max(1, len(points) // (parallelism * 4))
         run = executor.map
@@ -173,7 +229,7 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
         run = map
     chunks = [points[k:k + size] for k in range(0, len(points), size)]
     records = itertools.chain.from_iterable(
-        run(_solve_points, itertools.repeat(model), itertools.repeat(slots), chunks))
+        run(_solve_points, itertools.repeat(model), itertools.repeat(plan), chunks))
     try:
         for point, record in zip(points, records):
             table.rows.append(list(point) + [record.get(c) for c in out_cols])
@@ -191,8 +247,9 @@ def run_taxonomy(base: SystemConfig, kappa_values=None,
     """One row per closed-channel subset whose size is in ``sizes`` (all 14
     for the default TAXONOMY_SIZES), optionally crossed with a sweep of the
     intermediate-cavity decay rate.  Subsets of other sizes are never solved.
-    The dark-mode columns come from each row's solve_record: the decay rate
-    does not enter the dark-mode condition."""
+    Each variant's rows are solve_record points of one point_plan over the
+    decay slot, so its A, Q and dark-mode report are made once: the decay
+    rate does not enter the dark-mode condition."""
     variants = closed_channel_variants(compile_config(base), sizes)
     kappas = [float(k) for k in
               ([base.cavities[0].decay] if kappa_values is None else kappa_values)]
@@ -204,10 +261,11 @@ def run_taxonomy(base: SystemConfig, kappa_values=None,
         metadata=_base_metadata(base, axes="kappa"),
     )
     for label, model in variants:
+        plan = point_plan(model, (slot,))
+        if not plan.dark:
+            dark_mode_condition(model)  # raises the reason the report is missing
         for kappa in kappas:
-            record = solve_record(model.write((slot,), (kappa,)))
-            if "dark" not in record:
-                dark_mode_condition(model)  # raises the reason the report is missing
+            record = solve_record(model, plan, (kappa,))
             table.rows.append([label, kappa] + [record.get(c) for c in columns[2:]])
     return table
 

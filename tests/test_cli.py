@@ -379,8 +379,11 @@ def test_cli_bad_axis_spec(tmp_path):
     ["cavities.1.decay:0.1:0.5:3", "cavities.-1.decay:0.2:0.6:2"],
     ["cavities.00.decay:0.1:0.5:3"],
     ["cavities.+0.detuning:0.5:1.5:3"],
+    ["cavities.0.detuning:1:2:1:bogus"],
+    ["cavities.0.detuning:-1:1:1:log"],
 ], ids=["negative-decay", "nan-bound", "unknown-field", "duplicate-axis",
-        "negative-index", "leading-zero-index", "signed-index"])
+        "negative-index", "leading-zero-index", "signed-index",
+        "one-point-unknown-scale", "one-point-log-nonpositive"])
 def test_cli_sweep_input_error_exit_code(tmp_path, axes):
     cfg_path = _write_config(tmp_path, n_type_config())
     out = tmp_path / "sweep.csv"

@@ -208,6 +208,19 @@ def _solve_without_warnings(a, q, report=None):
         return solve_lyapunov(a, q, report=report)
 
 
+def test_non_symmetric_noise_is_refused_by_name(fallbacks):
+    # A V + V A^T is symmetric for every V, so a Hermitian but non-symmetric
+    # Q (b b^H with complex b, the ladder-basis form) has no solution: the
+    # eigenbasis result fails its residual check, and the fallback names Q
+    # before it solves
+    rng = np.random.default_rng(5)
+    a, _ = random_stable_system(rng, 5, real=True)
+    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    with pytest.raises(SolverError, match="noise matrix Q is not symmetric"):
+        solve_lyapunov(a, b @ b.conj().T)
+    assert len(fallbacks) == 1
+
+
 @pytest.mark.parametrize("a", [
     -np.eye(2) + np.eye(2, k=1),
     -np.eye(4) + np.eye(4, k=1),
@@ -261,7 +274,12 @@ def test_eigen_and_schur_paths_agree(fallbacks, config, rtol):
 NO_SCIPY_RUN = """
 import json, sys
 from omcool.cli import main
-for argv in json.loads(sys.argv[1]):
+serial, pooled = json.loads(sys.argv[1])
+assert "concurrent.futures" not in sys.modules
+for argv in serial:
+    assert main(argv) == 0, argv
+    assert "concurrent.futures" not in sys.modules, argv
+for argv in pooled:
     assert main(argv) == 0, argv
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
@@ -270,7 +288,9 @@ assert not loaded, loaded
 
 def test_cli_runs_never_import_scipy(tmp_path):
     """Solves, sweeps, presets and the taxonomy stay on the eigenbasis path,
-    so a fresh interpreter that runs them never loads scipy."""
+    so a fresh interpreter that runs them never loads scipy.  The process
+    pool is imported only by a run with workers: importing omcool.cli and
+    the serial runs leave concurrent.futures unloaded."""
     physical = config_to_dict(n_type_config())
     physical["parameter_mode"] = "physical"
     for cav, drive in zip(physical["cavities"], (60.0, 80.0)):
@@ -282,24 +302,24 @@ def test_cli_runs_never_import_scipy(tmp_path):
             "network4": config_to_dict(network4_config())}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    commands = [
+    serial = [
         ["solve", "--config", "effective.json", "--out", "solve_effective.csv"],
         ["solve", "--config", "physical.json", "--out", "solve_physical.csv"],
-        ["preset", "fig2a", "--run", "--points", "6", "--jobs", "2", "--out", "fig2a.csv"],
         ["preset", "fig7a", "--run", "--points", "3", "--out", "fig7a.csv"],
         ["sweep", "--config", "chain24.json", "--axis", "cavities.0.detuning:0.5:1.5:2",
          "--out", "chain24.csv"],
         ["taxonomy", "--config", "network4.json", "--out", "taxonomy.csv"],
     ]
+    pooled = [["preset", "fig2a", "--run", "--points", "6", "--jobs", "2", "--out", "fig2a.csv"]]
     src = str(Path(omcool.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_RUN, json.dumps(commands)],
+        [sys.executable, "-c", NO_SCIPY_RUN, json.dumps([serial, pooled])],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    for argv in commands:
+    for argv in serial + pooled:
         assert (tmp_path / argv[-1]).exists()
 
 

@@ -2,6 +2,7 @@
 steady-state amplitudes, and matrix assembly."""
 
 import dataclasses
+import itertools
 import re
 import sys
 
@@ -20,6 +21,7 @@ from omcool.model import (
     CouplingEdge,
     MechanicalMode,
     SystemConfig,
+    assembly,
     axis_slot,
     build_drift_matrix,
     build_noise_matrix,
@@ -28,7 +30,8 @@ from omcool.model import (
     solve_steady_amplitudes,
     validate_config,
 )
-from omcool.presets import chain_config, n_type_config, network4_config
+from omcool.darkmode import dark_mode_condition
+from omcool.presets import chain_config, get_preset, n_type_config, network4_config
 from omcool.sweep import SweepAxis, SweepSpec, run_solve, run_sweep, solve_record
 
 
@@ -338,25 +341,26 @@ def test_solve_record_rejects_invalid_config(physical):
         solve_record(compile_config(bad))
 
 
-def _count_validations(monkeypatch) -> list:
-    """Route every module-level binding of validate_config through one
-    counting wrapper; the returned list grows by one per call."""
+def _count_calls(monkeypatch, fn) -> list:
+    """Route every module-level binding of ``fn`` in omcool through one
+    counting wrapper; the returned list grows by the first argument of each
+    call."""
     calls = []
 
-    def counting(config):
-        calls.append(config)
-        return validate_config(config)
+    def counting(first, *rest):
+        calls.append(first)
+        return fn(first, *rest)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("omcool") and hasattr(module, "validate_config"):
-            monkeypatch.setattr(module, "validate_config", counting)
+        if name.startswith("omcool") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
     return calls
 
 
 @pytest.mark.parametrize("physical", [False, True], ids=["effective", "physical"])
 def test_solve_record_validates_once(monkeypatch, physical):
     cfg = _physical_n_type() if physical else n_type_config()
-    calls = _count_validations(monkeypatch)
+    calls = _count_calls(monkeypatch, validate_config)
     record = solve_record(compile_config(cfg))
     assert "dark" in record  # the dark-mode stage ran too
     assert calls == [cfg]
@@ -366,7 +370,7 @@ def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
     k = 4
     spec = SweepSpec(base=n_type_config(),
                      axes=(SweepAxis("cavities.0.decay", 0.05, 1.0, k),))
-    calls = _count_validations(monkeypatch)
+    calls = _count_calls(monkeypatch, validate_config)
     table = run_sweep(spec, parallelism=1)
     assert len(table.rows) == k
     assert len(calls) == 1  # the base, once per run; no point re-validates
@@ -378,7 +382,7 @@ def test_solve_verb_validates_document_once(monkeypatch, tmp_path, physical):
     cfg = _physical_n_type() if physical else n_type_config()
     path = tmp_path / "config.json"
     path.write_text(dump_config(cfg))
-    calls = _count_validations(monkeypatch)
+    calls = _count_calls(monkeypatch, validate_config)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == [cfg]  # by the run's compile_config; parsing does not validate
 
@@ -513,20 +517,81 @@ def test_written_slot_matches_rebuilt_config(cfg, value):
                         == build_noise_matrix(reference).tobytes())
 
 
+# n_type with a complex auxiliary coupling: its base has no dark-mode report,
+# while every point of a real edges.2.strength axis has one
+_COMPLEX_N_TYPE = _rebuilt(n_type_config(), "edges.2.strength", 0.03 + 0.02j)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("base, axes", [
     (network4_config(), (SweepAxis("cavities.1.detuning", 0.8, 1.2, 3),
                          SweepAxis("edges.4.strength", -0.05, 0.05, 2))),
     (_physical_n_type(), (SweepAxis("cavities.0.drive_amplitude", 50.0, 70.0, 2),
                           SweepAxis("edges.0.strength", 4e-4, 6e-4, 2))),
-], ids=["network4", "physical"])
+    (n_type_config(), (SweepAxis("cavities.0.detuning", -1.0, 1.0, 3),)),
+    (n_type_config(), (SweepAxis("cavities.1.decay", 0.0, 1.0, 3),)),
+    (n_type_config(), (SweepAxis("mechanicals.1.frequency", 0.5, 1.5, 3),)),
+    (n_type_config(), (SweepAxis("mechanicals.0.damping", 0.0, 2e-5, 3),)),
+    (n_type_config(), (SweepAxis("mechanicals.1.thermal_occupation", 0.0, 2000.0, 3),)),
+    (_COMPLEX_N_TYPE, (SweepAxis("edges.2.strength", -0.1, 0.1, 3),)),
+    (n_type_config(), (SweepAxis("cavities.0.drive_amplitude", 0.0, 1.0, 3),)),
+    (n_type_config(), (SweepAxis("mechanicals.0.damping", 0.0, 2e-5, 3),
+                       SweepAxis("mechanicals.0.thermal_occupation", 0.0, 2000.0, 2))),
+], ids=["network4", "physical", "detuning", "decay", "frequency", "damping",
+        "thermal-occupation", "complex-strength", "effective-drive", "damping-x-occupation"])
 def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
+    # each row of a planned sweep equals the one-shot solve of its point
+    # rebuilt as a config, dark-mode columns included
     table = run_sweep(SweepSpec(base=base, axes=axes), parallelism=jobs)
-    assert len(table.rows) == axes[0].points * axes[1].points
+    assert len(table.rows) == np.prod([axis.points for axis in axes])
     for row in table.rows:
-        x, y = row[:2]
-        point = _rebuilt(_rebuilt(base, axes[0].path, x), axes[1].path, y)
-        assert row[2:] == run_solve(point).rows[0]
+        point = base
+        for axis, x in zip(axes, row):
+            point = _rebuilt(point, axis.path, x)
+        assert row[len(axes):] == run_solve(point).rows[0]
+
+
+@pytest.mark.parametrize("cfg", [
+    n_type_config(), network4_config(J=0.03, eta=0.02), _COMPLEX_N_TYPE, chain_config(3),
+], ids=["n_type", "network4", "complex-strength", "chain3"])
+def test_assembly_is_bit_identical_to_the_builder(cfg):
+    # every pair of slots, at values that include both signed zeros: the
+    # assembled A and Q have the builder's bytes, so a planned sweep solves
+    # the very matrices a per-point build would give.  gamma (2 nbar + 1) is
+    # not of the assembly's form, so Q under an occupation slot is built per
+    # point instead
+    model = compile_config(cfg)
+    paths = [f"{section}.{index}.{name}" for section, fields in _PATH_FIELDS.items()
+             for index in range(len(getattr(cfg, section))) for name in fields]
+    for pair in itertools.combinations(paths, 2):
+        slots = [axis_slot(cfg, path, []) for path in pair]
+        drift = assembly(build_drift_matrix, model, slots)
+        noise = assembly(build_noise_matrix, model, slots)
+        for point in itertools.product((0.0, -0.0, 0.7, -1.5), repeat=2):
+            written = model.write(slots, point)
+            assert drift.at(point).tobytes() == build_drift_matrix(written).tobytes(), (pair, point)
+            if "nbar" not in {name for name, _ in slots}:
+                assert (noise.at(point).tobytes()
+                        == build_noise_matrix(written).tobytes()), (pair, point)
+
+
+@pytest.mark.parametrize("name, dark_calls, drift_builds", [
+    ("fig2a", 1, 3),      # detuning x decay: one dark report per run
+    ("fig3a", 16, 3),     # a frequency axis: one report per point
+    ("fig8b", 4, 2),      # a strength axis: one report per point
+    ("fig7a", 4, 4 * 2),  # four taxonomy variants, each a plan over the decay slot
+    ("fig7c", 6, 6 * 2),
+])
+def test_runs_plan_drift_and_dark_report_once(monkeypatch, name, dark_calls, drift_builds):
+    # at 4 points per axis, a run builds A at most (axes + 1) times per plan,
+    # and reads the dark-mode condition per point only where an axis
+    # writes a slot it reads
+    preset = get_preset(name, points=4)
+    dark = _count_calls(monkeypatch, dark_mode_condition)
+    drift = _count_calls(monkeypatch, build_drift_matrix)
+    preset.run(1)
+    assert len(dark) == dark_calls
+    assert len(drift) == drift_builds
 
 
 def test_hop_symmetry_real_strengths():
