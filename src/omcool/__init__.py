@@ -28,9 +28,5 @@ from .lyapunov import (  # noqa: F401
     solve_lyapunov,
     stability,
 )
-from .darkmode import (  # noqa: F401
-    chain_modes,
-    dark_mode_condition,
-    hybridize,
-)
+from .darkmode import dark_mode_condition  # noqa: F401
 from .atomic import four_level_eigensystem, three_level_eigensystem  # noqa: F401

@@ -43,10 +43,12 @@ class SweepAxis:
     scale: str = "linear"
 
     def values(self) -> np.ndarray:
-        """The axis points; the scale and its bounds are checked for every
-        point count, one point included."""
+        """The axis points; the scale and its bounds, which must be finite,
+        are checked for every point count, one point included."""
         if self.points < 1:
             raise ConfigError("axis needs at least one point")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ConfigError(f"axis {self.path}: min and max must be finite")
         if self.points > 1 and self.lo >= self.hi:
             raise ConfigError(f"axis {self.path}: min must be < max")
         if self.scale == "log" and self.lo <= 0:

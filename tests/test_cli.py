@@ -381,9 +381,18 @@ def test_cli_bad_axis_spec(tmp_path):
     ["cavities.+0.detuning:0.5:1.5:3"],
     ["cavities.0.detuning:1:2:1:bogus"],
     ["cavities.0.detuning:-1:1:1:log"],
+    ["cavities.0.detuning:0:inf:2"],
+    ["cavities.0.detuning:-inf:1:3"],
+    ["cavities.0.decay:0.1:inf:3:log"],
+    ["cavities.0.detuning:1:0:5"],
+    ["cavities.0.detuning:0:1:0"],
+    ["cavities.0.detuning:0.8:1.2:2", "cavities.0.decay:0.05:0.5:2",
+     "cavities.1.decay:0.05:0.5:2"],
 ], ids=["negative-decay", "nan-bound", "unknown-field", "duplicate-axis",
         "negative-index", "leading-zero-index", "signed-index",
-        "one-point-unknown-scale", "one-point-log-nonpositive"])
+        "one-point-unknown-scale", "one-point-log-nonpositive",
+        "infinite-max", "infinite-min", "log-infinite-max",
+        "min-above-max", "zero-points", "three-axes"])
 def test_cli_sweep_input_error_exit_code(tmp_path, axes):
     cfg_path = _write_config(tmp_path, n_type_config())
     out = tmp_path / "sweep.csv"
@@ -490,6 +499,41 @@ def test_cli_every_preset_runs_and_dumps(tmp_path, name):
         assert doc == {"atomic": {"levels": levels, "ratio": [0.0, 3.0], "points": 2}}
     else:
         assert config_from_dict(doc) == get_preset(name).config
+
+
+def test_cli_solve_complex_strength_writes_empty_dark_cells(tmp_path):
+    doc = config_to_dict(n_type_config())
+    doc["edges"][2]["strength"] = [0.08, 0.01]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "solve.csv"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    table = read_csv(out)
+    assert table.columns[-3:] == ["dark", "zeta_residual", "gs_minus_residual"]
+    assert table.rows[0][-3:] == [None, None, None]
+    assert table.rows[0][table.columns.index("n_f_1")] is not None
+
+
+def test_cli_solve_generic_topology_writes_no_dark_columns(tmp_path):
+    cfg = dataclasses.replace(n_type_config(), topology="generic")
+    out = tmp_path / "solve.csv"
+    assert main(["solve", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    columns = read_csv(out).columns
+    assert "n_f_2" in columns
+    assert not {"dark", "zeta_residual", "gs_minus_residual"} & set(columns)
+
+
+def test_cli_zero_coupling_refusal(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, network4_config(G1=0.0, G2=0.0))
+    out = tmp_path / "taxonomy.csv"
+    assert main(["taxonomy", "--config", cfg_path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: dark-mode analysis needs cavity c0 coupled to m0 or m1\n")
+    assert not out.exists()
+    assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
+    table = read_csv(out)
+    assert table.columns[-3:] == ["dark", "zeta_residual", "gs_minus_residual"]
+    assert table.rows[0][-3:] == [None, None, None]
 
 
 def test_cli_chain_solve(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Hybrid-mode transform, dark-mode conditions, taxonomy, chain modes."""
+"""Dark-mode conditions against the hybrid rotation, taxonomy, and chain
+dark modes against the sine transform."""
 
 import dataclasses
 
@@ -7,67 +8,86 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omcool.darkmode import (
-    chain_modes,
-    closed_channel_variants,
-    dark_mode_condition,
-    hybridize,
-    tridiagonal_chain_frequencies,
-)
+from omcool.darkmode import closed_channel_variants, dark_mode_condition
 from omcool.errors import ConfigError
-from omcool.model import CavityMode, CouplingEdge, compile_config
-from omcool.presets import n_type_config, network4_config
+from omcool.lyapunov import solve_lyapunov
+from omcool.model import (
+    CavityMode,
+    CouplingEdge,
+    build_drift_matrix,
+    build_noise_matrix,
+    compile_config,
+    coupling_matrix,
+)
+from omcool.presets import chain_config, n_type_config, network4_config
 from omcool.sweep import run_solve, run_taxonomy
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
+frequency = st.floats(0.1, 2.0)
 coupling = st.floats(0.01, 1.0)
 
 
+def _mechanical_block(model):
+    """H_m = diag(omega) + K[C:, C:]: the frequencies plus phonon hopping."""
+    nc = model.n_cavities
+    return np.diag(model.frequency) + coupling_matrix(model)[nc:, nc:].real
+
+
 # ---------------------------------------------------------------------------
-# hybridize
+# residuals against the hybrid rotation (b1, b2) -> (B+, B-)
 
 def test_symmetric_reduction():
-    h = hybridize(G1=0.05, G2=0.05, omega1=1.0, omega2=1.0, Gs1=0.08)
-    assert h.zeta == pytest.approx(0.0, abs=1e-15)
-    assert h.omega_plus == pytest.approx(1.0)
-    assert h.omega_minus == pytest.approx(1.0)
-    assert h.g_plus == pytest.approx(np.sqrt(2) * 0.05)
-    assert h.gs_plus == pytest.approx(0.08 / np.sqrt(2))
-    assert h.gs_minus == pytest.approx(0.08 / np.sqrt(2))
+    # G1 = G2 and omega1 = omega2: zeta vanishes, Gs- = Gs1 / sqrt(2)
+    report = dark_mode_condition(compile_config(n_type_config(Gs1=0.08)))
+    assert report.zeta_residual == pytest.approx(0.0, abs=1e-15)
+    assert report.gs_minus_residual == pytest.approx(0.08 / np.sqrt(2))
+    assert not report.dark_present
 
 
 def test_frequency_mismatch_mixing():
-    h = hybridize(G1=0.05, G2=0.05, omega1=1.0, omega2=1.1)
-    assert h.zeta == pytest.approx(-0.05)
+    report = dark_mode_condition(compile_config(n_type_config(omega2=1.1, Gs1=0.0)))
+    assert report.zeta_residual == pytest.approx(0.05)
+    assert report.gs_minus_residual == 0.0
+    assert not report.dark_present
 
 
 def test_symmetric_network_defaults_dark():
-    h = hybridize(G1=0.05, G2=0.05, omega1=1.0, omega2=1.0,
-                  eta=0.03, Gs1=0.08, Gs2=0.08)
-    assert h.zeta == pytest.approx(0.0, abs=1e-15)
-    assert h.gs_minus == pytest.approx(0.0, abs=1e-15)
+    report = dark_mode_condition(compile_config(network4_config()))
+    assert report.zeta_residual == pytest.approx(0.0, abs=1e-15)
+    assert report.gs_minus_residual == pytest.approx(0.0, abs=1e-15)
+    assert report.dark_present
 
 
 def test_zero_couplings_rejected():
-    with pytest.raises(ConfigError):
-        hybridize(0.0, 0.0, 1.0, 1.0)
+    model = compile_config(network4_config(G1=0.0, G2=0.0))
+    with pytest.raises(ConfigError, match="cavity c0 coupled to m0 or m1"):
+        dark_mode_condition(model)
 
 
 def test_complex_couplings_rejected():
-    with pytest.raises(ConfigError):
-        hybridize(0.05 + 0.01j, 0.05, 1.0, 1.0)
+    base = network4_config()
+    cfg = dataclasses.replace(base, edges=(
+        dataclasses.replace(base.edges[0], strength=0.05 + 0.01j),) + base.edges[1:])
+    with pytest.raises(ConfigError, match="real coupling strengths"):
+        dark_mode_condition(compile_config(cfg))
 
 
 @settings(max_examples=100, deadline=None)
-@given(coupling, coupling, coupling, coupling, finite, finite, finite)
-def test_hybrid_conservation_laws(G1, G2, Gs1, Gs2, omega1, omega2, eta):
-    h = hybridize(G1, G2, omega1, omega2, eta, Gs1, Gs2)
-    # frequency sum and coupling norm are preserved by the rotation
-    assert h.omega_plus + h.omega_minus == pytest.approx(omega1 + omega2, abs=1e-12)
-    assert h.gs_plus**2 + h.gs_minus**2 == pytest.approx(Gs1**2 + Gs2**2, abs=1e-12)
-    assert h.g_plus == pytest.approx(np.hypot(G1, G2), abs=1e-12)
-    T = h.transform
-    assert np.abs(T.T @ T - np.eye(2)).max() < 1e-14
+@given(coupling, coupling, coupling, coupling, frequency, frequency, finite)
+def test_residuals_match_hybrid_rotation(G1, G2, Gs1, Gs2, omega1, omega2, eta):
+    base = network4_config(omega2=omega2, G1=G1, G2=G2, Gs1=Gs1, Gs2=Gs2, eta=eta)
+    cfg = dataclasses.replace(base, mechanicals=(
+        dataclasses.replace(base.mechanicals[0], frequency=omega1), base.mechanicals[1]))
+    model = compile_config(cfg)
+    report = dark_mode_condition(model)
+    # B+ = (G1 b1 + G2 b2)/G+ carries the whole c0 coupling; zeta couples B-
+    # to B+ and Gs- couples B- to the auxiliary cavity c1
+    T = np.array([[G1, G2], [G2, -G1]]) / np.hypot(G1, G2)
+    assert np.abs(T @ T.T - np.eye(2)).max() < 1e-14
+    zeta = (T @ _mechanical_block(model) @ T.T)[0, 1]
+    gs_minus = (T @ np.array([Gs1, Gs2]))[1]
+    assert report.zeta_residual == pytest.approx(abs(zeta), abs=1e-12)
+    assert report.gs_minus_residual == pytest.approx(abs(gs_minus), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +127,6 @@ def test_n_type_with_auxiliary_broken():
 
 
 def test_wrong_topology_rejected():
-    from omcool.presets import chain_config
     with pytest.raises(ConfigError):
         dark_mode_condition(compile_config(chain_config(3)))
     # a third cavity on m1 cools both modes (n_f 0.66, 0.26), so the
@@ -186,37 +205,75 @@ def test_closed_channels_zero_strength_slots():
 
 
 # ---------------------------------------------------------------------------
-# chain modes
+# chain dark modes: the sine transform of a uniform chain
+
+def _sine_modes(N):
+    """T[l, k] = sin(l k pi / (N+1)) / sqrt((N+1)/2), l, k = 1..N: the normal
+    modes B_k = sum_l T[l, k] b_l of a uniform chain with nearest-neighbour
+    hopping eta, of frequency omega + 2 eta cos(k pi / (N+1))."""
+    l = np.arange(1, N + 1)
+    return np.sin(np.outer(l, l) * np.pi / (N + 1)) / np.sqrt((N + 1) / 2.0)
+
+
+def _chain_frequencies(N, omega=1.0, eta=0.06):
+    return omega + 2.0 * eta * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
+
+
+def _sine_mode_occupations(config):
+    """Occupations of the sine modes, projected from the product's covariance V."""
+    model = compile_config(config)
+    V = solve_lyapunov(build_drift_matrix(model), build_noise_matrix(model))
+    nc, m = model.n_cavities, model.n_modes
+    T = _sine_modes(m - nc)
+    x = T.T @ V[nc:m, nc:m] @ T
+    p = T.T @ V[m + nc:, m + nc:] @ T
+    return (np.diag(x) + np.diag(p)) / 2 - 0.5
+
+
+def _cavity_couplings(N, cavity):
+    """The couplings of cavity ``cavity`` to the sine modes of chain_config(N)."""
+    model = compile_config(chain_config(N))
+    return _sine_modes(N).T @ coupling_matrix(model)[cavity, model.n_cavities:].real
+
 
 def test_chain_two_resonators():
-    ch = chain_modes(2, omega_m=1.0, eta=0.06, G=0.05, Gs=0.1)
-    assert ch.frequencies[0] == pytest.approx(1.06)
-    assert ch.frequencies[1] == pytest.approx(0.94)
-    assert ch.cavity_couplings[0] == pytest.approx(np.sqrt(2) * 0.05)
-    assert ch.cavity_couplings[1] == pytest.approx(0.0, abs=1e-14)
-    assert ch.dark_indices == (2,)
+    H = _mechanical_block(compile_config(chain_config(2)))
+    assert np.linalg.eigvalsh(H) == pytest.approx([0.94, 1.06])
+    c0 = _cavity_couplings(2, 0)
+    assert c0[0] == pytest.approx(np.sqrt(2) * 0.05)
+    assert c0[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_chain_three_resonators():
-    ch = chain_modes(3, omega_m=1.0, eta=0.06, G=0.05, Gs=0.1)
-    assert ch.frequencies[1] == pytest.approx(1.0)  # cos(pi/2) = 0
-    assert ch.cavity_couplings[1] == pytest.approx(0.0, abs=1e-14)
+    H = _mechanical_block(compile_config(chain_config(3)))
+    assert np.linalg.eigvalsh(H)[1] == pytest.approx(1.0)  # cos(pi/2) = 0
+    c0 = _cavity_couplings(3, 0)
+    assert c0[1] == pytest.approx(0.0, abs=1e-14)
     # k=1 coupling: (G / sqrt(2)) (1 + sqrt(2))
-    assert ch.cavity_couplings[0] == pytest.approx(0.05 / np.sqrt(2) * (1 + np.sqrt(2)))
+    assert c0[0] == pytest.approx(0.05 / np.sqrt(2) * (1 + np.sqrt(2)))
 
 
 def test_chain_auxiliary_coupling_never_vanishes():
     for N in (2, 3, 5, 10):
-        ch = chain_modes(N, 1.0, 0.06, 0.05, 0.1)
-        assert min(abs(c) for c in ch.aux_couplings) > 1e-6
+        assert np.abs(_cavity_couplings(N, 1)).min() > 1e-6
+        # ... so the auxiliary cavity cools every sine mode, the dark ones too
+        assert _sine_mode_occupations(chain_config(N)).max() < 0.01 * 1000.0
+
+
+def test_chain_even_sine_modes_dark():
+    for N in (2, 3, 4, 5, 10):
+        assert np.abs(_cavity_couplings(N, 0)[1::2]).max() < 1e-14
+        n = _sine_mode_occupations(chain_config(N, Gs=0.0))
+        assert np.abs(n[1::2] / 1000.0 - 1.0).max() < 1e-9
 
 
 def test_chain_transform_orthogonal_and_trace():
     for N in (2, 3, 7, 12):
-        ch = chain_modes(N, 1.0, 0.06, 0.05, 0.1)
-        T = ch.transform
+        T = _sine_modes(N)
+        H = _mechanical_block(compile_config(chain_config(N)))
         assert np.abs(T.T @ T - np.eye(N)).max() < 1e-12
-        assert sum(ch.frequencies) == pytest.approx(N * 1.0, abs=1e-10)
+        assert np.trace(H) == pytest.approx(N * 1.0, abs=1e-10)
+        assert np.abs(T.T @ H @ T - np.diag(_chain_frequencies(N))).max() < 1e-12
 
 
 def test_chain_parity_sums():
@@ -227,17 +284,11 @@ def test_chain_parity_sums():
 
 
 def test_chain_frequencies_match_tridiagonal():
-    for N in (2, 3, 5, 11):
-        ch = chain_modes(N, 1.0, 0.06, 0.05, 0.1)
-        numeric = tridiagonal_chain_frequencies([1.0] * N, [0.06] * (N - 1))
-        assert np.abs(np.sort(ch.frequencies) - numeric).max() < 1e-10
+    for N in (2, 3, 5, 11, 50):
+        H = _mechanical_block(compile_config(chain_config(N)))
+        assert np.abs(np.linalg.eigvalsh(H) - np.sort(_chain_frequencies(N))).max() < 1e-14
 
 
 def test_chain_minimum_size():
     with pytest.raises(ConfigError):
-        chain_modes(1, 1.0, 0.06, 0.05, 0.1)
-
-
-def test_tridiagonal_shape_check():
-    with pytest.raises(ConfigError):
-        tridiagonal_chain_frequencies([1.0, 1.0], [0.1, 0.1])
+        chain_config(1)
