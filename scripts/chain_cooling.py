@@ -13,10 +13,9 @@ Usage: python scripts/chain_cooling.py [--n 3] [--points 80] [--jobs 4]
 import argparse
 from pathlib import Path
 
-from omcool.model import compile_config
 from omcool.presets import chain_config
 from omcool.results import write_csv, write_svg
-from omcool.sweep import SweepAxis, SweepSpec, run_sweep, solve_record
+from omcool.sweep import SweepAxis, SweepSpec, run_solve, run_sweep
 
 
 def main() -> None:
@@ -32,11 +31,11 @@ def main() -> None:
             parser.error(f"{flag} must be >= {low}, got {value}")
 
     n_f = [f"n_f_{l + 1}" for l in range(args.n)]
-    broken = solve_record(compile_config(chain_config(args.n)))
-    intact = solve_record(compile_config(chain_config(args.n, Gs=0.0, eta=0.0)))
+    broken = run_solve(chain_config(args.n))
+    intact = run_solve(chain_config(args.n, Gs=0.0, eta=0.0))
     print(f"N = {args.n}")
-    print("  dark modes broken:", "  ".join(f"{broken[c]:.4f}" for c in n_f))
-    print("  dark modes intact:", "  ".join(f"{intact[c]:.1f}" for c in n_f))
+    print("  dark modes broken:", "  ".join(f"{broken.column(c)[0]:.4f}" for c in n_f))
+    print("  dark modes intact:", "  ".join(f"{intact.column(c)[0]:.1f}" for c in n_f))
 
     spec = SweepSpec(
         base=chain_config(args.n),

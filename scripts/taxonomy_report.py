@@ -14,11 +14,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from omcool.cli import attach_range_values, parse_range
+from omcool.cli import attach_range_values
 from omcool.errors import ConfigError
 from omcool.presets import network4_config
 from omcool.results import write_csv
-from omcool.sweep import run_taxonomy
+from omcool.sweep import SweepAxis, run_taxonomy
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     summary = table = run_taxonomy(base)
     if args.kappa:
         try:
-            table = run_taxonomy(base, parse_range(args.kappa))
+            table = run_taxonomy(base, SweepAxis.parse(args.kappa, "cavities.0.decay"))
         except ConfigError as exc:
             parser.error(f"--kappa: {exc}")
 

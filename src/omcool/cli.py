@@ -3,7 +3,8 @@
 Verbs: solve, sweep, taxonomy, atomic, preset, emit.
 Exit codes: 0 success, 2 parse error (including an unreadable --config or
 --in), 3 validation error (including --points below 1, --jobs below 1 on a
-sweep or any preset, or non-finite range bounds), 4 unstable system, 5
+sweep or any preset, run or dump, and a range with a non-finite bound, no
+point, or MIN >= MAX over more points than one), 4 unstable system, 5
 solver failure (or a failed write).
 """
 
@@ -12,8 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from .config_io import parse_config
 from .errors import ConfigError, OmcoolError, ParseError, SolverError, UnstableSystemError
@@ -26,36 +25,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_UNSTABLE = 4
 EXIT_SOLVER = 5
-
-
-def _parse_axis(spec: str) -> SweepAxis:
-    parts = spec.split(":")
-    if len(parts) not in (4, 5):
-        raise ConfigError(f"bad axis spec {spec!r} (want PATH:MIN:MAX:POINTS[:log])")
-    scale = "linear"
-    if len(parts) == 5:
-        scale = parts[4]
-    try:
-        return SweepAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]), scale)
-    except ValueError as exc:
-        raise ConfigError(f"bad axis spec {spec!r}: {exc}") from exc
-
-
-def parse_range(spec: str) -> np.ndarray:
-    """Values of a MIN:MAX:POINTS range (linear); ConfigError on a bad spec,
-    a NaN or infinite bound, or fewer than one point."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"bad range spec {spec!r} (want MIN:MAX:POINTS)")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad range spec {spec!r}: {exc}") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ConfigError(f"bad range spec {spec!r}: MIN and MAX must be finite")
-    if n < 1:
-        raise ConfigError(f"bad range spec {spec!r}: need at least one point")
-    return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
 
 
 def attach_range_values(argv: list[str]) -> list[str]:
@@ -102,7 +71,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    axes = tuple(_parse_axis(spec) for spec in args.axis)
+    axes = tuple(SweepAxis.parse(spec) for spec in args.axis)
     spec = SweepSpec(base=config, axes=axes)
     jobs = _jobs(args)
     try:
@@ -119,20 +88,21 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_taxonomy(args) -> int:
     config = parse_config(args.config)
-    kappas = parse_range(args.kappa) if args.kappa else None
-    table = run_taxonomy(config, kappas)
+    kappa = SweepAxis.parse(args.kappa, "cavities.0.decay") if args.kappa else None
+    table = run_taxonomy(config, kappa)
     _write_table(table, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_atomic(args) -> int:
-    table = run_atomic(args.levels, parse_range(args.ratio))
+    table = run_atomic(args.levels, SweepAxis.parse(args.ratio, "ratio"))
     _write_table(table, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
     preset = get_preset(args.name, points=args.points)
+    jobs = _jobs(args)
     if args.dump:
         text = json.dumps(preset.document, indent=2, sort_keys=True) + "\n"
         if args.out:
@@ -141,7 +111,7 @@ def _cmd_preset(args) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    table = preset.run(_jobs(args))
+    table = preset.run(jobs)
     table.metadata["preset"] = preset.name
     _write_table(table, args.out, args.format)
     return EXIT_OK

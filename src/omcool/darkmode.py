@@ -92,9 +92,15 @@ def closed_channel_variants(
     """The taxonomy's configurations of a network4 model: for each subset of
     CHANNELS whose size is in ``sizes`` (all 14 by default), by size, then
     channel order, its label ("J+Gs2") and the model with the closed
-    channels' strength slots zeroed."""
+    channels' strength slots zeroed.
+
+    Raises the reason the base model has no dark-mode report: closing
+    channels adds no strength the report reads, and each channel stays open
+    in some variant of every size, so the base lacks a report exactly when
+    some variant does."""
     if model.topology != "network4":
         raise ConfigError("configuration taxonomy requires topology 'network4'")
+    dark_mode_condition(model)
     nc = model.n_cavities
     ends = {"J": (False, {0, 1}), "eta": (False, {nc, nc + 1}),
             "Gs1": (True, {1, nc}), "Gs2": (True, {1, nc + 1})}

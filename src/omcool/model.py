@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -419,18 +418,13 @@ class Assembly:
     zero, and ``steps[k]`` holds the flat indices and values of the
     difference that a unit step in slot k makes."""
 
-    build: Callable[[Model], np.ndarray]
-    model: Model
-    slots: tuple[tuple[str, int], ...]
     base: np.ndarray
     steps: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def at(self, point) -> np.ndarray:
-        """The matrix with ``point[k]`` written into slot k.  A -0.0 value
-        leaves signed zeros of the builder's own that no step records, so
-        that point is built."""
-        if any(x == 0.0 and math.copysign(1.0, x) < 0 for x in point):
-            return self.build(self.model.write(self.slots, point))
+        """The matrix with ``point[k]`` written into slot k.  A zero must be
+        +0.0, as SweepAxis.values gives it: a -0.0 would leave signed zeros
+        of the builder's own that no step records."""
         out = self.base.copy()
         flat = out.reshape(-1)
         for (index, coef), x in zip(self.steps, point):
@@ -460,4 +454,4 @@ def assembly(build: Callable[[Model], np.ndarray], model: Model, slots) -> Assem
         diff = (build(model.write(slots, unit)) - base).reshape(-1)
         index = np.flatnonzero(diff)
         steps.append((index, diff[index]))
-    return Assembly(build, model, slots, base, tuple(steps))
+    return Assembly(base, tuple(steps))

@@ -9,8 +9,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config_io import config_to_dict
 from .errors import ConfigError
 from .model import CavityMode, CouplingEdge, MechanicalMode, SystemConfig
@@ -188,7 +186,7 @@ def _fig7(panel: str, pts: int) -> Preset:
     sizes = {"a": (1,), "b": (1,), "c": (2,), "d": (2,), "e": (3,), "f": (3,)}[panel]
     base = network4_config()
     return _preset(f"fig7{panel}", base,
-                   lambda jobs: run_taxonomy(base, np.linspace(0.05, 1.0, pts), sizes))
+                   lambda jobs: run_taxonomy(base, SweepAxis("cavities.0.decay", 0.05, 1.0, pts), sizes))
 
 
 def _fig8(panel: str, pts: int) -> Preset:
@@ -223,7 +221,7 @@ def _fig13(panel: str, pts: int) -> Preset:
     levels = 3 if panel == "a" else 4
     grid = {"atomic": {"levels": levels, "ratio": [0.0, 3.0], "points": pts}}
     return Preset(f"fig13{panel}", None, grid,
-                  lambda jobs: run_atomic(levels, np.linspace(0.0, 3.0, pts)))
+                  lambda jobs: run_atomic(levels, SweepAxis("ratio", 0.0, 3.0, pts)))
 
 
 def _table1(pts: int) -> Preset:

@@ -36,17 +36,35 @@ from .results import ResultTable
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """The one range type: ``points`` values from ``lo`` to ``hi`` of the
+    parameter at ``path``, evenly spaced on a linear or log scale."""
+
     path: str  # dotted parameter path, e.g. "cavities.0.decay"
     lo: float
     hi: float
     points: int
     scale: str = "linear"
 
+    @classmethod
+    def parse(cls, spec: str, path: str | None = None) -> SweepAxis:
+        """The axis of a ``PATH:MIN:MAX:POINTS[:log]`` spec, or, given
+        ``path``, of a linear ``MIN:MAX:POINTS`` range on it."""
+        parts = spec.split(":") if path is None else [path, *spec.split(":")]
+        grammar = "PATH:MIN:MAX:POINTS[:log]" if path is None else "MIN:MAX:POINTS"
+        if len(parts) not in ((4, 5) if path is None else (4,)):
+            raise ConfigError(f"bad range spec {spec!r} (want {grammar})")
+        try:
+            return cls(parts[0], float(parts[1]), float(parts[2]), int(parts[3]), *parts[4:])
+        except ValueError as exc:
+            raise ConfigError(f"bad range spec {spec!r}: {exc}") from exc
+
     def values(self) -> np.ndarray:
-        """The axis points; the scale and its bounds, which must be finite,
-        are checked for every point count, one point included."""
+        """The axis points, which start at min and end at max exactly; a
+        zero is +0.0.  The bounds must be finite, and min < max when there
+        is more than one point; the scale and its bounds are checked for
+        every point count, one point included."""
         if self.points < 1:
-            raise ConfigError("axis needs at least one point")
+            raise ConfigError(f"axis {self.path}: needs at least one point")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ConfigError(f"axis {self.path}: min and max must be finite")
         if self.points > 1 and self.lo >= self.hi:
@@ -56,10 +74,13 @@ class SweepAxis:
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"axis {self.path}: unknown scale {self.scale!r}")
         if self.points == 1:
-            return np.array([self.lo])
-        if self.scale == "log":
-            return np.logspace(np.log10(self.lo), np.log10(self.hi), self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+            values = np.array([self.lo])
+        elif self.scale == "log":
+            values = np.logspace(np.log10(self.lo), np.log10(self.hi), self.points)
+            values[[0, -1]] = self.lo, self.hi  # 10 ** log10(x) can miss x
+        else:
+            values = np.linspace(self.lo, self.hi, self.points)
+        return values + 0.0  # a -0.0 bound reads +0.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +112,7 @@ class PointPlan:
     dark: dict | None
 
 
-def point_plan(model: Model, slots=()) -> PointPlan:
+def point_plan(model: Model, slots) -> PointPlan:
     """The plan of the points that write ``slots`` of ``model``.  What is
     made per point: the drift of a physical-mode model, whose linearisation
     is not affine in any slot; the noise under a thermal-occupation slot,
@@ -108,6 +129,10 @@ def point_plan(model: Model, slots=()) -> PointPlan:
     )
 
 
+# the dark-mode report's columns, in the order every table writes them
+DARK_COLUMNS = ("dark", "zeta_residual", "gs_minus_residual")
+
+
 def _dark_columns(model: Model) -> dict:
     """The dark-mode columns of a point: none where the two-mode analysis
     does not apply or rejects the couplings (complex strengths)."""
@@ -117,25 +142,21 @@ def _dark_columns(model: Model) -> dict:
         dm = dark_mode_condition(model)
     except ConfigError:
         return {}
-    return {"dark": dm.dark_present, "zeta_residual": dm.zeta_residual,
-            "gs_minus_residual": dm.gs_minus_residual}
+    return dict(zip(DARK_COLUMNS, (dm.dark_present, dm.zeta_residual, dm.gs_minus_residual)))
 
 
-def solve_record(model: Model, plan: PointPlan | None = None, point=()) -> dict:
+def solve_record(model: Model, plan: PointPlan, point=()) -> dict:
     """Full pipeline for one point, ``model`` with ``point`` written into
-    the plan's slots: stability, covariance, phonon numbers, and (for
-    two-mechanical topologies) the dark-mode report, which in physical mode
-    describes the single-photon couplings g.  A run passes the plan it made
-    once with point_plan; without one, the point is ``model`` itself and its
-    plan is made here.
+    the slots of ``plan``, the point_plan its run made once: stability,
+    covariance, phonon numbers, and (for two-mechanical topologies) the
+    dark-mode report, which in physical mode describes the single-photon
+    couplings g.
 
     Unstable systems produce a flagged record with empty occupations instead
     of raising.  The model was checked where its config entered
     (compile_config) and each value written into it by axis_slot, so nothing
     here re-checks.
     """
-    if plan is None:
-        plan = point_plan(model)
     written = model
     if plan.drift is None or plan.noise is None or plan.dark is None:
         written = model.write(plan.slots, point)
@@ -161,7 +182,7 @@ def _record_columns(model: Model) -> list[str]:
     cols += [f"n_f_{l + 1}" for l in range(model.n_mechanicals)]
     cols += [f"n_c_{c + 1}" for c in range(model.n_cavities)]
     if dark_mode_applies(model):
-        cols += ["dark", "zeta_residual", "gs_minus_residual"]
+        cols += DARK_COLUMNS
     return cols
 
 
@@ -171,51 +192,26 @@ def _base_metadata(config: SystemConfig, **extra: str) -> dict[str, str]:
     return meta
 
 
-def run_solve(config: SystemConfig) -> ResultTable:
-    model = compile_config(config)
-    record = solve_record(model)
-    columns = _record_columns(model)
-    return ResultTable(
-        columns=columns,
-        rows=[[record.get(c) for c in columns]],
-        metadata=_base_metadata(config),
-    )
-
-
 def _solve_points(model: Model, plan: PointPlan, points) -> list[dict]:
     """Records of the grid points, each the model with its axis values
     written into the plan's slots."""
     return [solve_record(model, plan, point) for point in points]
 
 
-def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
-    """Row-major grid evaluation.  Each point is an independent solve; row
-    order never depends on the parallelism level.  ``parallelism`` must be at
-    least 1.  The base config is compiled once, each axis value checked
-    once, and the run's point_plan made once: an effective-mode point's A
-    and Q are the plan's base plus its axis values times unit-slot steps,
-    and the dark-mode columns come once per run unless an axis writes a
-    frequency or strength.  A hard failure aborts the sweep with the partial
-    table attached to the exception."""
+def _grid_rows(table: ResultTable, variants, base: SystemConfig, axes, out_cols,
+               parallelism: int = 1) -> ResultTable:
+    """Append to ``table`` one row per variant and point of the axes' grid,
+    row-major: the variant's label columns, the point's axis values, then
+    ``out_cols`` of its solve_record.  A variant is a (labels, Model) pair
+    with one point_plan over the axes' slots of ``base``, each axis value
+    checked once.  Row order never depends on ``parallelism``, which must be
+    at least 1.  A hard failure aborts the run with the partial table
+    attached to the exception."""
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    model = compile_config(spec.base)
-    axis_values = [[float(x) for x in axis.values()] for axis in spec.axes]
-    slots = [axis_slot(spec.base, axis.path, values)
-             for axis, values in zip(spec.axes, axis_values)]
+    axis_values = [[float(x) for x in axis.values()] for axis in axes]
+    slots = [axis_slot(base, axis.path, values) for axis, values in zip(axes, axis_values)]
     points = list(itertools.product(*axis_values))
-    plan = point_plan(model, slots)
-
-    record_cols = _record_columns(model)
-    out_cols = list(spec.outputs) if spec.outputs else record_cols
-    columns = [axis.path for axis in spec.axes] + out_cols
-    table = ResultTable(
-        columns=columns,
-        rows=[],
-        metadata=_base_metadata(
-            spec.base, axes=",".join(axis.path for axis in spec.axes)
-        ),
-    )
     # a task is a chunk: the model and plan are sent once per chunk, each point
     # as its axis values; serial chunks are single points, so a failure keeps
     # every row before it
@@ -226,15 +222,15 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
         size = max(1, len(points) // (parallelism * 4))
         run = executor.map
     else:
-        executor = None
-        size = 1
-        run = map
+        executor, size, run = None, 1, map
     chunks = [points[k:k + size] for k in range(0, len(points), size)]
-    records = itertools.chain.from_iterable(
-        run(_solve_points, itertools.repeat(model), itertools.repeat(plan), chunks))
     try:
-        for point, record in zip(points, records):
-            table.rows.append(list(point) + [record.get(c) for c in out_cols])
+        for labels, model in variants:
+            plan = point_plan(model, slots)
+            records = itertools.chain.from_iterable(
+                run(_solve_points, itertools.repeat(model), itertools.repeat(plan), chunks))
+            for point, record in zip(points, records):
+                table.rows.append([*labels, *point] + [record.get(c) for c in out_cols])
     except OmcoolError as exc:
         exc.partial = table  # type: ignore[attr-defined]
         raise
@@ -244,50 +240,59 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
     return table
 
 
-def run_taxonomy(base: SystemConfig, kappa_values=None,
+def run_solve(config: SystemConfig) -> ResultTable:
+    model = compile_config(config)
+    columns = _record_columns(model)
+    table = ResultTable(columns=columns, rows=[], metadata=_base_metadata(config))
+    return _grid_rows(table, [((), model)], config, (), columns)
+
+
+def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
+    """The spec's grid, row-major, as one _grid_rows variant.  The base
+    config is compiled once and the run's point_plan made once: an
+    effective-mode point's A and Q are the plan's base plus its axis values
+    times unit-slot steps, and the dark-mode columns come once per run
+    unless an axis writes a frequency or strength."""
+    model = compile_config(spec.base)
+    out_cols = list(spec.outputs) or _record_columns(model)
+    paths = [axis.path for axis in spec.axes]
+    table = ResultTable(columns=paths + out_cols, rows=[],
+                        metadata=_base_metadata(spec.base, axes=",".join(paths)))
+    return _grid_rows(table, [((), model)], spec.base, spec.axes, out_cols, parallelism)
+
+
+def run_taxonomy(base: SystemConfig, kappa: SweepAxis | None = None,
                  sizes: tuple[int, ...] = TAXONOMY_SIZES) -> ResultTable:
     """One row per closed-channel subset whose size is in ``sizes`` (all 14
-    for the default TAXONOMY_SIZES), optionally crossed with a sweep of the
-    intermediate-cavity decay rate.  Subsets of other sizes are never solved.
-    Each variant's rows are solve_record points of one point_plan over the
-    decay slot, so its A, Q and dark-mode report are made once: the decay
-    rate does not enter the dark-mode condition."""
+    for the default TAXONOMY_SIZES), crossed with ``kappa``, an axis of the
+    intermediate-cavity decay rate cavities.0.decay (the base config's rate
+    if None).  Subsets of other sizes are never solved.  Each variant's rows
+    are solve_record points of one point_plan over the decay slot, so its A,
+    Q and dark-mode report are made once: the decay rate does not enter the
+    dark-mode condition."""
     variants = closed_channel_variants(compile_config(base), sizes)
-    kappas = [float(k) for k in
-              ([base.cavities[0].decay] if kappa_values is None else kappa_values)]
-    slot = axis_slot(base, "cavities.0.decay", kappas)
-    columns = ["closed_channels", "kappa", "dark", "zeta_residual",
-               "gs_minus_residual", "stable", "n_f_1", "n_f_2"]
-    table = ResultTable(
-        columns=columns, rows=[],
-        metadata=_base_metadata(base, axes="kappa"),
-    )
-    for label, model in variants:
-        plan = point_plan(model, (slot,))
-        if not plan.dark:
-            dark_mode_condition(model)  # raises the reason the report is missing
-        for kappa in kappas:
-            record = solve_record(model, plan, (kappa,))
-            table.rows.append([label, kappa] + [record.get(c) for c in columns[2:]])
-    return table
+    if kappa is None:
+        decay = base.cavities[0].decay
+        kappa = SweepAxis("cavities.0.decay", decay, decay, 1)
+    columns = ["closed_channels", "kappa", *DARK_COLUMNS, "stable", "n_f_1", "n_f_2"]
+    table = ResultTable(columns=columns, rows=[], metadata=_base_metadata(base, axes="kappa"))
+    return _grid_rows(table, [((label,), model) for label, model in variants], base,
+                      (kappa,), columns[2:])
 
 
-def run_atomic(levels: int, ratios) -> ResultTable:
-    """Eigenvalues and excited-state probabilities over an amplitude-ratio
-    grid for the three- or four-level system (unit reference amplitude)."""
+def run_atomic(levels: int, ratio: SweepAxis) -> ResultTable:
+    """Eigenvalues and excited-state probabilities over the amplitude-ratio
+    axis ``ratio`` for the three- or four-level system (unit reference
+    amplitude)."""
     if levels not in (3, 4):
         raise ConfigError("levels must be 3 or 4")
-    n = levels
-    columns = (["ratio"] + [f"lambda_{s + 1}" for s in range(n)]
-               + [f"p_e_{s + 1}" for s in range(n)])
+    columns = (["ratio"] + [f"lambda_{s + 1}" for s in range(levels)]
+               + [f"p_e_{s + 1}" for s in range(levels)])
     table = ResultTable(columns=columns, rows=[],
                         metadata={"tool_version": __version__, "axes": "ratio",
                                   "levels": str(levels)})
-    for ratio in ratios:
-        if levels == 3:
-            rep = three_level_eigensystem(float(ratio), 1.0)
-        else:
-            rep = four_level_eigensystem(float(ratio), 1.0)
-        table.rows.append([float(ratio)] + list(rep.eigenvalues)
-                          + list(rep.excited_probabilities))
+    eigensystem = three_level_eigensystem if levels == 3 else four_level_eigensystem
+    for x in ratio.values().tolist():
+        rep = eigensystem(x, 1.0)
+        table.rows.append([x] + list(rep.eigenvalues) + list(rep.excited_probabilities))
     return table

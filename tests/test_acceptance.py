@@ -73,7 +73,7 @@ def test_criterion_2_dark_mode_blockade():
 def test_criterion_3_taxonomy():
     base = network4_config()
     start = time.perf_counter()
-    table = run_taxonomy(base, np.linspace(0.05, 1.0, 100))
+    table = run_taxonomy(base, SweepAxis("cavities.0.decay", 0.05, 1.0, 100))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
 

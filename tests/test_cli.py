@@ -197,6 +197,21 @@ def test_sweep_log_axis():
     assert values == pytest.approx([0.01, 0.1, 1.0])
 
 
+@pytest.mark.parametrize("lo, hi, points", [(0.05, 1.0, 5), (0.3, 3.0, 4)])
+def test_sweep_log_axis_hits_its_bounds_exactly(lo, hi, points):
+    # 10 ** log10(0.05) is 0.049999999999999996: the ends are set to the bounds
+    values = SweepAxis("cavities.0.decay", lo, hi, points, "log").values()
+    assert (values[0], values[-1]) == (lo, hi)
+
+
+def test_cli_sweep_negative_zero_bound_writes_positive_zero(tmp_path):
+    cfg_path = _write_config(tmp_path, n_type_config())
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--axis", "cavities.0.detuning:-1:-0:3"]) == 0
+    assert out.read_text().splitlines()[-1].startswith("0.0,")
+
+
 def test_unstable_points_flagged_not_dropped():
     # crank the coupling far past the stability boundary
     spec = SweepSpec(
@@ -221,16 +236,16 @@ def test_taxonomy_table_shape():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_taxonomy_sizes_equal_filtered_full_table(k):
-    kappas = np.linspace(0.05, 1.0, 3)
-    full = run_taxonomy(network4_config(), kappas)
-    kept = run_taxonomy(network4_config(), kappas, sizes=(k,))
+    kappa = SweepAxis("cavities.0.decay", 0.05, 1.0, 3)
+    full = run_taxonomy(network4_config(), kappa)
+    kept = run_taxonomy(network4_config(), kappa, sizes=(k,))
     assert kept.columns == full.columns
     assert kept.metadata == full.metadata
     assert kept.rows == [row for row in full.rows if len(row[0].split("+")) == k]
 
 
 def test_atomic_table_dark_column():
-    table = run_atomic(3, np.linspace(0.0, 3.0, 7))
+    table = run_atomic(3, SweepAxis("ratio", 0.0, 3.0, 7))
     idx = [table.columns.index(f"lambda_{s}") for s in (1, 2, 3)]
     for row in table.rows:
         lambdas = [row[i] for i in idx]
@@ -552,10 +567,15 @@ def test_cli_chain_solve(tmp_path, capsys):
     ["atomic", "--levels", "3", "--ratio", "nan:1:3"],
     ["atomic", "--levels", "4", "--ratio", "0:inf:3"],
     ["preset", "fig2a", "--run", "--points", "2", "--jobs", "0"],
+    ["taxonomy", "--config", None, "--kappa", "0.5:0.1:3"],
+    ["atomic", "--levels", "3", "--ratio", "3:0:4"],
+    ["atomic", "--levels", "3", "--ratio", "1:1:3"],
 ], ids=["fig13a-negative-points", "fig7a-negative-points", "fig7a-zero-points",
         "fig2a-zero-points", "dump-zero-points", "atomic-nan-min", "atomic-inf-max",
-        "preset-zero-jobs"])
+        "preset-zero-jobs", "taxonomy-descending-kappa", "atomic-descending-ratio",
+        "atomic-equal-bounds"])
 def test_cli_bad_option_exit_code(tmp_path, capsys, argv):
+    argv = [_write_config(tmp_path, network4_config()) if a is None else a for a in argv]
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -583,7 +603,9 @@ def test_cli_range_value_may_start_with_minus(tmp_path, capsys):
     ("0", ["preset", "fig7a", "--run", "--points", "2"]),
     ("-3", ["preset", "table1", "--run"]),
     ("0", ["preset", "fig13a", "--run", "--points", "2"]),
-], ids=["0", "-4", "preset-fig7a-0", "preset-table1--3", "preset-fig13a-0"])
+    ("0", ["preset", "table1", "--dump"]),
+], ids=["0", "-4", "preset-fig7a-0", "preset-table1--3", "preset-fig13a-0",
+        "preset-table1-dump-0"])
 def test_cli_sweep_bad_jobs_exit_code(tmp_path, jobs, argv):
     if argv is None:
         argv = ["sweep", "--config", _write_config(tmp_path, n_type_config()),

@@ -32,7 +32,7 @@ from omcool.model import (
 )
 from omcool.darkmode import dark_mode_condition
 from omcool.presets import chain_config, get_preset, n_type_config, network4_config
-from omcool.sweep import SweepAxis, SweepSpec, run_solve, run_sweep, solve_record
+from omcool.sweep import SweepAxis, SweepSpec, point_plan, run_solve, run_sweep, solve_record
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,8 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_solve_record_validates_once(monkeypatch, physical):
     cfg = _physical_n_type() if physical else n_type_config()
     calls = _count_calls(monkeypatch, validate_config)
-    record = solve_record(compile_config(cfg))
+    model = compile_config(cfg)
+    record = solve_record(model, point_plan(model, ()))
     assert "dark" in record  # the dark-mode stage ran too
     assert calls == [cfg]
 
@@ -555,7 +556,7 @@ def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
     n_type_config(), network4_config(J=0.03, eta=0.02), _COMPLEX_N_TYPE, chain_config(3),
 ], ids=["n_type", "network4", "complex-strength", "chain3"])
 def test_assembly_is_bit_identical_to_the_builder(cfg):
-    # every pair of slots, at values that include both signed zeros: the
+    # every pair of slots, at values that include +0.0: the
     # assembled A and Q have the builder's bytes, so a planned sweep solves
     # the very matrices a per-point build would give.  gamma (2 nbar + 1) is
     # not of the assembly's form, so Q under an occupation slot is built per
@@ -567,7 +568,7 @@ def test_assembly_is_bit_identical_to_the_builder(cfg):
         slots = [axis_slot(cfg, path, []) for path in pair]
         drift = assembly(build_drift_matrix, model, slots)
         noise = assembly(build_noise_matrix, model, slots)
-        for point in itertools.product((0.0, -0.0, 0.7, -1.5), repeat=2):
+        for point in itertools.product((0.0, 0.7, -1.5), repeat=2):
             written = model.write(slots, point)
             assert drift.at(point).tobytes() == build_drift_matrix(written).tobytes(), (pair, point)
             if "nbar" not in {name for name, _ in slots}:
@@ -579,8 +580,8 @@ def test_assembly_is_bit_identical_to_the_builder(cfg):
     ("fig2a", 1, 3),      # detuning x decay: one dark report per run
     ("fig3a", 16, 3),     # a frequency axis: one report per point
     ("fig8b", 4, 2),      # a strength axis: one report per point
-    ("fig7a", 4, 4 * 2),  # four taxonomy variants, each a plan over the decay slot
-    ("fig7c", 6, 6 * 2),
+    ("fig7a", 1 + 4, 4 * 2),  # the base's report, then four taxonomy variants,
+    ("fig7c", 1 + 6, 6 * 2),  # each a plan over the decay slot
 ])
 def test_runs_plan_drift_and_dark_report_once(monkeypatch, name, dark_calls, drift_builds):
     # at 4 points per axis, a run builds A at most (axes + 1) times per plan,
