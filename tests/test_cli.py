@@ -87,6 +87,30 @@ def test_config_hash_stable_and_distinct():
     assert config_hash(n_type_config()) != config_hash(n_type_config(kappa=0.2))
 
 
+# the config_hash every CSV header of a preset carries; the two fig13 presets
+# have no config
+PRESET_HASHES = {
+    "fig2a": "744088e3e23d123d", "fig2b": "744088e3e23d123d",
+    "fig2c": "744088e3e23d123d", "fig2d": "744088e3e23d123d",
+    "fig3a": "2ddad4665d3a4174", "fig3b": "2ddad4665d3a4174",
+    "fig3c": "744088e3e23d123d", "fig3d": "744088e3e23d123d",
+    "fig4a": "744088e3e23d123d", "fig4b": "744088e3e23d123d",
+    "fig7a": "b082e4b735f36047", "fig7b": "b082e4b735f36047",
+    "fig7c": "b082e4b735f36047", "fig7d": "b082e4b735f36047",
+    "fig7e": "b082e4b735f36047", "fig7f": "b082e4b735f36047",
+    "fig8a": "133edba4be091d68", "fig8b": "b082e4b735f36047",
+    "fig11a": "d5844af3099914e5", "fig11b": "0c488f8208b6ac48",
+    "fig11c": "d5844af3099914e5", "fig11d": "0c488f8208b6ac48",
+    "table1": "b082e4b735f36047",
+}
+
+
+def test_preset_config_hashes_pinned():
+    assert sorted(PRESET_HASHES) == sorted(n for n in preset_names() if not n.startswith("fig13"))
+    for name, want in PRESET_HASHES.items():
+        assert config_hash(get_preset(name).config) == want, name
+
+
 # ---------------------------------------------------------------------------
 # result tables
 
