@@ -12,16 +12,12 @@ from .errors import (  # noqa: F401
     UnstableSystemError,
 )
 from .model import (  # noqa: F401
-    CavityMode,
-    CouplingEdge,
-    MechanicalMode,
-    SystemConfig,
+    Model,
     build_drift_matrix,
     build_noise_matrix,
-    compile_config,
     solve_steady_amplitudes,
-    validate_config,
 )
+from .config_io import config_from_dict, parse_config  # noqa: F401
 from .lyapunov import (  # noqa: F401
     integrate_covariance,
     phonon_numbers,

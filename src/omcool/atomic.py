@@ -87,18 +87,3 @@ def four_level_eigensystem(xi_prime: float, Omega_prime: float) -> AtomicEigenRe
         raise ConfigError("Omega_prime must be > 0")
     return _report(four_level_matrix(xi_prime, Omega_prime))
 
-
-def three_level_closed_form(xi: float, Omega2: float) -> np.ndarray:
-    """Closed-form eigenvalues of the resonant Lambda system, ascending."""
-    r = Omega2 * np.sqrt(1.0 + xi * xi)
-    return np.array([-r, 0.0, r])
-
-
-def four_level_closed_form(xi_prime: float, Omega_prime: float) -> np.ndarray:
-    """Closed-form eigenvalues +-Omega' sqrt((2 + xi'^2 +- sqrt((2 + xi'^2)^2
-    - 4 xi'^2)) / 2), ascending."""
-    s = 2.0 + xi_prime * xi_prime
-    root = np.sqrt(max(s * s - 4.0 * xi_prime * xi_prime, 0.0))
-    lam_outer = Omega_prime * np.sqrt((s + root) / 2.0)
-    lam_inner = Omega_prime * np.sqrt(max((s - root) / 2.0, 0.0))
-    return np.array([-lam_outer, -lam_inner, lam_inner, lam_outer])

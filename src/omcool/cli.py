@@ -61,8 +61,7 @@ def _write_table(table: ResultTable, out: str | None, fmt: str) -> None:
 
 
 def _cmd_solve(args) -> int:
-    config = parse_config(args.config)
-    table = run_solve(config)
+    table = run_solve(parse_config(args.config))
     _write_table(table, args.out, args.format)
     if table.rows and table.rows[0][table.columns.index("stable")] is False:
         return EXIT_UNSTABLE
@@ -70,9 +69,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = parse_config(args.config)
+    model = parse_config(args.config)
     axes = tuple(SweepAxis.parse(spec) for spec in args.axis)
-    spec = SweepSpec(base=config, axes=axes)
+    spec = SweepSpec(base=model, axes=axes)
     jobs = _jobs(args)
     try:
         table = run_sweep(spec, parallelism=jobs)
@@ -87,9 +86,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_taxonomy(args) -> int:
-    config = parse_config(args.config)
+    model = parse_config(args.config)
     kappa = SweepAxis.parse(args.kappa, "cavities.0.decay") if args.kappa else None
-    table = run_taxonomy(config, kappa)
+    table = run_taxonomy(model, kappa)
     _write_table(table, args.out, args.format)
     return EXIT_OK
 

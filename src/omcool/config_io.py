@@ -1,5 +1,5 @@
-"""JSON config documents: strict parsing (unknown keys rejected) and
-canonical dumping.  The document schema mirrors SystemConfig:
+"""JSON config documents: strict parsing (unknown keys rejected) straight
+into the compiled Model, and canonical dumping of a Model.  The schema:
 
 {
   "parameter_mode": "effective",
@@ -18,24 +18,47 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
-from .errors import ParseError
-from .model import CavityMode, CouplingEdge, MechanicalMode, SystemConfig
+import numpy as np
+
+from .errors import ConfigError, ParseError
+from .model import (_COMPLEX_SLOTS, _INDEX, _SLOTS, EDGE_KINDS, PARAMETER_MODES, TOPOLOGY_TAGS,
+                    Model, _check_field, _owner, edge_ids)
+
+_MODE_ID = re.compile(f"[cm]({_INDEX})")
+# section -> the required and the optional keys of each of its items
+_KEYS = {"cavities": ({"detuning", "decay"}, {"drive_amplitude"}),
+         "mechanicals": ({"frequency", "damping", "thermal_occupation"}, set()),
+         "edges": ({"kind", "endpoints", "strength"}, set())}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float(value) -> float:
+    """A JSON number as a float; an integer beyond float range reads as the
+    infinity of its sign, as the literal 1e400 does."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    return _float(value)
 
 
 def _complex_number(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return complex(value[0], value[1])
+    if _is_number(value):
+        return complex(_float(value))
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
+        return complex(_float(value[0]), _float(value[1]))
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
@@ -50,104 +73,129 @@ def _check_keys(obj: dict, required: set[str], optional: set[str], where: str) -
         raise ParseError(f"{where}: missing required field(s) {sorted(missing)}")
 
 
-def config_from_dict(doc: dict) -> SystemConfig:
+def _split_mode_id(mode_id: str) -> tuple[str, int]:
+    """Split "c<i>" / "m<j>" into kind and index.  Only the canonical
+    spelling is accepted, so "m00" or "m+0" cannot alias "m0"."""
+    if not _MODE_ID.fullmatch(mode_id):
+        raise ConfigError(f"malformed mode id {mode_id!r}")
+    return mode_id[0], int(mode_id[1:])
+
+
+def config_from_dict(doc: dict) -> Model:
+    """The Model of a config document (see Model for the slot layout), in
+    three passes over the whole document: the schema (ParseError); the rules
+    (ConfigError) of the mode lists, parameter_mode, topology, every numeric
+    field, then every edge's kind, mode ids, endpoints and uniqueness; and
+    the arrays, each mode id resolved to its canonical index.  Presets and
+    files both enter here, and nothing downstream re-checks."""
     _check_keys(doc, {"cavities", "mechanicals", "edges"},
                 {"parameter_mode", "topology"}, "config")
-    cavities = []
-    if not isinstance(doc["cavities"], list):
-        raise ParseError("cavities: expected a list")
-    for i, item in enumerate(doc["cavities"]):
-        where = f"cavities[{i}]"
-        _check_keys(item, {"detuning", "decay"}, {"drive_amplitude"}, where)
-        cavities.append(CavityMode(
-            detuning=_number(item["detuning"], where + ".detuning"),
-            decay=_number(item["decay"], where + ".decay"),
-            drive_amplitude=_complex_number(item.get("drive_amplitude", 0.0),
-                                            where + ".drive_amplitude"),
-        ))
-    mechanicals = []
-    if not isinstance(doc["mechanicals"], list):
-        raise ParseError("mechanicals: expected a list")
-    for i, item in enumerate(doc["mechanicals"]):
-        where = f"mechanicals[{i}]"
-        _check_keys(item, {"frequency", "damping", "thermal_occupation"}, set(), where)
-        mechanicals.append(MechanicalMode(
-            frequency=_number(item["frequency"], where + ".frequency"),
-            damping=_number(item["damping"], where + ".damping"),
-            thermal_occupation=_number(item["thermal_occupation"],
-                                       where + ".thermal_occupation"),
-        ))
-    edges = []
-    if not isinstance(doc["edges"], list):
-        raise ParseError("edges: expected a list")
-    for i, item in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        _check_keys(item, {"kind", "endpoints", "strength"}, set(), where)
-        endpoints = item["endpoints"]
-        if (not isinstance(endpoints, list) or len(endpoints) != 2
-                or not all(isinstance(e, str) for e in endpoints)):
-            raise ParseError(f"{where}.endpoints: expected a pair of mode ids")
-        edges.append(CouplingEdge(
-            kind=item["kind"],
-            endpoints=(endpoints[0], endpoints[1]),
-            strength=_complex_number(item["strength"], where + ".strength"),
-        ))
-    return SystemConfig(
-        cavities=tuple(cavities),
-        mechanicals=tuple(mechanicals),
-        edges=tuple(edges),
-        parameter_mode=doc.get("parameter_mode", "effective"),
-        topology=doc.get("topology", "generic"),
+    values: dict[str, list] = {slot: [] for fields in _SLOTS.values() for slot in fields.values()}
+    edges = []  # the kind and endpoint ids of each edge
+    for section, fields in _SLOTS.items():
+        if not isinstance(doc[section], list):
+            raise ParseError(f"{section}: expected a list")
+        for i, item in enumerate(doc[section]):
+            where = f"{section}[{i}]"
+            _check_keys(item, *_KEYS[section], where)
+            if section == "edges":
+                kind, endpoints = item["kind"], item["endpoints"]
+                if not isinstance(kind, str):
+                    raise ParseError(f"{where}.kind: expected a string, got {kind!r}")
+                if (not isinstance(endpoints, list) or len(endpoints) != 2
+                        or not all(isinstance(e, str) for e in endpoints)):
+                    raise ParseError(f"{where}.endpoints: expected a pair of mode ids")
+                edges.append((kind, tuple(endpoints)))
+            for name, slot in fields.items():
+                parse = _complex_number if slot in _COMPLEX_SLOTS else _number
+                values[slot].append(parse(item.get(name, 0.0), f"{where}.{name}"))
+
+    parameter_mode = doc.get("parameter_mode", "effective")
+    topology = doc.get("topology", "generic")
+    sizes = {"c": len(doc["cavities"]), "m": len(doc["mechanicals"])}
+    if not sizes["c"] or not sizes["m"]:
+        raise ConfigError("empty mode list: need at least one cavity and one mechanical mode")
+    if parameter_mode not in PARAMETER_MODES:
+        raise ConfigError(f"unknown parameter_mode {parameter_mode!r}")
+    if topology not in TOPOLOGY_TAGS:
+        raise ConfigError(f"unknown topology {topology!r}")
+    for section, fields in _SLOTS.items():
+        for index in range(len(doc[section])):
+            owner = _owner(section, index, edges)
+            for name, slot in fields.items():
+                _check_field(owner, name, values[slot][index])
+    seen: set[tuple[str, frozenset[str]]] = set()
+    ends = []
+    for kind, endpoints in edges:
+        if kind not in EDGE_KINDS:
+            raise ConfigError(f"unknown edge kind {kind!r}")
+        split = [_split_mode_id(mode_id) for mode_id in endpoints]
+        if (split[0][0], split[1][0]) != EDGE_KINDS[kind]:
+            raise ConfigError(f"kind mismatch: {kind} edge cannot join {endpoints[0]!r}"
+                              f" and {endpoints[1]!r}")
+        if endpoints[0] == endpoints[1]:
+            raise ConfigError(f"self-loop on {endpoints[0]!r}")
+        for mode_id, (mode_kind, index) in zip(endpoints, split):
+            if index >= sizes[mode_kind]:
+                raise ConfigError(f"dangling edge endpoint {mode_id!r}")
+        key = (kind, frozenset(endpoints))
+        if key in seen:
+            raise ConfigError(f"duplicate {kind} edge between {endpoints}")
+        seen.add(key)
+        ends.append([index if mode_kind == "c" else sizes["c"] + index
+                     for mode_kind, index in split])
+
+    ends_array = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    return Model(
+        topology=topology, parameter_mode=parameter_mode,
+        edge_i=ends_array[:, 0], edge_j=ends_array[:, 1],
+        optomechanical=np.array([kind == "optomechanical" for kind, _ in edges], dtype=bool),
+        **{slot: np.array(v, dtype=complex if slot in _COMPLEX_SLOTS else float)
+           for slot, v in values.items()},
     )
 
 
 def _encode_complex(value: complex):
-    value = complex(value)
     if value.imag == 0.0:
         return value.real
     return [value.real, value.imag]
 
 
-def config_to_dict(config: SystemConfig) -> dict:
-    doc = {
-        "parameter_mode": config.parameter_mode,
-        "topology": config.topology,
-        "cavities": [],
-        "mechanicals": [],
-        "edges": [],
+def config_to_dict(model: Model) -> dict:
+    """The canonical document of a model: config_from_dict gives the model
+    back."""
+    cavities = []
+    for detuning, decay, drive in zip(model.detuning.tolist(), model.decay.tolist(),
+                                      model.drive.tolist()):
+        item = {"detuning": detuning, "decay": decay}
+        if drive != 0:
+            item["drive_amplitude"] = _encode_complex(drive)
+        cavities.append(item)
+    return {
+        "parameter_mode": model.parameter_mode,
+        "topology": model.topology,
+        "cavities": cavities,
+        "mechanicals": [
+            {"frequency": w, "damping": gamma, "thermal_occupation": nbar}
+            for w, gamma, nbar in zip(model.frequency.tolist(), model.damping.tolist(),
+                                      model.nbar.tolist())],
+        "edges": [
+            {"kind": kind, "endpoints": list(endpoints), "strength": _encode_complex(strength)}
+            for (kind, endpoints), strength in zip(edge_ids(model), model.strength.tolist())],
     }
-    for cav in config.cavities:
-        item = {"detuning": cav.detuning, "decay": cav.decay}
-        if complex(cav.drive_amplitude) != 0:
-            item["drive_amplitude"] = _encode_complex(cav.drive_amplitude)
-        doc["cavities"].append(item)
-    for mech in config.mechanicals:
-        doc["mechanicals"].append({
-            "frequency": mech.frequency,
-            "damping": mech.damping,
-            "thermal_occupation": mech.thermal_occupation,
-        })
-    for edge in config.edges:
-        doc["edges"].append({
-            "kind": edge.kind,
-            "endpoints": list(edge.endpoints),
-            "strength": _encode_complex(edge.strength),
-        })
-    return doc
 
 
-def dump_config(config: SystemConfig) -> str:
-    """Canonical JSON text for a config (stable key order, full precision)."""
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
+def dump_config(model: Model) -> str:
+    """Canonical JSON text for a model (stable key order, full precision)."""
+    return json.dumps(config_to_dict(model), indent=2, sort_keys=True) + "\n"
 
 
-def config_hash(config: SystemConfig) -> str:
-    return hashlib.sha256(dump_config(config).encode()).hexdigest()[:16]
+def config_hash(model: Model) -> str:
+    return hashlib.sha256(dump_config(model).encode()).hexdigest()[:16]
 
 
-def parse_config(path: str | Path) -> SystemConfig:
-    """Read and schema-check a config document.  It is validated once, by
-    the compile_config of the run it enters."""
+def parse_config(path: str | Path) -> Model:
+    """Read a config document and compile it with config_from_dict."""
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -1,5 +1,5 @@
-"""Mode-graph configuration, its compiled array model, steady-state
-amplitudes, and matrix assembly.
+"""The compiled array model of a mode-graph configuration, its field
+rules, steady-state amplitudes, and matrix assembly.
 
 All rates are dimensionless multiples of the first mechanical frequency
 (omega_1 = 1 internally).  The canonical mode order is cavities first, then
@@ -9,10 +9,11 @@ vector is [dx_a0, ..., dx_b0, ..., dp_a0, ..., dp_b0, ...] with
 x = (a + a^+)/sqrt2 and p = -i (a - a^+)/sqrt2.  The drift, noise and
 covariance matrices are real.
 
-A SystemConfig is validated and compiled once, where it enters, into a
-Model of plain arrays.  Every later stage reads the Model, and every
-variant of it (a sweep point, a closed taxonomy channel, the linearised
-couplings of a physical-mode point) is a copy with slots written.
+A config document is parsed, validated and compiled once, where it
+enters, into a Model of plain arrays (config_io.config_from_dict).  Every
+later stage reads the Model, and every variant of it (a sweep point, a
+closed taxonomy channel, the linearised couplings of a physical-mode
+point) is a copy with slots written.
 """
 
 from __future__ import annotations
@@ -37,56 +38,10 @@ AMPLITUDE_MAX_ITER = 10_000
 AMPLITUDE_DAMPING = 0.5
 
 
-@dataclass(frozen=True)
-class CavityMode:
-    """A cavity mode: effective detuning (or bare detuning in physical mode),
-    decay rate, and drive amplitude (physical mode only)."""
-
-    detuning: float
-    decay: float
-    drive_amplitude: complex = 0.0
-
-
-@dataclass(frozen=True)
-class MechanicalMode:
-    frequency: float
-    damping: float
-    thermal_occupation: float = 0.0
-
-
-@dataclass(frozen=True)
-class CouplingEdge:
-    """One coupling channel between two modes.
-
-    Endpoints are mode ids "c<i>" (cavity) or "m<j>" (mechanical);
-    optomechanical edges are ordered cavity -> mechanical.
-    """
-
-    kind: str
-    endpoints: tuple[str, str]
-    strength: complex
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    cavities: tuple[CavityMode, ...]
-    mechanicals: tuple[MechanicalMode, ...]
-    edges: tuple[CouplingEdge, ...]
-    parameter_mode: str = "effective"
-    topology: str = "generic"
-
-    @property
-    def n_cavities(self) -> int:
-        return len(self.cavities)
-
-    @property
-    def n_mechanicals(self) -> int:
-        return len(self.mechanicals)
-
-
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A validated SystemConfig compiled into arrays, by compile_config.
+    """A validated config document compiled into arrays, by
+    config_io.config_from_dict.
 
     Slot layout, each array in config order: per cavity c ``detuning[c]``,
     ``decay[c]`` and ``drive[c]`` (complex); per mechanical mode l
@@ -150,24 +105,6 @@ class SteadyAmplitudes:
 
 # The one spelling of an index: no sign, no leading zero.
 _INDEX = "0|[1-9][0-9]*"
-_MODE_ID = re.compile(f"[cm]({_INDEX})")
-
-
-def _split_mode_id(mode_id: str) -> tuple[str, int]:
-    """Split "c<i>" / "m<j>" into kind and index.  Only the canonical
-    spelling is accepted, so "m00" or "m+0" cannot alias "m0"."""
-    if not isinstance(mode_id, str) or not _MODE_ID.fullmatch(mode_id):
-        raise ConfigError(f"malformed mode id {mode_id!r}")
-    return mode_id[0], int(mode_id[1:])
-
-
-def _mode_index(config: SystemConfig, mode_id: str) -> int:
-    """Canonical index of a mode id within the first (undaggered) block."""
-    kind, idx = _split_mode_id(mode_id)
-    if idx >= (config.n_cavities if kind == "c" else config.n_mechanicals):
-        raise ConfigError(f"dangling edge endpoint {mode_id!r}")
-    return idx if kind == "c" else config.n_cavities + idx
-
 
 # The numeric fields of each config section and the Model array each one is
 # compiled into; a sweep axis path names one of them.
@@ -182,7 +119,7 @@ _BOUNDS = {"decay": ">= 0", "frequency": "> 0", "damping": ">= 0", "thermal_occu
 
 
 def _check_field(owner: str, name: str, value) -> None:
-    """The rule of one numeric field, for validate_config and axis_slot:
+    """The rule of one numeric field, for config_from_dict and axis_slot:
     finite, and within its sign bound."""
     if not cmath.isfinite(value):
         raise ConfigError(f"{owner}: {name} must be finite")
@@ -191,93 +128,48 @@ def _check_field(owner: str, name: str, value) -> None:
         raise ConfigError(f"{owner}: {name} must be {bound}")
 
 
-def _owner(config: SystemConfig, section: str, index: int) -> str:
+def _owner(section: str, index: int, edges) -> str:
+    """How messages name item ``index`` of a config section; ``edges``
+    holds each edge's kind and endpoint ids."""
     if section == "cavities":
         return f"cavity c{index}"
     if section == "mechanicals":
         return f"mechanical m{index}"
-    edge = config.edges[index]
-    return f"{edge.kind} edge {edge.endpoints}"
+    kind, endpoints = edges[index]
+    return f"{kind} edge {endpoints}"
 
 
-def validate_config(config: SystemConfig) -> SystemConfig:
-    """Check every structural invariant and return the config unchanged.
-
-    Raises ConfigError on: empty mode lists, non-finite (NaN or infinite)
-    numbers, negative rates, malformed or dangling endpoints, edge-kind
-    mismatch, self-loops, and duplicate edges.  Called where a config
-    enters: compile_config, which every run (solve, sweep, taxonomy,
-    presets, scripts) calls once; nothing downstream re-checks.
-    """
-    if not config.cavities or not config.mechanicals:
-        raise ConfigError("empty mode list: need at least one cavity and one mechanical mode")
-    if config.parameter_mode not in PARAMETER_MODES:
-        raise ConfigError(f"unknown parameter_mode {config.parameter_mode!r}")
-    if config.topology not in TOPOLOGY_TAGS:
-        raise ConfigError(f"unknown topology {config.topology!r}")
-    for section, fields in _SLOTS.items():
-        for index, item in enumerate(getattr(config, section)):
-            for name in fields:
-                _check_field(_owner(config, section, index), name, getattr(item, name))
-
-    seen: set[tuple[str, frozenset[str]]] = set()
-    for edge in config.edges:
-        if edge.kind not in EDGE_KINDS:
-            raise ConfigError(f"unknown edge kind {edge.kind!r}")
-        kinds = (_split_mode_id(edge.endpoints[0])[0], _split_mode_id(edge.endpoints[1])[0])
-        if kinds != EDGE_KINDS[edge.kind]:
-            raise ConfigError(
-                f"kind mismatch: {edge.kind} edge cannot join {edge.endpoints[0]!r}"
-                f" and {edge.endpoints[1]!r}"
-            )
-        if edge.endpoints[0] == edge.endpoints[1]:
-            raise ConfigError(f"self-loop on {edge.endpoints[0]!r}")
-        for mode_id in edge.endpoints:
-            _mode_index(config, mode_id)  # raises on a dangling endpoint
-        key = (edge.kind, frozenset(edge.endpoints))
-        if key in seen:
-            raise ConfigError(f"duplicate {edge.kind} edge between {edge.endpoints}")
-        seen.add(key)
-    return config
+def edge_ids(model: Model) -> list[tuple[str, tuple[str, str]]]:
+    """Each edge's kind and endpoint mode ids, which its canonical indices
+    fix: an edge's kind follows from the kinds of its endpoints."""
+    kinds = {ends: kind for kind, ends in EDGE_KINDS.items()}
+    ids = ([f"c{c}" for c in range(model.n_cavities)]
+           + [f"m{l}" for l in range(model.n_mechanicals)])
+    return [(kinds[ids[i][0], ids[j][0]], (ids[i], ids[j]))
+            for i, j in zip(model.edge_i.tolist(), model.edge_j.tolist())]
 
 
-def compile_config(config: SystemConfig) -> Model:
-    """Validate a config and compile it into its Model (see Model for the
-    slot layout); each mode id is resolved to its canonical index here."""
-    validate_config(config)
-    arrays = {slot: np.array([getattr(item, name) for item in getattr(config, section)],
-                             dtype=complex if slot in _COMPLEX_SLOTS else float)
-              for section, fields in _SLOTS.items() for name, slot in fields.items()}
-    ends = np.array([[_mode_index(config, mode_id) for mode_id in edge.endpoints]
-                     for edge in config.edges], dtype=np.intp).reshape(-1, 2)
-    return Model(
-        topology=config.topology, parameter_mode=config.parameter_mode,
-        edge_i=ends[:, 0], edge_j=ends[:, 1],
-        optomechanical=np.array([edge.kind == "optomechanical" for edge in config.edges],
-                                dtype=bool),
-        **arrays,
-    )
-
-
-def axis_slot(config: SystemConfig, path: str, values) -> tuple[str, int]:
+def axis_slot(model: Model, path: str, values) -> tuple[str, int]:
     """Resolve a path such as 'cavities.0.detuning' or 'edges.3.strength'
-    to its (array name, index) slot in the config's Model, and check each
-    value against that field's rule.  Every rule concerns one field, so a
-    point with these values written in is valid when the config and each
-    value are.  The index must be spelled canonically, so that no two paths
-    name one slot."""
+    to its (array name, index) slot in the model, and check each value
+    against that field's rule.  Every rule concerns one field, so a point
+    with these values written in is valid when the model and each value
+    are.  The index must be spelled canonically, so that no two paths name
+    one slot."""
     parts = path.split(".")
     if len(parts) != 3:
         raise ConfigError(f"bad parameter path {path!r} (want section.index.field)")
     section, idx_s, name = parts
     if section not in _SLOTS:
         raise ConfigError(f"bad parameter path {path!r}: unknown section {section!r}")
-    if not re.fullmatch(_INDEX, idx_s) or int(idx_s) >= len(getattr(config, section)):
+    size = {"cavities": model.n_cavities, "mechanicals": model.n_mechanicals,
+            "edges": len(model.strength)}[section]
+    if not re.fullmatch(_INDEX, idx_s) or int(idx_s) >= size:
         raise ConfigError(f"bad parameter path {path!r}: no element {idx_s}")
     index = int(idx_s)
     if name not in _SLOTS[section]:
         raise ConfigError(f"bad parameter path {path!r}: {name!r} is not a numeric field")
-    owner = _owner(config, section, index)
+    owner = _owner(section, index, edge_ids(model))
     for value in values:
         _check_field(owner, name, value)
     return _SLOTS[section][name], index

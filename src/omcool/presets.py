@@ -9,13 +9,29 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .config_io import config_to_dict
+from .config_io import config_from_dict, config_to_dict
 from .errors import ConfigError
-from .model import CavityMode, CouplingEdge, MechanicalMode, SystemConfig
+from .model import Model
 from .results import ResultTable
 from .sweep import SweepAxis, SweepSpec, run_atomic, run_solve, run_sweep, run_taxonomy
 
 DEFAULT_POINTS = 100
+
+
+def _two_cavity_model(topology, cavities, frequencies, gamma, nbar, edges) -> Model:
+    """The Model of an effective-mode document with the intermediate cavity
+    c0 and the auxiliary cavity c1, each a (detuning, decay) pair, and one
+    mechanical mode per frequency.  Each edge is (kind, endpoint, endpoint,
+    strength)."""
+    return config_from_dict({
+        "parameter_mode": "effective",
+        "topology": topology,
+        "cavities": [{"detuning": d, "decay": k} for d, k in cavities],
+        "mechanicals": [{"frequency": w, "damping": gamma, "thermal_occupation": nbar}
+                        for w in frequencies],
+        "edges": [{"kind": kind, "endpoints": [a, b], "strength": s}
+                  for kind, a, b, s in edges],
+    })
 
 
 def n_type_config(
@@ -29,20 +45,13 @@ def n_type_config(
     G1: float = 0.05,
     G2: float = 0.05,
     Gs1: float = 0.08,
-) -> SystemConfig:
+) -> Model:
     """Two cavities, two mechanical modes, auxiliary cavity coupled to m0
     only.  Edge order: G1, G2, Gs1."""
-    return SystemConfig(
-        cavities=(CavityMode(delta_c, kappa), CavityMode(delta_s, kappa_s)),
-        mechanicals=(MechanicalMode(1.0, gamma, nbar), MechanicalMode(omega2, gamma, nbar)),
-        edges=(
-            CouplingEdge("optomechanical", ("c0", "m0"), G1),
-            CouplingEdge("optomechanical", ("c0", "m1"), G2),
-            CouplingEdge("optomechanical", ("c1", "m0"), Gs1),
-        ),
-        parameter_mode="effective",
-        topology="n_type",
-    )
+    edges = (("optomechanical", "c0", "m0", G1), ("optomechanical", "c0", "m1", G2),
+             ("optomechanical", "c1", "m0", Gs1))
+    return _two_cavity_model("n_type", ((delta_c, kappa), (delta_s, kappa_s)), (1.0, omega2),
+                             gamma, nbar, edges)
 
 
 def network4_config(
@@ -59,23 +68,14 @@ def network4_config(
     Gs2: float = 0.08,
     J: float = 0.03,
     eta: float = 0.03,
-) -> SystemConfig:
+) -> Model:
     """Fully network-coupled four-mode system.
     Edge order: G1, G2, Gs1, Gs2, J, eta."""
-    return SystemConfig(
-        cavities=(CavityMode(delta_c, kappa), CavityMode(delta_s, kappa_s)),
-        mechanicals=(MechanicalMode(1.0, gamma, nbar), MechanicalMode(omega2, gamma, nbar)),
-        edges=(
-            CouplingEdge("optomechanical", ("c0", "m0"), G1),
-            CouplingEdge("optomechanical", ("c0", "m1"), G2),
-            CouplingEdge("optomechanical", ("c1", "m0"), Gs1),
-            CouplingEdge("optomechanical", ("c1", "m1"), Gs2),
-            CouplingEdge("photon_hop", ("c0", "c1"), J),
-            CouplingEdge("phonon_hop", ("m0", "m1"), eta),
-        ),
-        parameter_mode="effective",
-        topology="network4",
-    )
+    edges = (("optomechanical", "c0", "m0", G1), ("optomechanical", "c0", "m1", G2),
+             ("optomechanical", "c1", "m0", Gs1), ("optomechanical", "c1", "m1", Gs2),
+             ("photon_hop", "c0", "c1", J), ("phonon_hop", "m0", "m1", eta))
+    return _two_cavity_model("network4", ((delta_c, kappa), (delta_s, kappa_s)), (1.0, omega2),
+                             gamma, nbar, edges)
 
 
 def chain_config(
@@ -90,21 +90,16 @@ def chain_config(
     G: float = 0.05,
     Gs: float = 0.1,
     eta: float = 0.06,
-) -> SystemConfig:
+) -> Model:
     """Uniform N-resonator chain with intermediate cavity coupled to every
     mechanical mode and auxiliary cavity coupled to m0."""
     if N < 2:
         raise ConfigError("chain_config requires N >= 2")
-    edges = [CouplingEdge("optomechanical", ("c0", f"m{l}"), G) for l in range(N)]
-    edges.append(CouplingEdge("optomechanical", ("c1", "m0"), Gs))
-    edges += [CouplingEdge("phonon_hop", (f"m{l}", f"m{l + 1}"), eta) for l in range(N - 1)]
-    return SystemConfig(
-        cavities=(CavityMode(delta_c, kappa), CavityMode(delta_s, kappa_s)),
-        mechanicals=tuple(MechanicalMode(omega, gamma, nbar) for _ in range(N)),
-        edges=tuple(edges),
-        parameter_mode="effective",
-        topology="chain",
-    )
+    edges = [("optomechanical", "c0", f"m{l}", G) for l in range(N)]
+    edges.append(("optomechanical", "c1", "m0", Gs))
+    edges += [("phonon_hop", f"m{l}", f"m{l + 1}", eta) for l in range(N - 1)]
+    return _two_cavity_model("chain", ((delta_c, kappa), (delta_s, kappa_s)), [omega] * N,
+                             gamma, nbar, edges)
 
 
 @dataclass(frozen=True)
@@ -115,12 +110,12 @@ class Preset:
     and grid sizes its figure fixes; only the sweeps use ``jobs``."""
 
     name: str
-    config: SystemConfig | None
+    config: Model | None
     document: dict
     run: Callable[[int], ResultTable]
 
 
-def _preset(name: str, config: SystemConfig, run: Callable[[int], ResultTable]) -> Preset:
+def _preset(name: str, config: Model, run: Callable[[int], ResultTable]) -> Preset:
     return Preset(name, config, config_to_dict(config), run)
 
 

@@ -22,12 +22,10 @@ from .lyapunov import phonon_numbers, solve_lyapunov, stability
 from .model import (
     Assembly,
     Model,
-    SystemConfig,
     assembly,
     axis_slot,
     build_drift_matrix,
     build_noise_matrix,
-    compile_config,
     linearized,
     solve_steady_amplitudes,
 )
@@ -85,7 +83,7 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    base: SystemConfig
+    base: Model
     axes: tuple[SweepAxis, ...]
     outputs: tuple[str, ...] = ()
 
@@ -153,9 +151,9 @@ def solve_record(model: Model, plan: PointPlan, point=()) -> dict:
     couplings g.
 
     Unstable systems produce a flagged record with empty occupations instead
-    of raising.  The model was checked where its config entered
-    (compile_config) and each value written into it by axis_slot, so nothing
-    here re-checks.
+    of raising.  The model was checked where its document entered
+    (config_from_dict) and each value written into it by axis_slot, so
+    nothing here re-checks.
     """
     written = model
     if plan.drift is None or plan.noise is None or plan.dark is None:
@@ -186,8 +184,8 @@ def _record_columns(model: Model) -> list[str]:
     return cols
 
 
-def _base_metadata(config: SystemConfig, **extra: str) -> dict[str, str]:
-    meta = {"tool_version": __version__, "config_hash": config_hash(config)}
+def _base_metadata(model: Model, **extra: str) -> dict[str, str]:
+    meta = {"tool_version": __version__, "config_hash": config_hash(model)}
     meta.update(extra)
     return meta
 
@@ -198,7 +196,7 @@ def _solve_points(model: Model, plan: PointPlan, points) -> list[dict]:
     return [solve_record(model, plan, point) for point in points]
 
 
-def _grid_rows(table: ResultTable, variants, base: SystemConfig, axes, out_cols,
+def _grid_rows(table: ResultTable, variants, base: Model, axes, out_cols,
                parallelism: int = 1) -> ResultTable:
     """Append to ``table`` one row per variant and point of the axes' grid,
     row-major: the variant's label columns, the point's axis values, then
@@ -240,39 +238,37 @@ def _grid_rows(table: ResultTable, variants, base: SystemConfig, axes, out_cols,
     return table
 
 
-def run_solve(config: SystemConfig) -> ResultTable:
-    model = compile_config(config)
+def run_solve(model: Model) -> ResultTable:
     columns = _record_columns(model)
-    table = ResultTable(columns=columns, rows=[], metadata=_base_metadata(config))
-    return _grid_rows(table, [((), model)], config, (), columns)
+    table = ResultTable(columns=columns, rows=[], metadata=_base_metadata(model))
+    return _grid_rows(table, [((), model)], model, (), columns)
 
 
 def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
-    """The spec's grid, row-major, as one _grid_rows variant.  The base
-    config is compiled once and the run's point_plan made once: an
-    effective-mode point's A and Q are the plan's base plus its axis values
-    times unit-slot steps, and the dark-mode columns come once per run
-    unless an axis writes a frequency or strength."""
-    model = compile_config(spec.base)
-    out_cols = list(spec.outputs) or _record_columns(model)
+    """The spec's grid, row-major, as one _grid_rows variant.  The run's
+    point_plan is made once: an effective-mode point's A and Q are the
+    plan's base plus its axis values times unit-slot steps, and the
+    dark-mode columns come once per run unless an axis writes a frequency
+    or strength."""
+    out_cols = list(spec.outputs) or _record_columns(spec.base)
     paths = [axis.path for axis in spec.axes]
     table = ResultTable(columns=paths + out_cols, rows=[],
                         metadata=_base_metadata(spec.base, axes=",".join(paths)))
-    return _grid_rows(table, [((), model)], spec.base, spec.axes, out_cols, parallelism)
+    return _grid_rows(table, [((), spec.base)], spec.base, spec.axes, out_cols, parallelism)
 
 
-def run_taxonomy(base: SystemConfig, kappa: SweepAxis | None = None,
+def run_taxonomy(base: Model, kappa: SweepAxis | None = None,
                  sizes: tuple[int, ...] = TAXONOMY_SIZES) -> ResultTable:
     """One row per closed-channel subset whose size is in ``sizes`` (all 14
     for the default TAXONOMY_SIZES), crossed with ``kappa``, an axis of the
-    intermediate-cavity decay rate cavities.0.decay (the base config's rate
+    intermediate-cavity decay rate cavities.0.decay (the base model's rate
     if None).  Subsets of other sizes are never solved.  Each variant's rows
     are solve_record points of one point_plan over the decay slot, so its A,
     Q and dark-mode report are made once: the decay rate does not enter the
     dark-mode condition."""
-    variants = closed_channel_variants(compile_config(base), sizes)
+    variants = closed_channel_variants(base, sizes)
     if kappa is None:
-        decay = base.cavities[0].decay
+        decay = float(base.decay[0])
         kappa = SweepAxis("cavities.0.decay", decay, decay, 1)
     columns = ["closed_channels", "kappa", *DARK_COLUMNS, "stable", "n_f_1", "n_f_2"]
     table = ResultTable(columns=columns, rows=[], metadata=_base_metadata(base, axes="kappa"))

@@ -5,28 +5,16 @@ nine-line scorecard.  All quantitative targets are either inequality
 anchors at the preset parameter points or oracle-pinned agreement bounds.
 """
 
-import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from omcool.atomic import (
-    four_level_closed_form,
-    four_level_eigensystem,
-    four_level_matrix,
-    three_level_closed_form,
-    three_level_eigensystem,
-)
+from omcool.atomic import four_level_eigensystem, four_level_matrix, three_level_eigensystem
 from omcool.config_io import config_from_dict, dump_config
 from omcool.darkmode import dark_mode_condition
 from omcool.lyapunov import integrate_covariance, phonon_numbers, solve_lyapunov
-from omcool.model import (
-    build_drift_matrix,
-    build_noise_matrix,
-    compile_config,
-    coupling_matrix,
-)
+from omcool.model import build_drift_matrix, build_noise_matrix, coupling_matrix
 from omcool.presets import (
     chain_config,
     get_preset,
@@ -40,8 +28,7 @@ from omcool.sweep import SweepAxis, SweepSpec, run_sweep, run_taxonomy
 import json
 
 
-def _solve(config):
-    model = compile_config(config)
+def _solve(model):
     V = solve_lyapunov(build_drift_matrix(model), build_noise_matrix(model))
     return phonon_numbers(V, model).mechanical
 
@@ -142,8 +129,7 @@ def test_criterion_6_hybrid_and_chain_identities():
         w1, w2 = rng.uniform(0.1, 2.0, 2)
         eta = rng.uniform(-2.0, 2.0)
         base = network4_config(omega2=w2, G1=G1, G2=G2, Gs1=Gs1, Gs2=Gs2, eta=eta)
-        model = compile_config(dataclasses.replace(base, mechanicals=(
-            dataclasses.replace(base.mechanicals[0], frequency=w1), base.mechanicals[1])))
+        model = base.write([("frequency", 0)], [w1])
         report = dark_mode_condition(model)
         T = np.array([[G1, G2], [G2, -G1]]) / np.hypot(G1, G2)
         H_m = np.diag(model.frequency) + coupling_matrix(model)[2:, 2:].real  # 2 cavities
@@ -154,7 +140,7 @@ def test_criterion_6_hybrid_and_chain_identities():
         for k in range(2, N + 1, 2):
             assert abs(np.sin(l * k * np.pi / (N + 1)).sum()) < 1e-12
     for N in (2, 3, 5, 10, 25, 50):
-        model = compile_config(chain_config(N))
+        model = chain_config(N)
         H_m = np.diag(model.frequency) + coupling_matrix(model)[2:, 2:].real
         closed = 1.0 + 2 * 0.06 * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
         assert np.abs(np.linalg.eigvalsh(H_m) - np.sort(closed)).max() < 1e-14
@@ -162,7 +148,7 @@ def test_criterion_6_hybrid_and_chain_identities():
     for N in (2, 3, 4, 5, 10):
         T = _sine_modes(N)
         for Gs in (0.0, 0.1):
-            model = compile_config(chain_config(N, Gs=Gs))
+            model = chain_config(N, Gs=Gs)
             V = solve_lyapunov(build_drift_matrix(model), build_noise_matrix(model))
             m = N + 2  # the two cavities come first in each quadrature block
             x, p = V[2:m, 2:m], V[m + 2:, m + 2:]
@@ -189,6 +175,22 @@ def test_criterion_7_chain_cooling():
         assert all(n > 100.0 for n in unbroken)
     _report(7, "chains N=3,4 cool every mode below 1 (first mode coldest) with "
                "the auxiliary cavity and hopping on, stay above 100 without them")
+
+
+def three_level_closed_form(xi, Omega2):
+    """Closed-form eigenvalues of the resonant Lambda system, ascending."""
+    r = Omega2 * np.sqrt(1.0 + xi * xi)
+    return np.array([-r, 0.0, r])
+
+
+def four_level_closed_form(xi_prime, Omega_prime):
+    """Closed-form eigenvalues +-Omega' sqrt((2 + xi'^2 +- sqrt((2 + xi'^2)^2
+    - 4 xi'^2)) / 2), ascending."""
+    s = 2.0 + xi_prime * xi_prime
+    root = np.sqrt(max(s * s - 4.0 * xi_prime * xi_prime, 0.0))
+    lam_outer = Omega_prime * np.sqrt((s + root) / 2.0)
+    lam_inner = Omega_prime * np.sqrt(max((s - root) / 2.0, 0.0))
+    return np.array([-lam_outer, -lam_inner, lam_inner, lam_outer])
 
 
 def test_criterion_8_atomic_eigenstructure():

@@ -6,16 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omcool.atomic import (
-    four_level_closed_form,
     four_level_eigensystem,
     four_level_matrix,
-    three_level_closed_form,
     three_level_eigensystem,
     three_level_matrix,
 )
 from omcool.errors import ConfigError
 
 ratios = st.floats(0.0, 10.0, allow_nan=False)
+
+# ---------------------------------------------------------------------------
+# the closed-form eigenvalues: oracles of the diagonalisations
+
+def three_level_closed_form(xi, Omega2):
+    """Closed-form eigenvalues of the resonant Lambda system, ascending."""
+    r = Omega2 * np.sqrt(1.0 + xi * xi)
+    return np.array([-r, 0.0, r])
+
+
+def four_level_closed_form(xi_prime, Omega_prime):
+    """Closed-form eigenvalues +-Omega' sqrt((2 + xi'^2 +- sqrt((2 + xi'^2)^2
+    - 4 xi'^2)) / 2), ascending."""
+    s = 2.0 + xi_prime * xi_prime
+    root = np.sqrt(max(s * s - 4.0 * xi_prime * xi_prime, 0.0))
+    lam_outer = Omega_prime * np.sqrt((s + root) / 2.0)
+    lam_inner = Omega_prime * np.sqrt(max((s - root) / 2.0, 0.0))
+    return np.array([-lam_outer, -lam_inner, lam_inner, lam_outer])
 
 
 # ---------------------------------------------------------------------------

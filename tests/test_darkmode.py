@@ -1,24 +1,16 @@
 """Dark-mode conditions against the hybrid rotation, taxonomy, and chain
 dark modes against the sine transform."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omcool.config_io import config_from_dict, config_to_dict
 from omcool.darkmode import closed_channel_variants, dark_mode_condition
 from omcool.errors import ConfigError
 from omcool.lyapunov import solve_lyapunov
-from omcool.model import (
-    CavityMode,
-    CouplingEdge,
-    build_drift_matrix,
-    build_noise_matrix,
-    compile_config,
-    coupling_matrix,
-)
+from omcool.model import build_drift_matrix, build_noise_matrix, coupling_matrix, edge_ids
 from omcool.presets import chain_config, n_type_config, network4_config
 from omcool.sweep import run_solve, run_taxonomy
 
@@ -38,47 +30,43 @@ def _mechanical_block(model):
 
 def test_symmetric_reduction():
     # G1 = G2 and omega1 = omega2: zeta vanishes, Gs- = Gs1 / sqrt(2)
-    report = dark_mode_condition(compile_config(n_type_config(Gs1=0.08)))
+    report = dark_mode_condition(n_type_config(Gs1=0.08))
     assert report.zeta_residual == pytest.approx(0.0, abs=1e-15)
     assert report.gs_minus_residual == pytest.approx(0.08 / np.sqrt(2))
     assert not report.dark_present
 
 
 def test_frequency_mismatch_mixing():
-    report = dark_mode_condition(compile_config(n_type_config(omega2=1.1, Gs1=0.0)))
+    report = dark_mode_condition(n_type_config(omega2=1.1, Gs1=0.0))
     assert report.zeta_residual == pytest.approx(0.05)
     assert report.gs_minus_residual == 0.0
     assert not report.dark_present
 
 
 def test_symmetric_network_defaults_dark():
-    report = dark_mode_condition(compile_config(network4_config()))
+    report = dark_mode_condition(network4_config())
     assert report.zeta_residual == pytest.approx(0.0, abs=1e-15)
     assert report.gs_minus_residual == pytest.approx(0.0, abs=1e-15)
     assert report.dark_present
 
 
 def test_zero_couplings_rejected():
-    model = compile_config(network4_config(G1=0.0, G2=0.0))
+    model = network4_config(G1=0.0, G2=0.0)
     with pytest.raises(ConfigError, match="cavity c0 coupled to m0 or m1"):
         dark_mode_condition(model)
 
 
 def test_complex_couplings_rejected():
-    base = network4_config()
-    cfg = dataclasses.replace(base, edges=(
-        dataclasses.replace(base.edges[0], strength=0.05 + 0.01j),) + base.edges[1:])
+    model = network4_config().write([("strength", 0)], [0.05 + 0.01j])
     with pytest.raises(ConfigError, match="real coupling strengths"):
-        dark_mode_condition(compile_config(cfg))
+        dark_mode_condition(model)
 
 
 @settings(max_examples=100, deadline=None)
 @given(coupling, coupling, coupling, coupling, frequency, frequency, finite)
 def test_residuals_match_hybrid_rotation(G1, G2, Gs1, Gs2, omega1, omega2, eta):
     base = network4_config(omega2=omega2, G1=G1, G2=G2, Gs1=Gs1, Gs2=Gs2, eta=eta)
-    cfg = dataclasses.replace(base, mechanicals=(
-        dataclasses.replace(base.mechanicals[0], frequency=omega1), base.mechanicals[1]))
-    model = compile_config(cfg)
+    model = base.write([("frequency", 0)], [omega1])
     report = dark_mode_condition(model)
     # B+ = (G1 b1 + G2 b2)/G+ carries the whole c0 coupling; zeta couples B-
     # to B+ and Gs- couples B- to the auxiliary cavity c1
@@ -97,13 +85,13 @@ def test_proportional_couplings_dark():
     cfg = n_type_config(G1=0.04, G2=0.08, Gs1=0.03)
     # add Gs2 with Gs1/Gs2 = G1/G2
     cfg = network4_config(G1=0.04, G2=0.08, Gs1=0.03, Gs2=0.06, J=0.0, eta=0.0)
-    report = dark_mode_condition(compile_config(cfg))
+    report = dark_mode_condition(cfg)
     assert report.dark_present
 
 
 def test_asymmetric_auxiliary_coupling_breaks():
     cfg = network4_config(Gs1=0.02, Gs2=0.08, J=0.0, eta=0.03)
-    report = dark_mode_condition(compile_config(cfg))
+    report = dark_mode_condition(cfg)
     assert not report.dark_present
     assert report.gs_minus_residual > 1e-10
     assert report.zeta_residual < 1e-15
@@ -111,7 +99,7 @@ def test_asymmetric_auxiliary_coupling_breaks():
 
 def test_phonon_hop_with_unequal_couplings_breaks():
     cfg = network4_config(G1=0.04, G2=0.06, Gs1=0.0, Gs2=0.0, J=0.0, eta=0.03)
-    report = dark_mode_condition(compile_config(cfg))
+    report = dark_mode_condition(cfg)
     assert not report.dark_present
     assert report.zeta_residual > 1e-10
 
@@ -119,24 +107,26 @@ def test_phonon_hop_with_unequal_couplings_breaks():
 def test_photon_hop_never_enters():
     for J in (0.0, 0.03, 0.3):
         cfg = network4_config(Gs1=0.0, Gs2=0.0, J=J, eta=0.0)
-        assert dark_mode_condition(compile_config(cfg)).dark_present
+        assert dark_mode_condition(cfg).dark_present
 
 
 def test_n_type_with_auxiliary_broken():
-    assert not dark_mode_condition(compile_config(n_type_config())).dark_present
+    assert not dark_mode_condition(n_type_config()).dark_present
 
 
 def test_wrong_topology_rejected():
     with pytest.raises(ConfigError):
-        dark_mode_condition(compile_config(chain_config(3)))
+        dark_mode_condition(chain_config(3))
     # a third cavity on m1 cools both modes (n_f 0.66, 0.26), so the
     # two-cavity conditions, which read only c0 and c1, do not apply
     for base in (n_type_config(Gs1=0.0), network4_config()):
-        three = dataclasses.replace(
-            base, cavities=base.cavities + (CavityMode(1.0, 0.1),),
-            edges=base.edges + (CouplingEdge("optomechanical", ("c2", "m1"), 0.08),))
+        doc = config_to_dict(base)
+        doc["cavities"].append({"detuning": 1.0, "decay": 0.1})
+        doc["edges"].append({"kind": "optomechanical", "endpoints": ["c2", "m1"],
+                             "strength": 0.08})
+        three = config_from_dict(doc)
         with pytest.raises(ConfigError, match="at most two cavities"):
-            dark_mode_condition(compile_config(three))
+            dark_mode_condition(three)
         assert "dark" not in run_solve(three).columns
     with pytest.raises(ConfigError, match="at most two cavities"):
         run_taxonomy(three)
@@ -197,8 +187,8 @@ def test_taxonomy_no_auxiliary_all_dark():
 
 def test_closed_channels_zero_strength_slots():
     base = network4_config()
-    model = dict(closed_channel_variants(compile_config(base)))["J+Gs2"]
-    by_key = {(e.kind, frozenset(e.endpoints)): s for e, s in zip(base.edges, model.strength)}
+    model = dict(closed_channel_variants(base))["J+Gs2"]
+    by_key = {(kind, frozenset(ends)): s for (kind, ends), s in zip(edge_ids(base), model.strength)}
     assert by_key[("photon_hop", frozenset(("c0", "c1")))] == 0.0
     assert by_key[("optomechanical", frozenset(("c1", "m1")))] == 0.0
     assert by_key[("optomechanical", frozenset(("c1", "m0")))] == 0.08
@@ -219,9 +209,8 @@ def _chain_frequencies(N, omega=1.0, eta=0.06):
     return omega + 2.0 * eta * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
 
 
-def _sine_mode_occupations(config):
+def _sine_mode_occupations(model):
     """Occupations of the sine modes, projected from the product's covariance V."""
-    model = compile_config(config)
     V = solve_lyapunov(build_drift_matrix(model), build_noise_matrix(model))
     nc, m = model.n_cavities, model.n_modes
     T = _sine_modes(m - nc)
@@ -232,12 +221,12 @@ def _sine_mode_occupations(config):
 
 def _cavity_couplings(N, cavity):
     """The couplings of cavity ``cavity`` to the sine modes of chain_config(N)."""
-    model = compile_config(chain_config(N))
+    model = chain_config(N)
     return _sine_modes(N).T @ coupling_matrix(model)[cavity, model.n_cavities:].real
 
 
 def test_chain_two_resonators():
-    H = _mechanical_block(compile_config(chain_config(2)))
+    H = _mechanical_block(chain_config(2))
     assert np.linalg.eigvalsh(H) == pytest.approx([0.94, 1.06])
     c0 = _cavity_couplings(2, 0)
     assert c0[0] == pytest.approx(np.sqrt(2) * 0.05)
@@ -245,7 +234,7 @@ def test_chain_two_resonators():
 
 
 def test_chain_three_resonators():
-    H = _mechanical_block(compile_config(chain_config(3)))
+    H = _mechanical_block(chain_config(3))
     assert np.linalg.eigvalsh(H)[1] == pytest.approx(1.0)  # cos(pi/2) = 0
     c0 = _cavity_couplings(3, 0)
     assert c0[1] == pytest.approx(0.0, abs=1e-14)
@@ -270,7 +259,7 @@ def test_chain_even_sine_modes_dark():
 def test_chain_transform_orthogonal_and_trace():
     for N in (2, 3, 7, 12):
         T = _sine_modes(N)
-        H = _mechanical_block(compile_config(chain_config(N)))
+        H = _mechanical_block(chain_config(N))
         assert np.abs(T.T @ T - np.eye(N)).max() < 1e-12
         assert np.trace(H) == pytest.approx(N * 1.0, abs=1e-10)
         assert np.abs(T.T @ H @ T - np.diag(_chain_frequencies(N))).max() < 1e-12
@@ -285,7 +274,7 @@ def test_chain_parity_sums():
 
 def test_chain_frequencies_match_tridiagonal():
     for N in (2, 3, 5, 11, 50):
-        H = _mechanical_block(compile_config(chain_config(N)))
+        H = _mechanical_block(chain_config(N))
         assert np.abs(np.linalg.eigvalsh(H) - np.sort(_chain_frequencies(N))).max() < 1e-14
 
 

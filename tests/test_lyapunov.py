@@ -1,6 +1,5 @@
 """Stability, Lyapunov solve, time-domain propagation, phonon extraction."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +12,7 @@ import pytest
 
 import omcool
 from omcool import lyapunov
-from omcool.config_io import config_to_dict
+from omcool.config_io import config_from_dict, config_to_dict
 from omcool.errors import SolverError, UnstableSystemError
 from omcool.lyapunov import (
     StabilityReport,
@@ -22,7 +21,7 @@ from omcool.lyapunov import (
     solve_lyapunov,
     stability,
 )
-from omcool.model import build_drift_matrix, build_noise_matrix, compile_config
+from omcool.model import build_drift_matrix, build_noise_matrix
 from omcool.presets import (
     chain_config,
     get_preset,
@@ -54,23 +53,29 @@ def kronecker_lyapunov(a, q):
     return vec_v.reshape((n, n), order="F")
 
 
+def _uncoupled(model):
+    """The model with every edge removed, rebuilt through its document."""
+    doc = config_to_dict(model)
+    doc["edges"] = []
+    return config_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # stability
 
 def test_decoupled_system_stable():
-    cfg = compile_config(dataclasses.replace(n_type_config(), edges=()))
+    cfg = _uncoupled(n_type_config())
     report = stability(build_drift_matrix(cfg))
     assert report.stable
     assert report.max_real_part == pytest.approx(-1e-5, rel=1e-6)
 
 
 def test_base_point_stable():
-    assert stability(build_drift_matrix(compile_config(n_type_config()))).stable
+    assert stability(build_drift_matrix(n_type_config())).stable
 
 
 def test_undamped_oscillator_marginal():
-    cfg = n_type_config(gamma=0.0)
-    cfg = compile_config(dataclasses.replace(cfg, edges=()))
+    cfg = _uncoupled(n_type_config(gamma=0.0))
     report = stability(build_drift_matrix(cfg))
     assert report.max_real_part == pytest.approx(0.0, abs=1e-12)
     assert not report.stable
@@ -122,7 +127,7 @@ def test_residual_invariant_random_systems():
 def test_agrees_with_kronecker_reference():
     rng = np.random.default_rng(3)
     systems = [random_stable_system(rng, n) for n in (1, 2, 3, 5, 8) for _ in range(4)]
-    cfg = compile_config(n_type_config())
+    cfg = n_type_config()
     systems.append((build_drift_matrix(cfg), build_noise_matrix(cfg)))
     # real pairs take the real Schur form and dtrsyl
     systems += [random_stable_system(rng, n, real=True) for n in (1, 2, 3, 5, 8) for _ in range(4)]
@@ -135,7 +140,7 @@ def test_agrees_with_kronecker_reference():
 
 def test_report_reuse_matches_fresh_solve():
     rng = np.random.default_rng(5)
-    cfg = compile_config(network4_config())
+    cfg = network4_config()
     systems = [random_stable_system(rng, 6),
                (build_drift_matrix(cfg), build_noise_matrix(cfg))]
     for a, q in systems:
@@ -157,7 +162,7 @@ def test_unstable_report_raises():
 
 def test_long_chain_solves():
     # n = 132: the Kronecker system would be 17424 x 17424 complex
-    cfg = compile_config(chain_config(64))
+    cfg = chain_config(64)
     A, Q = build_drift_matrix(cfg), build_noise_matrix(cfg)
     assert A.shape == (132, 132)
     report = stability(A)
@@ -261,9 +266,8 @@ def _preset_base_points():
     yield pytest.param(chain_config(64), 1e-11, id="chain64")
 
 
-@pytest.mark.parametrize("config, rtol", _preset_base_points())
-def test_eigen_and_schur_paths_agree(fallbacks, config, rtol):
-    model = compile_config(config)
+@pytest.mark.parametrize("model, rtol", _preset_base_points())
+def test_eigen_and_schur_paths_agree(fallbacks, model, rtol):
     A, Q = build_drift_matrix(model), build_noise_matrix(model)
     V = solve_lyapunov(A, Q)
     assert not fallbacks
@@ -356,7 +360,7 @@ def test_nonpositive_horizon_rejected():
 
 
 def test_oracle_agreement_base_point():
-    cfg = compile_config(n_type_config())
+    cfg = n_type_config()
     A, Q = build_drift_matrix(cfg), build_noise_matrix(cfg)
     V_direct = solve_lyapunov(A, Q)
     V_time = integrate_covariance(A, Q, t_end=50.0 / 1e-5).entries
@@ -369,7 +373,7 @@ def test_oracle_agreement_base_point():
 # phonon extraction
 
 def test_thermal_equilibrium_occupations():
-    cfg = compile_config(dataclasses.replace(n_type_config(nbar=123.0), edges=()))
+    cfg = _uncoupled(n_type_config(nbar=123.0))
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
     report = phonon_numbers(V, cfg)
     assert report.mechanical == pytest.approx((123.0, 123.0), rel=1e-8)
@@ -377,7 +381,7 @@ def test_thermal_equilibrium_occupations():
 
 
 def test_base_point_ground_state_cooling():
-    cfg = compile_config(n_type_config())
+    cfg = n_type_config()
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
     n1, n2 = phonon_numbers(V, cfg).mechanical
     assert n1 < 1 and n2 < 1
@@ -387,13 +391,13 @@ def test_base_point_ground_state_cooling():
 
 
 def test_dimension_mismatch_rejected():
-    cfg = compile_config(n_type_config())
+    cfg = n_type_config()
     with pytest.raises(SolverError):
         phonon_numbers(np.zeros((4, 4)), cfg)
 
 
 def test_occupations_clamped_but_raw_kept():
-    cfg = compile_config(dataclasses.replace(n_type_config(nbar=0.0), edges=()))
+    cfg = _uncoupled(n_type_config(nbar=0.0))
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
     report = phonon_numbers(V, cfg)
     assert all(n >= 0.0 for n in report.mechanical)
@@ -401,8 +405,8 @@ def test_occupations_clamped_but_raw_kept():
 
 def test_relabeling_symmetry():
     # permuting two identical mechanical modes with their couplings permutes n_f
-    cfg = compile_config(network4_config(Gs1=0.02, Gs2=0.08))
-    swapped = compile_config(network4_config(Gs1=0.08, Gs2=0.02))
+    cfg = network4_config(Gs1=0.02, Gs2=0.08)
+    swapped = network4_config(Gs1=0.08, Gs2=0.02)
     n = phonon_numbers(
         solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg)), cfg
     ).mechanical

@@ -1,7 +1,8 @@
 """Configuration validation, the compiled model and its write path,
 steady-state amplitudes, and matrix assembly."""
 
-import dataclasses
+import copy
+import json
 import itertools
 import re
 import sys
@@ -12,23 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
+from omcool import config_io
 from omcool.cli import main
-from omcool.config_io import dump_config
+from omcool.config_io import config_from_dict, config_to_dict, dump_config
 from omcool.errors import ConfigError
 from omcool.lyapunov import phonon_numbers, solve_lyapunov
 from omcool.model import (
-    CavityMode,
-    CouplingEdge,
-    MechanicalMode,
-    SystemConfig,
     assembly,
     axis_slot,
     build_drift_matrix,
     build_noise_matrix,
-    compile_config,
     linearized,
     solve_steady_amplitudes,
-    validate_config,
 )
 from omcool.darkmode import dark_mode_condition
 from omcool.presets import chain_config, get_preset, n_type_config, network4_config
@@ -36,92 +32,96 @@ from omcool.sweep import SweepAxis, SweepSpec, point_plan, run_solve, run_sweep,
 
 
 # ---------------------------------------------------------------------------
+# config documents given as tuples
+
+def _number(value):
+    """A number as a document writes it: a complex one as [re, im]."""
+    return [value.real, value.imag] if isinstance(value, complex) else value
+
+
+def _document(cavities, mechanicals, edges=(), **top) -> dict:
+    """A config document: (detuning, decay[, drive]) per cavity, (frequency,
+    damping, thermal_occupation) per mechanical mode and (kind, endpoints,
+    strength) per edge; ``top`` sets parameter_mode and topology."""
+    return {
+        "cavities": [dict(zip(("detuning", "decay", "drive_amplitude"), map(_number, cav)))
+                     for cav in cavities],
+        "mechanicals": [dict(zip(("frequency", "damping", "thermal_occupation"), mech))
+                        for mech in mechanicals],
+        "edges": [{"kind": kind, "endpoints": list(ends), "strength": _number(strength)}
+                  for kind, ends, strength in edges],
+        **top,
+    }
+
+
+def _with_edges(model, *edges) -> dict:
+    """The document of ``model`` with its edges replaced."""
+    doc = config_to_dict(model)
+    doc["edges"] = _document((), (), edges)["edges"]
+    return doc
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 def test_n_type_config_is_valid():
-    cfg = n_type_config()
-    assert validate_config(cfg) is cfg
+    cfg = n_type_config()  # a preset enters through config_from_dict, as a file does
+    assert dump_config(config_from_dict(config_to_dict(cfg))) == dump_config(cfg)
     assert cfg.topology == "n_type"
     assert cfg.n_cavities == 2 and cfg.n_mechanicals == 2
 
 
 def test_kind_mismatch_rejected():
-    cfg = dataclasses.replace(
-        n_type_config(),
-        edges=(CouplingEdge("phonon_hop", ("c0", "m0"), 0.1),),
-    )
+    doc = _with_edges(n_type_config(), ("phonon_hop", ("c0", "m0"), 0.1))
     with pytest.raises(ConfigError, match="kind mismatch"):
-        validate_config(cfg)
+        config_from_dict(doc)
 
 
 def test_empty_mode_list_rejected():
-    cfg = SystemConfig(cavities=(CavityMode(1.0, 0.1),), mechanicals=(), edges=())
+    doc = _document([(1.0, 0.1)], [])
     with pytest.raises(ConfigError, match="empty mode list"):
-        validate_config(cfg)
+        config_from_dict(doc)
 
 
 def test_dangling_endpoint_rejected():
-    cfg = dataclasses.replace(
-        n_type_config(),
-        edges=(CouplingEdge("optomechanical", ("c0", "m7"), 0.1),),
-    )
+    doc = _with_edges(n_type_config(), ("optomechanical", ("c0", "m7"), 0.1))
     with pytest.raises(ConfigError, match="dangling"):
-        validate_config(cfg)
+        config_from_dict(doc)
 
 
 def test_self_loop_rejected():
-    cfg = dataclasses.replace(
-        network4_config(),
-        edges=(CouplingEdge("photon_hop", ("c0", "c0"), 0.1),),
-    )
+    doc = _with_edges(network4_config(), ("photon_hop", ("c0", "c0"), 0.1))
     with pytest.raises(ConfigError, match="self-loop"):
-        validate_config(cfg)
+        config_from_dict(doc)
 
 
 def test_duplicate_edge_rejected():
-    cfg = dataclasses.replace(
-        n_type_config(),
-        edges=(
-            CouplingEdge("optomechanical", ("c0", "m0"), 0.1),
-            CouplingEdge("optomechanical", ("c0", "m0"), 0.2),
-        ),
-    )
+    doc = _with_edges(n_type_config(), ("optomechanical", ("c0", "m0"), 0.1),
+                      ("optomechanical", ("c0", "m0"), 0.2))
     with pytest.raises(ConfigError, match="duplicate"):
-        validate_config(cfg)
+        config_from_dict(doc)
 
 
 def test_negative_rates_rejected():
     with pytest.raises(ConfigError, match="decay"):
-        validate_config(SystemConfig(
-            cavities=(CavityMode(1.0, -0.1),),
-            mechanicals=(MechanicalMode(1.0, 1e-5),), edges=()))
+        config_from_dict(_document([(1.0, -0.1)], [(1.0, 1e-5, 0.0)]))
     with pytest.raises(ConfigError, match="frequency"):
-        validate_config(SystemConfig(
-            cavities=(CavityMode(1.0, 0.1),),
-            mechanicals=(MechanicalMode(0.0, 1e-5),), edges=()))
+        config_from_dict(_document([(1.0, 0.1)], [(0.0, 1e-5, 0.0)]))
 
 
 @pytest.mark.parametrize("mode_id", ["m00", "m+0", "m-0", "m 0", "m0 ", "m0\n", "m\u0660", "c01", "m"])
 def test_noncanonical_mode_id_rejected(mode_id):
-    cfg = dataclasses.replace(
-        n_type_config(),
-        edges=(CouplingEdge("optomechanical", ("c0", mode_id), 0.1),),
-    )
+    doc = _with_edges(n_type_config(), ("optomechanical", ("c0", mode_id), 0.1))
     with pytest.raises(ConfigError, match="malformed mode id"):
-        validate_config(cfg)
+        config_from_dict(doc)
 
 
 def test_aliased_mode_id_cannot_duplicate_edge():
     # "m00" once parsed as m0, so c0-m0 and c0-m00 added silently in A
-    cfg = dataclasses.replace(
-        n_type_config(),
-        edges=(
-            CouplingEdge("optomechanical", ("c0", "m0"), 0.1),
-            CouplingEdge("optomechanical", ("c0", "m00"), 0.2),
-        ),
-    )
+    doc = _with_edges(n_type_config(), ("optomechanical", ("c0", "m0"), 0.1),
+                      ("optomechanical", ("c0", "m00"), 0.2))
     with pytest.raises(ConfigError, match="malformed mode id 'm00'"):
-        validate_config(cfg)
+        config_from_dict(doc)
 
 
 _NUMERIC_FIELDS = [
@@ -143,20 +143,19 @@ _NUMERIC_FIELDS = [
        ("edges", "strength", complex(0.05, float("inf")))],
 )
 def test_non_finite_input_rejected(section, field, value):
-    base = n_type_config()
-    items = list(getattr(base, section))
-    items[-1] = dataclasses.replace(items[-1], **{field: value})
-    cfg = dataclasses.replace(base, **{section: tuple(items)})
+    doc = config_to_dict(n_type_config())
+    doc[section][-1][field] = _number(value)
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
-        validate_config(cfg)
+        config_from_dict(doc)
 
 
 def test_canonical_mode_index_order():
-    cfg = n_type_config()
-    model = compile_config(cfg)
+    edges = [("optomechanical", ("c1", "m1"), 0.1), ("photon_hop", ("c1", "c0"), 0.1),
+             ("phonon_hop", ("m1", "m0"), 0.1), ("optomechanical", ("c0", "m0"), 0.1)]
+    model = config_from_dict(_document([(1.0, 0.1)] * 2, [(1.0, 1e-5, 0.0)] * 2, edges))
     index = {}
-    for edge, i, j in zip(cfg.edges, model.edge_i, model.edge_j):
-        index[edge.endpoints[0]], index[edge.endpoints[1]] = i, j
+    for (_, ends, _), i, j in zip(edges, model.edge_i, model.edge_j):
+        index[ends[0]], index[ends[1]] = i, j
     assert [index[m] for m in ("c0", "c1", "m0", "m1")] == [0, 1, 2, 3]
 
 
@@ -164,22 +163,18 @@ def test_canonical_mode_index_order():
 # steady-state amplitudes (physical mode)
 
 def _physical_n_type(omega_c=1.0, omega_s=1.0, g=5e-4, gs=8e-4, drive=60.0, drive_s=80.0):
-    return SystemConfig(
-        cavities=(CavityMode(omega_c, 0.1, drive), CavityMode(omega_s, 0.1, drive_s)),
-        mechanicals=(MechanicalMode(1.0, 1e-5, 1000.0), MechanicalMode(1.0, 1e-5, 1000.0)),
-        edges=(
-            CouplingEdge("optomechanical", ("c0", "m0"), g),
-            CouplingEdge("optomechanical", ("c0", "m1"), g),
-            CouplingEdge("optomechanical", ("c1", "m0"), gs),
-        ),
-        parameter_mode="physical",
-        topology="n_type",
-    )
+    return config_from_dict(_document(
+        [(omega_c, 0.1, drive), (omega_s, 0.1, drive_s)],
+        [(1.0, 1e-5, 1000.0), (1.0, 1e-5, 1000.0)],
+        [("optomechanical", ("c0", "m0"), g), ("optomechanical", ("c0", "m1"), g),
+         ("optomechanical", ("c1", "m0"), gs)],
+        parameter_mode="physical", topology="n_type",
+    ))
 
 
 def test_no_drive_gives_zero_amplitudes():
     cfg = _physical_n_type(drive=0.0, drive_s=0.0)
-    amps = solve_steady_amplitudes(compile_config(cfg))
+    amps = solve_steady_amplitudes(cfg)
     assert all(a == 0 for a in amps.cavity_amplitudes)
     assert all(b == 0 for b in amps.mechanical_displacements)
     assert amps.effective_detunings == (1.0, 1.0)
@@ -187,19 +182,15 @@ def test_no_drive_gives_zero_amplitudes():
 
 def test_single_driven_cavity_closed_form():
     # alpha = -i Omega / (kappa + i Delta) with Delta = 0, kappa = 1, Omega = 1
-    cfg = SystemConfig(
-        cavities=(CavityMode(0.0, 1.0, 1.0),),
-        mechanicals=(MechanicalMode(1.0, 1e-5),),
-        edges=(),
-        parameter_mode="physical",
-    )
-    amps = solve_steady_amplitudes(compile_config(cfg))
+    cfg = config_from_dict(_document([(0.0, 1.0, 1.0)], [(1.0, 1e-5, 0.0)],
+                                     parameter_mode="physical"))
+    amps = solve_steady_amplitudes(cfg)
     assert amps.cavity_amplitudes[0] == pytest.approx(-1j, abs=1e-12)
 
 
 def test_amplitudes_match_root_finding_oracle():
     cfg = _physical_n_type()
-    amps = solve_steady_amplitudes(compile_config(cfg))
+    amps = solve_steady_amplitudes(cfg)
 
     g, gs = 5e-4, 8e-4
 
@@ -229,35 +220,35 @@ def test_amplitudes_match_root_finding_oracle():
 
 def test_effective_mode_rejects_amplitude_solve():
     with pytest.raises(ConfigError):
-        solve_steady_amplitudes(compile_config(n_type_config()))
+        solve_steady_amplitudes(n_type_config())
 
 
-def _effective_translation(config, amps):
-    """Reference for linearized: the effective-mode config of a solved
+def _effective_translation(model, amps):
+    """Reference for linearized: the effective-mode model of a solved
     physical-mode point (Delta' detunings, G = g * alpha), rebuilt through
-    dataclasses.replace."""
+    its document."""
+    doc = config_to_dict(model)
+    for cav, d in zip(doc["cavities"], amps.effective_detunings):
+        cav.pop("drive_amplitude", None)
+        cav["detuning"] = d
     couplings = iter(amps.linearized_couplings)
-    return dataclasses.replace(
-        config,
-        cavities=tuple(CavityMode(detuning=d, decay=cav.decay)
-                       for d, cav in zip(amps.effective_detunings, config.cavities)),
-        edges=tuple(dataclasses.replace(edge, strength=next(couplings))
-                    if edge.kind == "optomechanical" else edge for edge in config.edges),
-        parameter_mode="effective",
-    )
+    for edge in doc["edges"]:
+        if edge["kind"] == "optomechanical":
+            edge["strength"] = _number(next(couplings))
+    doc["parameter_mode"] = "effective"
+    return config_from_dict(doc)
 
 
 def test_physical_effective_consistency():
-    cfg = _physical_n_type()
-    model = compile_config(cfg)
+    model = _physical_n_type()
     amps = solve_steady_amplitudes(model)
     A_phys = build_drift_matrix(linearized(model, amps))
-    A_eff = build_drift_matrix(compile_config(_effective_translation(cfg, amps)))
+    A_eff = build_drift_matrix(_effective_translation(model, amps))
     assert np.abs(A_phys - A_eff).max() < 1e-10
     with pytest.raises(ConfigError, match="requires steady-state amplitudes"):
         build_drift_matrix(model)
     with pytest.raises(ConfigError, match="physical-mode model"):
-        linearized(compile_config(n_type_config()), amps)
+        linearized(n_type_config(), amps)
 
 
 # Network-coupled four-mode system with complex hops and a complex drive.
@@ -270,20 +261,19 @@ def _hop(kind, ends, strength, reverse):
     """A hop edge written forward, or reversed with the conjugate strength:
     both describe the same coupling."""
     if reverse:
-        return CouplingEdge(kind, ends[::-1], strength.conjugate())
-    return CouplingEdge(kind, ends, strength)
+        return kind, ends[::-1], strength.conjugate()
+    return kind, ends, strength
 
 
 def _physical_network4(reverse_j=False, reverse_eta=False):
-    return SystemConfig(
-        cavities=(CavityMode(1.0, 0.1, 60.0), CavityMode(0.9, 0.15, 30.0 + 25.0j)),
-        mechanicals=(MechanicalMode(1.0, 1e-5, 1000.0), MechanicalMode(1.05, 1e-5, 1000.0)),
-        edges=tuple(CouplingEdge("optomechanical", ends, g) for ends, g in _NET4_G.items())
-        + (_hop("photon_hop", ("c0", "c1"), _NET4_J, reverse_j),
-           _hop("phonon_hop", ("m0", "m1"), _NET4_ETA, reverse_eta)),
-        parameter_mode="physical",
-        topology="network4",
-    )
+    return config_from_dict(_document(
+        [(1.0, 0.1, 60.0), (0.9, 0.15, 30.0 + 25.0j)],
+        [(1.0, 1e-5, 1000.0), (1.05, 1e-5, 1000.0)],
+        [("optomechanical", ends, g) for ends, g in _NET4_G.items()]
+        + [_hop("photon_hop", ("c0", "c1"), _NET4_J, reverse_j),
+           _hop("phonon_hop", ("m0", "m1"), _NET4_ETA, reverse_eta)],
+        parameter_mode="physical", topology="network4",
+    ))
 
 
 # the direction each of the two hops is written in
@@ -295,21 +285,21 @@ _HOP_DIRECTIONS = pytest.mark.parametrize("reverse_j, reverse_eta", [
 @_HOP_DIRECTIONS
 def test_network4_amplitudes_match_root_finding_oracle(reverse_j, reverse_eta):
     cfg = _physical_network4(reverse_j, reverse_eta)
-    amps = solve_steady_amplitudes(compile_config(cfg))
+    amps = solve_steady_amplitudes(cfg)
     g = {(int(c[1]), int(m[1])): v for (c, m), v in _NET4_G.items()}
 
     def equations(x):
         a = (x[0] + 1j * x[1], x[2] + 1j * x[3])
         b = (x[4] + 1j * x[5], x[6] + 1j * x[7])
-        d = [cav.detuning + 2.0 * sum((np.conj(g[c, m]) * b[m]).real for m in (0, 1))
-             for c, cav in enumerate(cfg.cavities)]
+        d = [cfg.detuning[c] + 2.0 * sum((np.conj(g[c, m]) * b[m]).real for m in (0, 1))
+             for c in (0, 1)]
         photon = (_NET4_J * a[1], np.conj(_NET4_J) * a[0])
         phonon = (_NET4_ETA * b[1], np.conj(_NET4_ETA) * b[0])
-        r = [(cav.decay + 1j * d[c]) * a[c] + 1j * (cav.drive_amplitude + photon[c])
-             for c, cav in enumerate(cfg.cavities)]
-        r += [(mech.damping + 1j * mech.frequency) * b[m]
+        r = [(cfg.decay[c] + 1j * d[c]) * a[c] + 1j * (cfg.drive[c] + photon[c])
+             for c in (0, 1)]
+        r += [(cfg.damping[m] + 1j * cfg.frequency[m]) * b[m]
               + 1j * (sum(g[c, m] * abs(a[c]) ** 2 for c in (0, 1)) + phonon[m])
-              for m, mech in enumerate(cfg.mechanicals)]
+              for m in (0, 1)]
         return [w for z in r for w in (z.real, z.imag)]
 
     sol = fsolve(equations, np.zeros(8), xtol=1e-13)
@@ -321,24 +311,22 @@ def test_network4_amplitudes_match_root_finding_oracle(reverse_j, reverse_eta):
 
 @_HOP_DIRECTIONS
 def test_network4_physical_drift_matrix_is_effective_translation(reverse_j, reverse_eta):
-    cfg = _physical_network4(reverse_j, reverse_eta)
-    model = compile_config(cfg)
+    model = _physical_network4(reverse_j, reverse_eta)
     amps = solve_steady_amplitudes(model)
     A_phys = build_drift_matrix(linearized(model, amps))
-    A_eff = build_drift_matrix(compile_config(_effective_translation(cfg, amps)))
+    A_eff = build_drift_matrix(_effective_translation(model, amps))
     assert np.array_equal(A_phys, A_eff)
-    forward = compile_config(_physical_network4())
+    forward = _physical_network4()
     A_forward = build_drift_matrix(linearized(forward, solve_steady_amplitudes(forward)))
     assert A_phys.tobytes() == A_forward.tobytes()
 
 
 @pytest.mark.parametrize("physical", [False, True], ids=["effective", "physical"])
 def test_solve_record_rejects_invalid_config(physical):
-    base = _physical_n_type() if physical else n_type_config()
-    bad = dataclasses.replace(
-        base, cavities=(dataclasses.replace(base.cavities[0], decay=-1.0),) + base.cavities[1:])
+    bad = config_to_dict(_physical_n_type() if physical else n_type_config())
+    bad["cavities"][0]["decay"] = -1.0
     with pytest.raises(ConfigError, match="decay must be >= 0"):
-        solve_record(compile_config(bad))
+        config_from_dict(bad)  # refused where it enters, so no solve_record sees it
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -359,33 +347,32 @@ def _count_calls(monkeypatch, fn) -> list:
 
 @pytest.mark.parametrize("physical", [False, True], ids=["effective", "physical"])
 def test_solve_record_validates_once(monkeypatch, physical):
-    cfg = _physical_n_type() if physical else n_type_config()
-    calls = _count_calls(monkeypatch, validate_config)
-    model = compile_config(cfg)
+    doc = config_to_dict(_physical_n_type() if physical else n_type_config())
+    calls = _count_calls(monkeypatch, config_from_dict)
+    model = config_io.config_from_dict(doc)
     record = solve_record(model, point_plan(model, ()))
     assert "dark" in record  # the dark-mode stage ran too
-    assert calls == [cfg]
+    assert calls == [doc]
 
 
 def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
     k = 4
+    calls = _count_calls(monkeypatch, config_from_dict)
     spec = SweepSpec(base=n_type_config(),
                      axes=(SweepAxis("cavities.0.decay", 0.05, 1.0, k),))
-    calls = _count_calls(monkeypatch, validate_config)
     table = run_sweep(spec, parallelism=1)
     assert len(table.rows) == k
-    assert len(calls) == 1  # the base, once per run; no point re-validates
-    assert calls[0] is spec.base
+    assert len(calls) == 1  # the base, where it enters; no point re-validates
+    assert calls[0]["topology"] == "n_type"
 
 
 @pytest.mark.parametrize("physical", [False, True], ids=["effective", "physical"])
 def test_solve_verb_validates_document_once(monkeypatch, tmp_path, physical):
-    cfg = _physical_n_type() if physical else n_type_config()
     path = tmp_path / "config.json"
-    path.write_text(dump_config(cfg))
-    calls = _count_calls(monkeypatch, validate_config)
+    path.write_text(dump_config(_physical_n_type() if physical else n_type_config()))
+    calls = _count_calls(monkeypatch, config_from_dict)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
-    assert calls == [cfg]  # by the run's compile_config; parsing does not validate
+    assert calls == [json.loads(path.read_text())]  # by parse_config, where it enters
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +391,7 @@ def _ladder(M, noise=False):
 
 
 def test_decoupled_drift_matrix_is_diagonal():
-    cfg = dataclasses.replace(n_type_config(), edges=())
-    A = build_drift_matrix(compile_config(cfg))
+    A = build_drift_matrix(config_from_dict(_with_edges(n_type_config())))
     assert np.isrealobj(A)
     A = _ladder(A)
     expected = np.diag([
@@ -416,7 +402,7 @@ def test_decoupled_drift_matrix_is_diagonal():
 
 
 def test_photon_hop_entry():
-    A = build_drift_matrix(compile_config(network4_config(J=0.03)))
+    A = build_drift_matrix(network4_config(J=0.03))
     assert np.isrealobj(A)
     A = _ladder(A)
     assert A[:4, :4][0, 1] == pytest.approx(-0.03j, abs=1e-15)
@@ -426,7 +412,7 @@ def test_photon_hop_entry():
 def test_counter_rotating_block_positions():
     # 0-based first-block positions of the N-type F block:
     # (0,2),(0,3),(1,2),(2,0),(2,1),(3,0)
-    A = build_drift_matrix(compile_config(n_type_config()))
+    A = build_drift_matrix(n_type_config())
     assert np.isrealobj(A)
     F = _ladder(A)[:4, 4:]
     nonzero = set(zip(*np.nonzero(np.abs(F) > 0)))
@@ -434,7 +420,7 @@ def test_counter_rotating_block_positions():
 
 
 def test_optomechanical_entries():
-    A = build_drift_matrix(compile_config(n_type_config(G1=0.05)))
+    A = build_drift_matrix(n_type_config(G1=0.05))
     assert np.isrealobj(A)
     A = _ladder(A)
     assert A[:4, :4][0, 2] == pytest.approx(-0.05j)
@@ -449,20 +435,19 @@ def random_configs(draw):
     nm = draw(st.integers(1, 3))
     rate = st.floats(0.01, 2.0)
     strength = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
-    cavities = tuple(CavityMode(draw(rate), draw(rate)) for _ in range(nc))
-    mechanicals = tuple(MechanicalMode(draw(rate), draw(rate), draw(rate)) for _ in range(nm))
+    cavities = [(draw(rate), draw(rate)) for _ in range(nc)]
+    mechanicals = [(draw(rate), draw(rate), draw(rate)) for _ in range(nm)]
     pairs = [("optomechanical", (f"c{i}", f"m{j}")) for i in range(nc) for j in range(nm)]
     pairs += [("photon_hop", (f"c{i}", f"c{j}")) for i in range(nc) for j in range(i + 1, nc)]
     pairs += [("phonon_hop", (f"m{i}", f"m{j}")) for i in range(nm) for j in range(i + 1, nm)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique_by=lambda p: p[1], max_size=len(pairs)))
-    edges = tuple(CouplingEdge(kind, ep, draw(strength)) for kind, ep in chosen)
-    return SystemConfig(cavities=cavities, mechanicals=mechanicals, edges=edges)
+    return _document(cavities, mechanicals, [(kind, ep, draw(strength)) for kind, ep in chosen])
 
 
 @settings(max_examples=50, deadline=None)
 @given(random_configs())
 def test_block_conjugation_property(cfg):
-    A = build_drift_matrix(compile_config(cfg))
+    A = build_drift_matrix(config_from_dict(cfg))
     assert np.isrealobj(A)
     A = _ladder(A)
     m = A.shape[0] // 2
@@ -473,20 +458,20 @@ def test_block_conjugation_property(cfg):
 @settings(max_examples=50, deadline=None)
 @given(random_configs())
 def test_noise_matrix_symmetric(cfg):
-    Q = build_noise_matrix(compile_config(cfg))
+    Q = build_noise_matrix(config_from_dict(cfg))
     assert np.array_equal(Q, Q.T)
 
 
 # ---------------------------------------------------------------------------
-# write path: a slot written into the compiled model against the rebuilt config
+# write path: a slot written into the compiled model against the rebuilt document
 
-def _rebuilt(config, path, value):
-    """Reference for the write path: the config with the field at ``path``
-    replaced, rebuilt through dataclasses.replace."""
+def _rebuilt(doc, path, value):
+    """Reference for the write path: a copy of the document with the field
+    at ``path`` replaced."""
     section, index, name = path.split(".")
-    items = list(getattr(config, section))
-    items[int(index)] = dataclasses.replace(items[int(index)], **{name: value})
-    return dataclasses.replace(config, **{section: tuple(items)})
+    doc = copy.deepcopy(doc)
+    doc[section][int(index)][name] = _number(value)
+    return doc
 
 
 _PATH_FIELDS = {
@@ -499,19 +484,19 @@ _PATH_FIELDS = {
 @settings(max_examples=50, deadline=None)
 @given(random_configs(), st.floats(-2.0, 2.0))
 def test_written_slot_matches_rebuilt_config(cfg, value):
-    model = compile_config(cfg)
+    model = config_from_dict(cfg)
     for section, fields in _PATH_FIELDS.items():
-        for index in range(len(getattr(cfg, section))):
+        for index in range(len(cfg[section])):
             for name in fields:
                 path = f"{section}.{index}.{name}"
                 try:
-                    reference = compile_config(_rebuilt(cfg, path, value))
+                    reference = config_from_dict(_rebuilt(cfg, path, value))
                 except ConfigError as exc:
                     # the axis check gives the verdict and message of validation
                     with pytest.raises(ConfigError, match=re.escape(str(exc))):
-                        axis_slot(cfg, path, [value])
+                        axis_slot(model, path, [value])
                     continue
-                written = model.write([axis_slot(cfg, path, [value])], [value])
+                written = model.write([axis_slot(model, path, [value])], [value])
                 assert (build_drift_matrix(written).tobytes()
                         == build_drift_matrix(reference).tobytes())
                 assert (build_noise_matrix(written).tobytes()
@@ -520,7 +505,8 @@ def test_written_slot_matches_rebuilt_config(cfg, value):
 
 # n_type with a complex auxiliary coupling: its base has no dark-mode report,
 # while every point of a real edges.2.strength axis has one
-_COMPLEX_N_TYPE = _rebuilt(n_type_config(), "edges.2.strength", 0.03 + 0.02j)
+_COMPLEX_N_TYPE = config_from_dict(
+    _rebuilt(config_to_dict(n_type_config()), "edges.2.strength", 0.03 + 0.02j))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -542,30 +528,30 @@ _COMPLEX_N_TYPE = _rebuilt(n_type_config(), "edges.2.strength", 0.03 + 0.02j)
         "thermal-occupation", "complex-strength", "effective-drive", "damping-x-occupation"])
 def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
     # each row of a planned sweep equals the one-shot solve of its point
-    # rebuilt as a config, dark-mode columns included
+    # rebuilt as a document, dark-mode columns included
     table = run_sweep(SweepSpec(base=base, axes=axes), parallelism=jobs)
     assert len(table.rows) == np.prod([axis.points for axis in axes])
     for row in table.rows:
-        point = base
+        point = config_to_dict(base)
         for axis, x in zip(axes, row):
             point = _rebuilt(point, axis.path, x)
-        assert row[len(axes):] == run_solve(point).rows[0]
+        assert row[len(axes):] == run_solve(config_from_dict(point)).rows[0]
 
 
-@pytest.mark.parametrize("cfg", [
+@pytest.mark.parametrize("model", [
     n_type_config(), network4_config(J=0.03, eta=0.02), _COMPLEX_N_TYPE, chain_config(3),
 ], ids=["n_type", "network4", "complex-strength", "chain3"])
-def test_assembly_is_bit_identical_to_the_builder(cfg):
+def test_assembly_is_bit_identical_to_the_builder(model):
     # every pair of slots, at values that include +0.0: the
     # assembled A and Q have the builder's bytes, so a planned sweep solves
     # the very matrices a per-point build would give.  gamma (2 nbar + 1) is
     # not of the assembly's form, so Q under an occupation slot is built per
     # point instead
-    model = compile_config(cfg)
+    doc = config_to_dict(model)
     paths = [f"{section}.{index}.{name}" for section, fields in _PATH_FIELDS.items()
-             for index in range(len(getattr(cfg, section))) for name in fields]
+             for index in range(len(doc[section])) for name in fields]
     for pair in itertools.combinations(paths, 2):
-        slots = [axis_slot(cfg, path, []) for path in pair]
+        slots = [axis_slot(model, path, []) for path in pair]
         drift = assembly(build_drift_matrix, model, slots)
         noise = assembly(build_noise_matrix, model, slots)
         for point in itertools.product((0.0, 0.7, -1.5), repeat=2):
@@ -596,7 +582,7 @@ def test_runs_plan_drift_and_dark_report_once(monkeypatch, name, dark_calls, dri
 
 
 def test_hop_symmetry_real_strengths():
-    A = build_drift_matrix(compile_config(network4_config()))
+    A = build_drift_matrix(network4_config())
     assert np.isrealobj(A)
     A = _ladder(A)
     assert A[:4, :4][0, 1] == A[:4, :4][1, 0]  # photon hop
@@ -607,7 +593,7 @@ def test_hop_symmetry_real_strengths():
 # noise matrix
 
 def test_noise_matrix_four_mode_values():
-    Q = build_noise_matrix(compile_config(n_type_config()))
+    Q = build_noise_matrix(n_type_config())
     assert np.isrealobj(Q)
     Q = _ladder(Q, noise=True)
     # mechanical m0 sits at index 2, its dagger at 6: gamma (2 nbar + 1)
@@ -622,12 +608,7 @@ def test_noise_matrix_four_mode_values():
 
 
 def test_noise_matrix_vacuum_bath():
-    cfg = SystemConfig(
-        cavities=(CavityMode(1.0, 0.1),),
-        mechanicals=(MechanicalMode(1.0, 1e-3, 0.0),),
-        edges=(),
-    )
-    Q = build_noise_matrix(compile_config(cfg))
+    Q = build_noise_matrix(config_from_dict(_document([(1.0, 0.1)], [(1.0, 1e-3, 0.0)])))
     assert np.isrealobj(Q)
     Q = _ladder(Q, noise=True)
     assert Q[1, 3] == pytest.approx(1e-3)
@@ -635,8 +616,7 @@ def test_noise_matrix_vacuum_bath():
 
 
 def test_noise_matrix_chain_block_structure():
-    cfg = chain_config(3)
-    Q = build_noise_matrix(compile_config(cfg))
+    Q = build_noise_matrix(chain_config(3))
     assert np.isrealobj(Q)
     Q = _ladder(Q, noise=True)
     m = 5
@@ -646,7 +626,7 @@ def test_noise_matrix_chain_block_structure():
 
 
 def test_zero_coupling_thermal_equilibrium():
-    cfg = compile_config(dataclasses.replace(n_type_config(), edges=()))
+    cfg = config_from_dict(_with_edges(n_type_config()))
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
     report = phonon_numbers(V, cfg)
     for n in report.mechanical:
