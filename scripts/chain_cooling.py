@@ -15,7 +15,7 @@ from pathlib import Path
 
 from omcool.presets import chain_config
 from omcool.results import write_csv, write_svg
-from omcool.sweep import SweepAxis, SweepSpec, run_solve, run_sweep
+from omcool.sweep import SweepAxis, run_solve, run_sweep
 
 
 def main() -> None:
@@ -37,12 +37,9 @@ def main() -> None:
     print("  dark modes broken:", "  ".join(f"{broken.column(c)[0]:.4f}" for c in n_f))
     print("  dark modes intact:", "  ".join(f"{intact.column(c)[0]:.1f}" for c in n_f))
 
-    spec = SweepSpec(
-        base=chain_config(args.n),
-        axes=(SweepAxis("cavities.0.detuning", 0.5, 1.5, args.points),),
-        outputs=tuple(n_f) + ("stable",),
-    )
-    table = run_sweep(spec, parallelism=args.jobs)
+    table = run_sweep(chain_config(args.n),
+                      [SweepAxis("cavities.0.detuning", 0.5, 1.5, args.points)],
+                      [*n_f, "stable"], args.jobs)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"chain_n{args.n}.csv"

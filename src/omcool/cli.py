@@ -2,10 +2,10 @@
 
 Verbs: solve, sweep, taxonomy, atomic, preset, emit.
 Exit codes: 0 success, 2 parse error (including an unreadable --config or
---in), 3 validation error (including --points below 1, --jobs below 1 on a
-sweep or any preset, run or dump, and a range with a non-finite bound, no
-point, or MIN >= MAX over more points than one), 4 unstable system, 5
-solver failure (or a failed write).
+--in, or an --in with no header row), 3 validation error (including
+--points below 1, --jobs below 1 on a sweep or any preset, run or dump, and
+a range with a non-finite bound, no point, or MIN >= MAX over more points
+than one), 4 unstable system, 5 solver failure (or a failed write).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .config_io import parse_config
 from .errors import ConfigError, OmcoolError, ParseError, SolverError, UnstableSystemError
 from .presets import get_preset, preset_names
 from .results import ResultTable, read_csv, table_to_csv, table_to_svg, write_csv, write_svg
-from .sweep import SweepAxis, SweepSpec, run_atomic, run_solve, run_sweep, run_taxonomy
+from .sweep import SweepAxis, run_atomic, run_solve, run_sweep, run_taxonomy
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -70,11 +70,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = parse_config(args.config)
-    axes = tuple(SweepAxis.parse(spec) for spec in args.axis)
-    spec = SweepSpec(base=model, axes=axes)
-    jobs = _jobs(args)
+    axes = [SweepAxis.parse(spec) for spec in args.axis]
     try:
-        table = run_sweep(spec, parallelism=jobs)
+        table = run_sweep(model, axes, parallelism=_jobs(args))
     except SolverError as exc:
         partial = getattr(exc, "partial", None)
         if partial is not None and args.out:

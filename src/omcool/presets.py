@@ -13,7 +13,7 @@ from .config_io import config_from_dict, config_to_dict
 from .errors import ConfigError
 from .model import Model
 from .results import ResultTable
-from .sweep import SweepAxis, SweepSpec, run_atomic, run_solve, run_sweep, run_taxonomy
+from .sweep import SweepAxis, run_atomic, run_solve, run_sweep, run_taxonomy
 
 DEFAULT_POINTS = 100
 
@@ -110,18 +110,16 @@ class Preset:
     and grid sizes its figure fixes; only the sweeps use ``jobs``."""
 
     name: str
-    config: Model | None
     document: dict
     run: Callable[[int], ResultTable]
 
 
 def _preset(name: str, config: Model, run: Callable[[int], ResultTable]) -> Preset:
-    return Preset(name, config, config_to_dict(config), run)
+    return Preset(name, config_to_dict(config), run)
 
 
 def _sweep_preset(name, base, axes, outputs) -> Preset:
-    spec = SweepSpec(base=base, axes=axes, outputs=outputs)
-    return _preset(name, base, lambda jobs: run_sweep(spec, parallelism=jobs))
+    return _preset(name, base, lambda jobs: run_sweep(base, axes, outputs, jobs))
 
 
 def get_preset(name: str, points: int | None = None) -> Preset:
@@ -215,7 +213,7 @@ def _fig13(panel: str, pts: int) -> Preset:
     system vs amplitude ratio in [0, 3]."""
     levels = 3 if panel == "a" else 4
     grid = {"atomic": {"levels": levels, "ratio": [0.0, 3.0], "points": pts}}
-    return Preset(f"fig13{panel}", None, grid,
+    return Preset(f"fig13{panel}", grid,
                   lambda jobs: run_atomic(levels, SweepAxis("ratio", 0.0, 3.0, pts)))
 
 

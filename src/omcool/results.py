@@ -71,10 +71,8 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
 
 def read_csv(path: str | Path) -> ResultTable:
     """Parse a CSV written by ``table_to_csv``.  Raises ParseError when the
-    file cannot be read."""
+    file cannot be read or has no header row."""
     metadata = {}
-    columns: list[str] = []
-    rows: list[list] = []
     try:
         with open(path, newline="") as fh:
             lines = fh.readlines()
@@ -87,12 +85,10 @@ def read_csv(path: str | Path) -> ResultTable:
             metadata[key] = value
         else:
             data_lines.append(line)
-    reader = csv.reader(data_lines)
-    for i, record in enumerate(reader):
-        if i == 0:
-            columns = record
-        else:
-            rows.append([_parse_value(v) for v in record])
+    columns, *records = list(csv.reader(data_lines)) or [[]]
+    if not columns:
+        raise ParseError(f"{path}: no header row")
+    rows = [[_parse_value(v) for v in record] for record in records]
     return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
 

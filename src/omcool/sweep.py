@@ -4,6 +4,7 @@ and atomic ratio grids, all producing ResultTables."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,20 +80,6 @@ class SweepAxis:
         else:
             values = np.linspace(self.lo, self.hi, self.points)
         return values + 0.0  # a -0.0 bound reads +0.0
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    base: Model
-    axes: tuple[SweepAxis, ...]
-    outputs: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not 1 <= len(self.axes) <= 2:
-            raise ConfigError("a sweep needs one or two axes")
-        paths = [axis.path for axis in self.axes]
-        if len(set(paths)) != len(paths):
-            raise ConfigError(f"duplicate sweep axis {paths[0]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,35 +171,41 @@ def _record_columns(model: Model) -> list[str]:
     return cols
 
 
-def _base_metadata(model: Model, **extra: str) -> dict[str, str]:
-    meta = {"tool_version": __version__, "config_hash": config_hash(model)}
-    meta.update(extra)
-    return meta
-
-
-def _solve_points(model: Model, plan: PointPlan, points) -> list[dict]:
+def _solve_points(model: Model, plan: PointPlan, points) -> tuple[list[dict], OmcoolError | None]:
     """Records of the grid points, each the model with its axis values
-    written into the plan's slots."""
-    return [solve_record(model, plan, point) for point in points]
+    written into the plan's slots, up to the first point that raises an
+    OmcoolError, returned with that error (None when every point solved)."""
+    records: list[dict] = []
+    try:
+        for point in points:
+            records.append(solve_record(model, plan, point))
+    except OmcoolError as exc:
+        return records, exc
+    return records, None
 
 
-def _grid_rows(table: ResultTable, variants, base: Model, axes, out_cols,
+def _grid_rows(variants, base: Model, axes, head, out_cols,
                parallelism: int = 1) -> ResultTable:
-    """Append to ``table`` one row per variant and point of the axes' grid,
-    row-major: the variant's label columns, the point's axis values, then
-    ``out_cols`` of its solve_record.  A variant is a (labels, Model) pair
-    with one point_plan over the axes' slots of ``base``, each axis value
-    checked once.  Row order never depends on ``parallelism``, which must be
-    at least 1.  A hard failure aborts the run with the partial table
-    attached to the exception."""
+    """The table of one row per variant and point of the axes' grid,
+    row-major: the variant's label columns and the point's axis values,
+    named by ``head``, then ``out_cols`` of its solve_record.  A variant is
+    a (labels, Model) pair with one point_plan over the axes' slots of
+    ``base``, each axis value checked once.  The metadata carry the base's
+    config_hash and, given axes, the names of their columns, the last of
+    ``head``.  Row order never depends on ``parallelism``, which must be at
+    least 1.  A hard failure aborts the run with the table of every row
+    solved before it attached to the exception, whatever ``parallelism``."""
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    metadata = {"tool_version": __version__, "config_hash": config_hash(base)}
+    if axes:
+        metadata["axes"] = ",".join(head[-len(axes):])
+    table = ResultTable(columns=[*head, *out_cols], rows=[], metadata=metadata)
     axis_values = [[float(x) for x in axis.values()] for axis in axes]
     slots = [axis_slot(base, axis.path, values) for axis, values in zip(axes, axis_values)]
     points = list(itertools.product(*axis_values))
     # a task is a chunk: the model and plan are sent once per chunk, each point
-    # as its axis values; serial chunks are single points, so a failure keeps
-    # every row before it
+    # as its axis values
     if parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
 
@@ -225,10 +218,12 @@ def _grid_rows(table: ResultTable, variants, base: Model, axes, out_cols,
     try:
         for labels, model in variants:
             plan = point_plan(model, slots)
-            records = itertools.chain.from_iterable(
-                run(_solve_points, itertools.repeat(model), itertools.repeat(plan), chunks))
-            for point, record in zip(points, records):
-                table.rows.append([*labels, *point] + [record.get(c) for c in out_cols])
+            solved = run(_solve_points, itertools.repeat(model), itertools.repeat(plan), chunks)
+            for chunk, (records, error) in zip(chunks, solved):
+                table.rows.extend([*labels, *point] + [record.get(c) for c in out_cols]
+                                  for point, record in zip(chunk, records))
+                if error is not None:
+                    raise error
     except OmcoolError as exc:
         exc.partial = table  # type: ignore[attr-defined]
         raise
@@ -239,22 +234,24 @@ def _grid_rows(table: ResultTable, variants, base: Model, axes, out_cols,
 
 
 def run_solve(model: Model) -> ResultTable:
-    columns = _record_columns(model)
-    table = ResultTable(columns=columns, rows=[], metadata=_base_metadata(model))
-    return _grid_rows(table, [((), model)], model, (), columns)
+    return _grid_rows([((), model)], model, (), [], _record_columns(model))
 
 
-def run_sweep(spec: SweepSpec, parallelism: int = 1) -> ResultTable:
-    """The spec's grid, row-major, as one _grid_rows variant.  The run's
+def run_sweep(base: Model, axes: Sequence[SweepAxis], outputs: Sequence[str] = (),
+              parallelism: int = 1) -> ResultTable:
+    """The grid of one or two ``axes`` over ``base``, row-major, with the
+    ``outputs`` columns (default: every record column).  The run's
     point_plan is made once: an effective-mode point's A and Q are the
     plan's base plus its axis values times unit-slot steps, and the
     dark-mode columns come once per run unless an axis writes a frequency
     or strength."""
-    out_cols = list(spec.outputs) or _record_columns(spec.base)
-    paths = [axis.path for axis in spec.axes]
-    table = ResultTable(columns=paths + out_cols, rows=[],
-                        metadata=_base_metadata(spec.base, axes=",".join(paths)))
-    return _grid_rows(table, [((), spec.base)], spec.base, spec.axes, out_cols, parallelism)
+    if not 1 <= len(axes) <= 2:
+        raise ConfigError("a sweep needs one or two axes")
+    paths = [axis.path for axis in axes]
+    if len(set(paths)) != len(paths):
+        raise ConfigError(f"duplicate sweep axis {paths[0]!r}")
+    return _grid_rows([((), base)], base, axes, paths,
+                      list(outputs) or _record_columns(base), parallelism)
 
 
 def run_taxonomy(base: Model, kappa: SweepAxis | None = None,
@@ -266,14 +263,12 @@ def run_taxonomy(base: Model, kappa: SweepAxis | None = None,
     are solve_record points of one point_plan over the decay slot, so its A,
     Q and dark-mode report are made once: the decay rate does not enter the
     dark-mode condition."""
-    variants = closed_channel_variants(base, sizes)
+    variants = [((label,), model) for label, model in closed_channel_variants(base, sizes)]
     if kappa is None:
         decay = float(base.decay[0])
         kappa = SweepAxis("cavities.0.decay", decay, decay, 1)
-    columns = ["closed_channels", "kappa", *DARK_COLUMNS, "stable", "n_f_1", "n_f_2"]
-    table = ResultTable(columns=columns, rows=[], metadata=_base_metadata(base, axes="kappa"))
-    return _grid_rows(table, [((label,), model) for label, model in variants], base,
-                      (kappa,), columns[2:])
+    return _grid_rows(variants, base, (kappa,), ["closed_channels", "kappa"],
+                      [*DARK_COLUMNS, "stable", "n_f_1", "n_f_2"])
 
 
 def run_atomic(levels: int, ratio: SweepAxis) -> ResultTable:

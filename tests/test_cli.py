@@ -25,7 +25,6 @@ from omcool.presets import (
 from omcool.results import ResultTable, read_csv, table_to_csv, table_to_svg, write_csv
 from omcool.sweep import (
     SweepAxis,
-    SweepSpec,
     run_atomic,
     run_solve,
     run_sweep,
@@ -108,7 +107,7 @@ PRESET_HASHES = {
 def test_preset_config_hashes_pinned():
     assert sorted(PRESET_HASHES) == sorted(n for n in preset_names() if not n.startswith("fig13"))
     for name, want in PRESET_HASHES.items():
-        assert config_hash(get_preset(name).config) == want, name
+        assert config_hash(config_from_dict(get_preset(name).document)) == want, name
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +134,17 @@ def test_csv_file_round_trip(tmp_path):
 
 
 def test_svg_line_chart_structure():
-    table = run_sweep(SweepSpec(
-        base=n_type_config(),
-        axes=(SweepAxis("cavities.0.decay", 0.05, 1.0, 5),),
-        outputs=("n_f_1", "n_f_2"),
-    ))
+    table = run_sweep(n_type_config(), [SweepAxis("cavities.0.decay", 0.05, 1.0, 5)],
+                      ["n_f_1", "n_f_2"])
     svg = table_to_svg(table)
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 2
 
 
 def test_svg_heatmap_one_cell_per_point():
-    table = run_sweep(SweepSpec(
-        base=n_type_config(),
-        axes=(SweepAxis("cavities.0.detuning", 0.8, 1.2, 3),
-              SweepAxis("cavities.0.decay", 0.05, 0.5, 4)),
-        outputs=("n_f_1",),
-    ))
+    table = run_sweep(n_type_config(), [SweepAxis("cavities.0.detuning", 0.8, 1.2, 3),
+                                        SweepAxis("cavities.0.decay", 0.05, 0.5, 4)],
+                      ["n_f_1"])
     svg = table_to_svg(table)
     # one background rect plus one cell per grid point
     assert svg.count("<rect") == 1 + 12
@@ -186,8 +179,7 @@ def test_axis_slot_paths():
 
 def test_single_point_sweep_equals_solve():
     base = n_type_config()
-    sweep = run_sweep(SweepSpec(base=base,
-                                axes=(SweepAxis("cavities.0.decay", 0.1, 0.1, 1),)))
+    sweep = run_sweep(base, [SweepAxis("cavities.0.decay", 0.1, 0.1, 1)])
     solve = run_solve(base)
     for col in solve.columns:
         assert sweep.rows[0][sweep.columns.index(col)] == \
@@ -195,24 +187,18 @@ def test_single_point_sweep_equals_solve():
 
 
 def test_sweep_row_major_order():
-    table = run_sweep(SweepSpec(
-        base=n_type_config(),
-        axes=(SweepAxis("cavities.0.detuning", 0.9, 1.1, 2),
-              SweepAxis("cavities.0.decay", 0.1, 0.2, 2)),
-        outputs=("stable",),
-    ))
+    table = run_sweep(n_type_config(), [SweepAxis("cavities.0.detuning", 0.9, 1.1, 2),
+                                        SweepAxis("cavities.0.decay", 0.1, 0.2, 2)],
+                      ["stable"])
     points = [(row[0], row[1]) for row in table.rows]
     assert points == [(0.9, 0.1), (0.9, 0.2), (1.1, 0.1), (1.1, 0.2)]
 
 
 def test_sweep_deterministic_across_parallelism():
-    spec = SweepSpec(
-        base=n_type_config(),
-        axes=(SweepAxis("cavities.0.decay", 0.05, 1.0, 8),),
-        outputs=("n_f_1", "n_f_2", "stable"),
-    )
-    serial = table_to_csv(run_sweep(spec, parallelism=1))
-    parallel = table_to_csv(run_sweep(spec, parallelism=4))
+    sweep = (n_type_config(), [SweepAxis("cavities.0.decay", 0.05, 1.0, 8)],
+             ["n_f_1", "n_f_2", "stable"])
+    serial = table_to_csv(run_sweep(*sweep, parallelism=1))
+    parallel = table_to_csv(run_sweep(*sweep, parallelism=4))
     assert serial == parallel
 
 
@@ -238,12 +224,8 @@ def test_cli_sweep_negative_zero_bound_writes_positive_zero(tmp_path):
 
 def test_unstable_points_flagged_not_dropped():
     # crank the coupling far past the stability boundary
-    spec = SweepSpec(
-        base=n_type_config(),
-        axes=(SweepAxis("edges.0.strength", 0.05, 5.0, 4),),
-        outputs=("stable", "n_f_1"),
-    )
-    table = run_sweep(spec)
+    table = run_sweep(n_type_config(), [SweepAxis("edges.0.strength", 0.05, 5.0, 4)],
+                      ["stable", "n_f_1"])
     assert len(table.rows) == 4
     stables = table.column("stable")
     assert False in stables
@@ -292,7 +274,7 @@ def test_preset_names_cover_the_catalog():
 
 
 def test_preset_caption_constants():
-    base = get_preset("fig2a").config
+    base = config_from_dict(get_preset("fig2a").document)
     assert base.detuning[0] == 1.0
     assert base.decay[0] == 0.1
     assert base.damping[0] == 1e-5
@@ -300,16 +282,16 @@ def test_preset_caption_constants():
     assert base.strength[0] == 0.05
     assert base.strength[2] == 0.08
 
-    dark = get_preset("fig3a").config
+    dark = config_from_dict(get_preset("fig3a").document)
     assert dark.strength[2] == 0.0
 
-    net = get_preset("fig7a").config
+    net = config_from_dict(get_preset("fig7a").document)
     by_kind = {(kind, frozenset(ends)): s for (kind, ends), s in zip(edge_ids(net), net.strength)}
     assert by_kind[("photon_hop", frozenset(("c0", "c1")))] == 0.03
     assert by_kind[("phonon_hop", frozenset(("m0", "m1")))] == 0.03
     assert by_kind[("optomechanical", frozenset(("c1", "m1")))] == 0.08
 
-    ch = get_preset("fig11a").config
+    ch = config_from_dict(get_preset("fig11a").document)
     assert ch.topology == "chain" and ch.n_mechanicals == 3
     assert ch.strength[3] == 0.1  # auxiliary coupling
     assert ch.strength[4] == 0.06  # phonon hopping
@@ -322,10 +304,10 @@ def test_unknown_preset_rejected():
 
 def test_preset_dump_round_trip_fixed_point(tmp_path):
     for name in preset_names():
-        preset = get_preset(name)
-        if preset.config is None:
+        document = get_preset(name).document
+        if "atomic" in document:
             continue
-        text = dump_config(preset.config)
+        text = dump_config(config_from_dict(document))
         assert dump_config(config_from_dict(json.loads(text))) == text
 
 
@@ -466,8 +448,7 @@ def test_cli_sweep_input_error_exit_code(tmp_path, axes):
     assert not out.exists()
 
 
-def test_cli_sweep_solver_failure_keeps_partial_table(tmp_path):
-    # the amplitude iteration converges at drive 60 and gives up at 3000
+def _write_physical_n_type(tmp_path):
     doc = config_to_dict(n_type_config())
     doc["parameter_mode"] = "physical"
     for cav, drive in zip(doc["cavities"], (60.0, 80.0)):
@@ -476,10 +457,29 @@ def test_cli_sweep_solver_failure_keeps_partial_table(tmp_path):
         edge["strength"] = g
     cfg_path = tmp_path / "physical.json"
     cfg_path.write_text(json.dumps(doc))
+    return str(cfg_path)
+
+
+def test_cli_sweep_solver_failure_keeps_partial_table(tmp_path):
+    # the amplitude iteration converges at drive 60 and gives up at 3000
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+    assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
                  "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
     assert read_csv(out).column("cavities.0.drive_amplitude") == [60.0]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_sweep_partial_table_independent_of_jobs(tmp_path, jobs):
+    # the amplitudes converge at the first four drives and not at the fifth;
+    # at --jobs 2 the chunks hold three points, so the chunk that fails at the
+    # fifth point has solved the fourth
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
+                 "--axis", "cavities.0.drive_amplitude:60:3000:30", "--jobs", jobs]) == 5
+    drives = SweepAxis("cavities.0.drive_amplitude", 60.0, 3000.0, 30).values()
+    table = read_csv(out)
+    assert table.column("cavities.0.drive_amplitude") == drives[:4].tolist()
+    assert all(table.column("stable"))
 
 
 def test_cli_taxonomy(tmp_path, capsys):
@@ -498,7 +498,8 @@ def test_cli_atomic(tmp_path, capsys):
 def test_cli_preset_dump_reparses(tmp_path):
     out = tmp_path / "preset.json"
     assert main(["preset", "fig2a", "--dump", "--out", str(out)]) == 0
-    assert dump_config(parse_config(out)) == dump_config(get_preset("fig2a").config)
+    want = config_from_dict(get_preset("fig2a").document)
+    assert dump_config(parse_config(out)) == dump_config(want)
 
 
 def test_cli_preset_run(tmp_path):
@@ -561,7 +562,8 @@ def test_cli_every_preset_runs_and_dumps(tmp_path, name):
         levels = 3 if name == "fig13a" else 4
         assert doc == {"atomic": {"levels": levels, "ratio": [0.0, 3.0], "points": 2}}
     else:
-        assert dump_config(config_from_dict(doc)) == dump_config(get_preset(name).config)
+        assert dump_config(config_from_dict(doc)) == \
+            dump_config(config_from_dict(get_preset(name).document))
 
 
 def test_cli_solve_complex_strength_writes_empty_dark_cells(tmp_path):
@@ -672,9 +674,20 @@ def test_get_preset_rejects_points_below_one(points):
 
 
 def test_run_sweep_rejects_parallelism_below_one():
-    spec = SweepSpec(base=n_type_config(), axes=(SweepAxis("cavities.0.decay", 0.1, 0.2, 2),))
     with pytest.raises(ConfigError, match="parallelism"):
-        run_sweep(spec, parallelism=0)
+        run_sweep(n_type_config(), [SweepAxis("cavities.0.decay", 0.1, 0.2, 2)], parallelism=0)
+
+
+@pytest.mark.parametrize("paths, message", [
+    ([], "a sweep needs one or two axes"),
+    (["cavities.0.detuning", "cavities.0.decay", "cavities.1.decay"],
+     "a sweep needs one or two axes"),
+    (["cavities.0.decay", "cavities.0.decay"], "duplicate sweep axis 'cavities.0.decay'"),
+], ids=["no-axis", "three-axes", "duplicate-axis"])
+def test_run_sweep_rejects_axis_count_and_repeats(paths, message):
+    axes = [SweepAxis(path, 0.1, 0.2, 2) for path in paths]
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_sweep(n_type_config(), axes)
 
 
 def test_cli_emit_unreadable_input_exit_code(tmp_path, capsys):
@@ -683,6 +696,19 @@ def test_cli_emit_unreadable_input_exit_code(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
     with pytest.raises(ParseError, match="cannot read"):
         read_csv(missing)
+
+
+@pytest.mark.parametrize("text", ["", "# tool_version=0.1.0\n# axes=x\n"],
+                         ids=["empty", "metadata-only"])
+def test_cli_emit_no_header_row_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "headless.csv"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["emit", "--in", str(path), "--format", "csv", "--out", str(out)]) == 2
+    assert "no header row" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ParseError, match="no header row"):
+        read_csv(path)
 
 
 def test_cli_emit_unwritable_output_exit_code(tmp_path):

@@ -257,9 +257,9 @@ def test_singular_or_non_finite_eigenbasis_falls_back(fallbacks):
 
 def _preset_base_points():
     for name in preset_names():
-        config = get_preset(name).config
-        if config is not None:
-            yield pytest.param(config, 1e-12, id=name)
+        document = get_preset(name).document
+        if "atomic" not in document:
+            yield pytest.param(config_from_dict(document), 1e-12, id=name)
     # the chain's nearly dark modes make its steady state ill-conditioned:
     # against a solution refined with long-double residuals, both paths are
     # off by about 3e-12 relative, so they can differ by more than 1e-12

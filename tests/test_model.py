@@ -28,7 +28,7 @@ from omcool.model import (
 )
 from omcool.darkmode import dark_mode_condition
 from omcool.presets import chain_config, get_preset, n_type_config, network4_config
-from omcool.sweep import SweepAxis, SweepSpec, point_plan, run_solve, run_sweep, solve_record
+from omcool.sweep import SweepAxis, point_plan, run_solve, run_sweep, solve_record
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +358,8 @@ def test_solve_record_validates_once(monkeypatch, physical):
 def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
     k = 4
     calls = _count_calls(monkeypatch, config_from_dict)
-    spec = SweepSpec(base=n_type_config(),
-                     axes=(SweepAxis("cavities.0.decay", 0.05, 1.0, k),))
-    table = run_sweep(spec, parallelism=1)
+    table = run_sweep(n_type_config(), [SweepAxis("cavities.0.decay", 0.05, 1.0, k)],
+                      parallelism=1)
     assert len(table.rows) == k
     assert len(calls) == 1  # the base, where it enters; no point re-validates
     assert calls[0]["topology"] == "n_type"
@@ -529,7 +528,7 @@ _COMPLEX_N_TYPE = config_from_dict(
 def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
     # each row of a planned sweep equals the one-shot solve of its point
     # rebuilt as a document, dark-mode columns included
-    table = run_sweep(SweepSpec(base=base, axes=axes), parallelism=jobs)
+    table = run_sweep(base, axes, parallelism=jobs)
     assert len(table.rows) == np.prod([axis.points for axis in axes])
     for row in table.rows:
         point = config_to_dict(base)
