@@ -2,10 +2,11 @@
 
 Verbs: solve, sweep, taxonomy, atomic, preset, emit.
 Exit codes: 0 success, 2 parse error (including an unreadable --config or
---in, or an --in with no header row), 3 validation error (including
---points below 1, --jobs below 1 on a sweep or any preset, run or dump, and
-a range with a non-finite bound, no point, or MIN >= MAX over more points
-than one), 4 unstable system, 5 solver failure (or a failed write).
+--in, or an --in with no header row or a record whose field count differs
+from the header's), 3 validation error (including --points below 1, --jobs
+below 1 on a sweep or any preset, run or dump, and a range with a
+non-finite bound, no point, or MIN >= MAX over more points than one), 4
+unstable system, 5 solver failure (or a failed write).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -200,10 +201,14 @@ def solve_steady_amplitudes(model: Model) -> SteadyAmplitudes:
         beta    = -i (g^T |alpha|^2 + K_mm beta) / (gamma + i omega)
         Delta'  = Delta + 2 Re(conj(g) beta)
 
-    Each step updates all of z from the old iterate with one matrix product
-    on w = (alpha, beta, |alpha|^2), keeping AMPLITUDE_DAMPING of the old
-    iterate; the iteration stops once the largest update is below
-    AMPLITUDE_TOL (absolute).  Raises ConvergenceError after
+    Each step updates all of z from the old iterate w = (alpha, beta,
+    |alpha|^2), keeping AMPLITUDE_DAMPING of the old iterate; the iteration
+    stops once the largest update is below AMPLITUDE_TOL (absolute).  A
+    step runs in Python complex scalars over the nonzeros of each row of
+    the step matrix, which is cheaper than numpy calls on arrays this
+    small; its cost grows with the nonzeros of K.  Raises ConvergenceError
+    at the first step that divides by zero (a lossless cavity at zero
+    effective detuning) or whose update is not finite, and after
     AMPLITUDE_MAX_ITER steps (bistable or unstable drive regime).
     """
     if model.parameter_mode != "physical":
@@ -219,24 +224,45 @@ def solve_steady_amplitudes(model: Model) -> SteadyAmplitudes:
     step[nc:m, nc:m] = K[nc:, nc:]
     step[nc:m, m:] = g.T
     step[m:m + nc, nc:m] = 2.0 * np.conj(g)
-    drive = np.concatenate((model.drive, np.zeros(m - nc)))
+    # per mode: its drive, its rate, and the (column, coefficient) nonzeros
+    # of its force row and of its shift row
+    drive = model.drive.tolist() + [0j] * (m - nc)
     rates = (np.concatenate((model.decay, model.damping))
-             + 1j * np.concatenate((model.detuning, model.frequency)))
-    z = np.zeros(m, dtype=complex)
+             + 1j * np.concatenate((model.detuning, model.frequency))).tolist()
+    nonzeros = [[(j, c) for j, c in enumerate(row) if c] for row in step.tolist()]
+    rows = list(zip(drive, rates, nonzeros[:m], nonzeros[m:]))
+    z = [0j] * m
 
     for iterations in range(1, AMPLITUDE_MAX_ITER + 1):
-        out = step @ np.concatenate((z, np.abs(z[:nc]) ** 2))
-        z_new = -1j * (drive + out[:m]) / (rates + 1j * out[m:].real)
-        residual = np.abs(z_new - z).max()
-        z = AMPLITUDE_DAMPING * z + (1.0 - AMPLITUDE_DAMPING) * z_new
-        if residual < AMPLITUDE_TOL:
+        try:
+            w = z + [x * x for x in map(abs, z[:nc])]
+            z_new = []
+            for d, r, force, shift in rows:
+                f = s = 0j
+                for j, c in force:
+                    f += c * w[j]
+                for j, c in shift:
+                    s += c * w[j]
+                z_new.append(-1j * (d + f) / (r + 1j * s.real))
+            updates = [abs(b - a) for a, b in zip(z, z_new)]
+        except ZeroDivisionError:
+            raise ConvergenceError(
+                f"steady-state amplitude step {iterations} divides by zero"
+                " (a lossless cavity at zero effective detuning)") from None
+        except OverflowError:  # abs() of a complex beyond the float range
+            updates = [math.inf]
+        if not math.isfinite(sum(updates)):
+            raise ConvergenceError(f"steady-state amplitude step {iterations} is not finite")
+        if max(updates) < AMPLITUDE_TOL:
             z = z_new
             break
+        z = [AMPLITUDE_DAMPING * a + (1.0 - AMPLITUDE_DAMPING) * b for a, b in zip(z, z_new)]
     else:
         raise ConvergenceError(
             f"steady-state amplitudes did not converge within {AMPLITUDE_MAX_ITER} iterations"
         )
 
+    z = np.array(z)
     alpha, beta = z[:nc], z[nc:]
     om = model.optomechanical
     return SteadyAmplitudes(

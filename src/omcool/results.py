@@ -70,25 +70,33 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> ResultTable:
-    """Parse a CSV written by ``table_to_csv``.  Raises ParseError when the
-    file cannot be read or has no header row."""
+    """Parse a CSV written by ``table_to_csv``; blank lines are skipped.
+    Raises ParseError when the file cannot be read, has no header row, or
+    has a record whose field count differs from the header's."""
     metadata = {}
     try:
         with open(path, newline="") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    data_lines = []
-    for line in lines:
+    data_lines, line_numbers = [], []
+    for number, line in enumerate(lines, 1):
         if line.startswith("# ") and "=" in line:
             key, _, value = line[2:].rstrip("\n").partition("=")
             metadata[key] = value
         else:
             data_lines.append(line)
-    columns, *records = list(csv.reader(data_lines)) or [[]]
-    if not columns:
+            line_numbers.append(number)
+    reader = csv.reader(data_lines)
+    records = [(line_numbers[reader.line_num - 1], record) for record in reader if record]
+    if not records:
         raise ParseError(f"{path}: no header row")
-    rows = [[_parse_value(v) for v in record] for record in records]
+    (_, columns), *records = records
+    for number, record in records:
+        if len(record) != len(columns):
+            raise ParseError(f"{path}:{number}: {len(record)} fields where the header "
+                             f"has {len(columns)}")
+    rows = [[_parse_value(v) for v in record] for _, record in records]
     return ResultTable(columns=columns, rows=rows, metadata=metadata)
 
 

@@ -1,5 +1,6 @@
 """Config documents, result tables, sweeps, presets, and the CLI contract."""
 
+import csv
 import json
 
 import numpy as np
@@ -448,13 +449,15 @@ def test_cli_sweep_input_error_exit_code(tmp_path, axes):
     assert not out.exists()
 
 
-def _write_physical_n_type(tmp_path):
+def _write_physical_n_type(tmp_path, **c0):
+    """The physical n_type document, with cavity c0's fields ``c0`` written."""
     doc = config_to_dict(n_type_config())
     doc["parameter_mode"] = "physical"
     for cav, drive in zip(doc["cavities"], (60.0, 80.0)):
         cav["drive_amplitude"] = drive
     for edge, g in zip(doc["edges"], (5e-4, 5e-4, 8e-4)):
         edge["strength"] = g
+    doc["cavities"][0].update(c0)
     cfg_path = tmp_path / "physical.json"
     cfg_path.write_text(json.dumps(doc))
     return str(cfg_path)
@@ -466,6 +469,24 @@ def test_cli_sweep_solver_failure_keeps_partial_table(tmp_path):
     assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
                  "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
     assert read_csv(out).column("cavities.0.drive_amplitude") == [60.0]
+
+
+@pytest.mark.parametrize("c0, message", [
+    ({"decay": 0.0, "detuning": 0.0, "drive_amplitude": 10.0}, "step 1 divides by zero"),
+    ({"drive_amplitude": 1e200}, "step 2 is not finite"),
+    # |alpha| of the first step exceeds the float range, though both parts fit
+    ({"decay": 1.0, "detuning": 0.0, "drive_amplitude": [1.5e308, 1.5e308]},
+     "step 1 is not finite"),
+], ids=["lossless-resonant", "drive-1e200", "drive-1.5e308"])
+def test_cli_solve_non_finite_amplitudes_exit_code(tmp_path, capsys, c0, message):
+    # the amplitude iteration stops at its first non-finite step, with no
+    # numpy warning and no traceback
+    out = tmp_path / "solve.csv"
+    assert main(["solve", "--config", _write_physical_n_type(tmp_path, **c0),
+                 "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert f"steady-state amplitude {message}" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -709,6 +730,37 @@ def test_cli_emit_no_header_row_exit_code(tmp_path, capsys, text):
     assert not out.exists()
     with pytest.raises(ParseError, match="no header row"):
         read_csv(path)
+
+
+def _fig8a_csv(tmp_path):
+    path = tmp_path / "fig8a.csv"
+    assert main(["preset", "fig8a", "--run", "--points", "4", "--out", str(path)]) == 0
+    return path
+
+
+def test_cli_emit_skips_blank_lines(tmp_path):
+    clean = _fig8a_csv(tmp_path)
+    padded = tmp_path / "padded.csv"
+    padded.write_text(clean.read_text() + "\n")
+    for source in (clean, padded):
+        assert main(["emit", "--in", str(source), "--format", "svg",
+                     "--out", str(tmp_path / f"{source.stem}.svg")]) == 0
+    assert (tmp_path / "padded.svg").read_bytes() == (tmp_path / "fig8a.svg").read_bytes()
+    assert read_csv(padded).rows == read_csv(clean).rows
+
+
+@pytest.mark.parametrize("edit", [lambda r: r[:-1], lambda r: r + ["1.0"]], ids=["short", "long"])
+def test_cli_emit_ragged_record_exit_code(tmp_path, capsys, edit):
+    path = _fig8a_csv(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    last = next(csv.reader([lines[-1]]))
+    lines[-1] = ",".join(edit(last)) + "\n"
+    path.write_text("".join(lines))
+    out = tmp_path / "out.svg"
+    assert main(["emit", "--in", str(path), "--format", "svg", "--out", str(out)]) == 2
+    assert f"{path}:{len(lines)}: {len(edit(last))} fields where the header has {len(last)}" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_emit_unwritable_output_exit_code(tmp_path):

@@ -9,20 +9,24 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from omcool import config_io
 from omcool.cli import main
 from omcool.config_io import config_from_dict, config_to_dict, dump_config
-from omcool.errors import ConfigError
+from omcool.errors import ConfigError, ConvergenceError
 from omcool.lyapunov import phonon_numbers, solve_lyapunov
 from omcool.model import (
+    AMPLITUDE_DAMPING,
+    AMPLITUDE_MAX_ITER,
+    AMPLITUDE_TOL,
     assembly,
     axis_slot,
     build_drift_matrix,
     build_noise_matrix,
+    coupling_matrix,
     linearized,
     solve_steady_amplitudes,
 )
@@ -221,6 +225,82 @@ def test_amplitudes_match_root_finding_oracle():
 def test_effective_mode_rejects_amplitude_solve():
     with pytest.raises(ConfigError):
         solve_steady_amplitudes(n_type_config())
+
+
+def test_amplitude_iteration_gives_up_at_the_cap():
+    # the drive at which the CLI sweep tests reach exit 5
+    with pytest.raises(ConvergenceError, match="within 10000 iterations"):
+        solve_steady_amplitudes(_physical_n_type(drive=3000.0))
+
+
+def _dense_amplitudes(model):
+    """Oracle for the scalar step: the same damped iteration, with each step
+    one dense product of the step matrix and w = (alpha, beta, |alpha|^2).
+    Returns z = (alpha, beta) and the number of steps taken."""
+    nc, m = model.n_cavities, model.n_modes
+    K = coupling_matrix(model)
+    g = K[:nc, nc:]
+    step = np.zeros((2 * m, m + nc), dtype=complex)
+    step[:nc, :nc] = K[:nc, :nc]
+    step[nc:m, nc:m] = K[nc:, nc:]
+    step[nc:m, m:] = g.T
+    step[m:m + nc, nc:m] = 2.0 * np.conj(g)
+    drive = np.concatenate((model.drive, np.zeros(m - nc)))
+    rates = (np.concatenate((model.decay, model.damping))
+             + 1j * np.concatenate((model.detuning, model.frequency)))
+    z = np.zeros(m, dtype=complex)
+    for iterations in range(1, AMPLITUDE_MAX_ITER + 1):
+        out = step @ np.concatenate((z, np.abs(z[:nc]) ** 2))
+        z_new = -1j * (drive + out[:m]) / (rates + 1j * out[m:].real)
+        residual = np.abs(z_new - z).max()
+        z = AMPLITUDE_DAMPING * z + (1.0 - AMPLITUDE_DAMPING) * z_new
+        if residual < AMPLITUDE_TOL:
+            return z_new, iterations
+    raise ConvergenceError(f"did not converge within {AMPLITUDE_MAX_ITER} iterations")
+
+
+def _phasor(magnitude):
+    """A complex number of the drawn magnitude and a drawn phase."""
+    return st.builds(lambda r, phi: complex(r * np.cos(phi), r * np.sin(phi)),
+                     magnitude, st.floats(0.0, 2.0 * np.pi))
+
+
+_PHYSICAL_SHAPES = [n_type_config(), network4_config(), *map(chain_config, range(3, 7))]
+
+
+@st.composite
+def physical_documents(draw):
+    """An n_type, network4 or 3-6 resonator chain document in physical mode,
+    with complex drives of magnitude 10-100, complex hops, and single-photon
+    couplings of order 1e-3.  Stronger drives reach documents whose
+    iteration contracts so slowly that a rounding difference of order
+    eps |z| in the residual moves the absolute stop by two steps or more."""
+    doc = config_to_dict(draw(st.sampled_from(_PHYSICAL_SHAPES)))
+    doc["parameter_mode"] = "physical"
+    for cav in doc["cavities"]:
+        cav["detuning"] = draw(st.floats(0.8, 1.2))
+        cav["drive_amplitude"] = _number(draw(_phasor(st.floats(1.0, 2.0).map(lambda e: 10.0 ** e))))
+    for edge in doc["edges"]:
+        size = 1e-3 if edge["kind"] == "optomechanical" else 0.03
+        edge["strength"] = _number(draw(_phasor(st.floats(0.1 * size, size))))
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(physical_documents())
+@example(config_to_dict(_physical_n_type(drive=3000.0)))  # neither converges
+def test_scalar_step_matches_dense_step_oracle(doc):
+    model = config_from_dict(doc)
+    try:
+        want, want_iterations = _dense_amplitudes(model)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            solve_steady_amplitudes(model)
+        return
+    amps = solve_steady_amplitudes(model)
+    got = np.array(amps.cavity_amplitudes + amps.mechanical_displacements)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(amps.iterations - want_iterations) <= 1
 
 
 def _effective_translation(model, amps):
