@@ -79,16 +79,14 @@ def read_csv(path: str | Path) -> ResultTable:
             lines = fh.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    data_lines, line_numbers = [], []
-    for number, line in enumerate(lines, 1):
+    for index, line in enumerate(lines):
         if line.startswith("# ") and "=" in line:
             key, _, value = line[2:].rstrip("\n").partition("=")
             metadata[key] = value
-        else:
-            data_lines.append(line)
-            line_numbers.append(number)
-    reader = csv.reader(data_lines)
-    records = [(line_numbers[reader.line_num - 1], record) for record in reader if record]
+            # a blank line in its place keeps reader.line_num the file's line
+            lines[index] = "\n"
+    reader = csv.reader(lines)
+    records = [(reader.line_num, record) for record in reader if record]
     if not records:
         raise ParseError(f"{path}: no header row")
     (_, columns), *records = records

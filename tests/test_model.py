@@ -233,10 +233,12 @@ def test_amplitude_iteration_gives_up_at_the_cap():
         solve_steady_amplitudes(_physical_n_type(drive=3000.0))
 
 
-def _dense_amplitudes(model):
+def _dense_amplitudes(model, steps=0):
     """Oracle for the scalar step: the same damped iteration, with each step
     one dense product of the step matrix and w = (alpha, beta, |alpha|^2).
-    Returns z = (alpha, beta) and the number of steps taken."""
+    Returns z = (alpha, beta) at the stop, the number of steps taken, and
+    the largest update of every step; with steps, it iterates on past the
+    stop to record the updates of at least that many steps."""
     nc, m = model.n_cavities, model.n_modes
     K = coupling_matrix(model)
     g = K[:nc, nc:]
@@ -249,13 +251,16 @@ def _dense_amplitudes(model):
     rates = (np.concatenate((model.decay, model.damping))
              + 1j * np.concatenate((model.detuning, model.frequency)))
     z = np.zeros(m, dtype=complex)
+    stop, updates = None, []
     for iterations in range(1, AMPLITUDE_MAX_ITER + 1):
         out = step @ np.concatenate((z, np.abs(z[:nc]) ** 2))
         z_new = -1j * (drive + out[:m]) / (rates + 1j * out[m:].real)
-        residual = np.abs(z_new - z).max()
+        updates.append(np.abs(z_new - z).max())
+        if stop is None and updates[-1] < AMPLITUDE_TOL:
+            stop = z_new, iterations
+        if stop is not None and iterations >= steps:
+            return *stop, updates
         z = AMPLITUDE_DAMPING * z + (1.0 - AMPLITUDE_DAMPING) * z_new
-        if residual < AMPLITUDE_TOL:
-            return z_new, iterations
     raise ConvergenceError(f"did not converge within {AMPLITUDE_MAX_ITER} iterations")
 
 
@@ -271,15 +276,13 @@ _PHYSICAL_SHAPES = [n_type_config(), network4_config(), *map(chain_config, range
 @st.composite
 def physical_documents(draw):
     """An n_type, network4 or 3-6 resonator chain document in physical mode,
-    with complex drives of magnitude 10-100, complex hops, and single-photon
-    couplings of order 1e-3.  Stronger drives reach documents whose
-    iteration contracts so slowly that a rounding difference of order
-    eps |z| in the residual moves the absolute stop by two steps or more."""
+    with complex drives of magnitude 10-10^2.5, complex hops, and
+    single-photon couplings of order 1e-3."""
     doc = config_to_dict(draw(st.sampled_from(_PHYSICAL_SHAPES)))
     doc["parameter_mode"] = "physical"
     for cav in doc["cavities"]:
         cav["detuning"] = draw(st.floats(0.8, 1.2))
-        cav["drive_amplitude"] = _number(draw(_phasor(st.floats(1.0, 2.0).map(lambda e: 10.0 ** e))))
+        cav["drive_amplitude"] = _number(draw(_phasor(st.floats(1.0, 2.5).map(lambda e: 10.0 ** e))))
     for edge in doc["edges"]:
         size = 1e-3 if edge["kind"] == "optomechanical" else 0.03
         edge["strength"] = _number(draw(_phasor(st.floats(0.1 * size, size))))
@@ -292,15 +295,22 @@ def physical_documents(draw):
 def test_scalar_step_matches_dense_step_oracle(doc):
     model = config_from_dict(doc)
     try:
-        want, want_iterations = _dense_amplitudes(model)
-    except ConvergenceError:
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            solve_steady_amplitudes(model)
+        amps = solve_steady_amplitudes(model)
+    except ConvergenceError as exc:
+        assert "did not converge" in str(exc)
+        with pytest.raises(ConvergenceError):
+            _dense_amplitudes(model)
         return
-    amps = solve_steady_amplitudes(model)
+    want, want_iterations, updates = _dense_amplitudes(model, steps=amps.iterations)
     got = np.array(amps.cavity_amplitudes + amps.mechanical_displacements)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert abs(amps.iterations - want_iterations) <= 1
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    # the two solvers round each step differently, by a few eps |z|; the
+    # stops may differ only by steps whose update that puts on either side
+    # of AMPLITUDE_TOL (a slowly contracting iteration can have several)
+    first, last = sorted((amps.iterations, want_iterations))
+    slack = 16 * np.finfo(float).eps * scale
+    assert all(abs(u - AMPLITUDE_TOL) <= slack for u in updates[first - 1:last - 1])
 
 
 def _effective_translation(model, amps):
