@@ -34,8 +34,10 @@ def main() -> None:
     broken = run_solve(chain_config(args.n))
     intact = run_solve(chain_config(args.n, Gs=0.0, eta=0.0))
     print(f"N = {args.n}")
-    print("  dark modes broken:", "  ".join(f"{broken.column(c)[0]:.4f}" for c in n_f))
-    print("  dark modes intact:", "  ".join(f"{intact.column(c)[0]:.1f}" for c in n_f))
+    for label, table, spec in (("broken", broken, ".4f"), ("intact", intact, ".1f")):
+        cells = [table.column(c)[0] for c in n_f]  # empty on an unstable chain
+        print(f"  dark modes {label}:",
+              "  ".join("unstable" if v is None else format(v, spec) for v in cells))
 
     table = run_sweep(chain_config(args.n),
                       [SweepAxis("cavities.0.detuning", 0.5, 1.5, args.points)],

@@ -1,5 +1,8 @@
-"""JSON config documents: strict parsing (unknown keys rejected) straight
-into the compiled Model, and canonical dumping of a Model.  The schema:
+"""JSON config documents, the one owner of their schema: the sections,
+keys and numeric fields, the edge kinds, parameter modes and topology tags,
+and the rule of each field.  Strict parsing (unknown keys rejected)
+straight into the compiled Model, the resolution of a sweep path to its
+Model slot, and canonical dumping of a Model.  The schema:
 
 {
   "parameter_mode": "effective",
@@ -16,6 +19,7 @@ Complex strengths/drives are encoded as [re, im]; real values as numbers.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -25,10 +29,27 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .model import (_COMPLEX_SLOTS, _INDEX, _SLOTS, EDGE_KINDS, PARAMETER_MODES, TOPOLOGY_TAGS,
-                    Model, _check_field, _owner, edge_ids)
+from .model import Model
 
+# edge kind -> the mode kinds its two endpoints must have
+EDGE_KINDS = {"optomechanical": ("c", "m"), "photon_hop": ("c", "c"), "phonon_hop": ("m", "m")}
+PARAMETER_MODES = ("effective", "physical")
+TOPOLOGY_TAGS = ("n_type", "network4", "chain", "generic")
+
+# The one spelling of an index: no sign, no leading zero.
+_INDEX = "0|[1-9][0-9]*"
 _MODE_ID = re.compile(f"[cm]({_INDEX})")
+
+# The numeric fields of each config section and the Model array each one is
+# compiled into; a sweep axis path names one of them.
+_SLOTS = {
+    "cavities": {"detuning": "detuning", "decay": "decay", "drive_amplitude": "drive"},
+    "mechanicals": {"frequency": "frequency", "damping": "damping",
+                    "thermal_occupation": "nbar"},
+    "edges": {"strength": "strength"},
+}
+_COMPLEX_SLOTS = ("drive", "strength")
+_BOUNDS = {"decay": ">= 0", "frequency": "> 0", "damping": ">= 0", "thermal_occupation": ">= 0"}
 # section -> the required and the optional keys of each of its items
 _KEYS = {"cavities": ({"detuning", "decay"}, {"drive_amplitude"}),
          "mechanicals": ({"frequency", "damping", "thermal_occupation"}, set()),
@@ -79,6 +100,62 @@ def _split_mode_id(mode_id: str) -> tuple[str, int]:
     if not _MODE_ID.fullmatch(mode_id):
         raise ConfigError(f"malformed mode id {mode_id!r}")
     return mode_id[0], int(mode_id[1:])
+
+
+def _check_field(owner: str, name: str, value) -> None:
+    """The rule of one numeric field, for config_from_dict and axis_slot:
+    finite, and within its sign bound."""
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{owner}: {name} must be finite")
+    bound = _BOUNDS.get(name)
+    if bound == "> 0" and value <= 0 or bound == ">= 0" and value < 0:
+        raise ConfigError(f"{owner}: {name} must be {bound}")
+
+
+def _owner(section: str, index: int, edges) -> str:
+    """How messages name item ``index`` of a config section; ``edges``
+    holds each edge's kind and endpoint ids."""
+    if section == "cavities":
+        return f"cavity c{index}"
+    if section == "mechanicals":
+        return f"mechanical m{index}"
+    kind, endpoints = edges[index]
+    return f"{kind} edge {endpoints}"
+
+
+def edge_ids(model: Model) -> list[tuple[str, tuple[str, str]]]:
+    """Each edge's kind and endpoint mode ids, which its canonical indices
+    fix: an edge's kind follows from the kinds of its endpoints."""
+    kinds = {ends: kind for kind, ends in EDGE_KINDS.items()}
+    ids = ([f"c{c}" for c in range(model.n_cavities)]
+           + [f"m{l}" for l in range(model.n_mechanicals)])
+    return [(kinds[ids[i][0], ids[j][0]], (ids[i], ids[j]))
+            for i, j in zip(model.edge_i.tolist(), model.edge_j.tolist())]
+
+
+def axis_slot(model: Model, path: str, values) -> tuple[str, int]:
+    """Resolve a path such as 'cavities.0.detuning' or 'edges.3.strength'
+    to its (array name, index) slot in the model, and check each value
+    against that field's rule.  Every rule concerns one field, so a point
+    with these values written in is valid when the model and each value
+    are.  The index must be spelled canonically, so that no two paths name
+    one slot."""
+    parts = path.split(".")
+    if len(parts) != 3:
+        raise ConfigError(f"bad parameter path {path!r} (want section.index.field)")
+    section, idx_s, name = parts
+    if section not in _SLOTS:
+        raise ConfigError(f"bad parameter path {path!r}: unknown section {section!r}")
+    size = len(getattr(model, next(iter(_SLOTS[section].values()))))  # the section's items
+    if not re.fullmatch(_INDEX, idx_s) or int(idx_s) >= size:
+        raise ConfigError(f"bad parameter path {path!r}: no element {idx_s}")
+    index = int(idx_s)
+    if name not in _SLOTS[section]:
+        raise ConfigError(f"bad parameter path {path!r}: {name!r} is not a numeric field")
+    owner = _owner(section, index, edge_ids(model))
+    for value in values:
+        _check_field(owner, name, value)
+    return _SLOTS[section][name], index
 
 
 def config_from_dict(doc: dict) -> Model:
@@ -162,27 +239,21 @@ def _encode_complex(value: complex):
 
 
 def config_to_dict(model: Model) -> dict:
-    """The canonical document of a model: config_from_dict gives the model
-    back."""
-    cavities = []
-    for detuning, decay, drive in zip(model.detuning.tolist(), model.decay.tolist(),
-                                      model.drive.tolist()):
-        item = {"detuning": detuning, "decay": decay}
-        if drive != 0:
-            item["drive_amplitude"] = _encode_complex(drive)
-        cavities.append(item)
-    return {
-        "parameter_mode": model.parameter_mode,
-        "topology": model.topology,
-        "cavities": cavities,
-        "mechanicals": [
-            {"frequency": w, "damping": gamma, "thermal_occupation": nbar}
-            for w, gamma, nbar in zip(model.frequency.tolist(), model.damping.tolist(),
-                                      model.nbar.tolist())],
-        "edges": [
-            {"kind": kind, "endpoints": list(endpoints), "strength": _encode_complex(strength)}
-            for (kind, endpoints), strength in zip(edge_ids(model), model.strength.tolist())],
-    }
+    """The canonical document of a model, one item per slot index of each
+    section: config_from_dict gives the model back.  An optional field at
+    zero is left out, and each edge's kind and endpoints follow from its
+    indices (edge_ids)."""
+    doc = {"parameter_mode": model.parameter_mode, "topology": model.topology}
+    for section, fields in _SLOTS.items():
+        optional = _KEYS[section][1]
+        columns = [[_encode_complex(v) for v in getattr(model, slot).tolist()]
+                   if slot in _COMPLEX_SLOTS else getattr(model, slot).tolist()
+                   for slot in fields.values()]
+        doc[section] = [{name: value for name, value in zip(fields, row)
+                         if value or name not in optional} for row in zip(*columns)]
+    for item, (kind, endpoints) in zip(doc["edges"], edge_ids(model)):
+        item["kind"], item["endpoints"] = kind, list(endpoints)
+    return doc
 
 
 def dump_config(model: Model) -> str:
@@ -198,7 +269,7 @@ def parse_config(path: str | Path) -> Model:
     """Read a config document and compile it with config_from_dict."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -1,5 +1,5 @@
-"""The compiled array model of a mode-graph configuration, its field
-rules, steady-state amplitudes, and matrix assembly.
+"""The compiled array model of a mode-graph configuration, its
+steady-state amplitudes, and matrix assembly.
 
 All rates are dimensionless multiples of the first mechanical frequency
 (omega_1 = 1 internally).  The canonical mode order is cavities first, then
@@ -13,26 +13,20 @@ A config document is parsed, validated and compiled once, where it
 enters, into a Model of plain arrays (config_io.config_from_dict).  Every
 later stage reads the Model, and every variant of it (a sweep point, a
 closed taxonomy channel, the linearised couplings of a physical-mode
-point) is a copy with slots written.
+point) is a copy with slots written.  The document's schema and field
+rules belong to config_io alone.
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-
-# edge kind -> the mode kinds its two endpoints must have
-EDGE_KINDS = {"optomechanical": ("c", "m"), "photon_hop": ("c", "c"), "phonon_hop": ("m", "m")}
-PARAMETER_MODES = ("effective", "physical")
-TOPOLOGY_TAGS = ("n_type", "network4", "chain", "generic")
 
 AMPLITUDE_TOL = 1e-12
 AMPLITUDE_MAX_ITER = 10_000
@@ -102,78 +96,6 @@ class SteadyAmplitudes:
     effective_detunings: tuple[float, ...]
     linearized_couplings: tuple[complex, ...]
     iterations: int
-
-
-# The one spelling of an index: no sign, no leading zero.
-_INDEX = "0|[1-9][0-9]*"
-
-# The numeric fields of each config section and the Model array each one is
-# compiled into; a sweep axis path names one of them.
-_SLOTS = {
-    "cavities": {"detuning": "detuning", "decay": "decay", "drive_amplitude": "drive"},
-    "mechanicals": {"frequency": "frequency", "damping": "damping",
-                    "thermal_occupation": "nbar"},
-    "edges": {"strength": "strength"},
-}
-_COMPLEX_SLOTS = ("drive", "strength")
-_BOUNDS = {"decay": ">= 0", "frequency": "> 0", "damping": ">= 0", "thermal_occupation": ">= 0"}
-
-
-def _check_field(owner: str, name: str, value) -> None:
-    """The rule of one numeric field, for config_from_dict and axis_slot:
-    finite, and within its sign bound."""
-    if not cmath.isfinite(value):
-        raise ConfigError(f"{owner}: {name} must be finite")
-    bound = _BOUNDS.get(name)
-    if bound == "> 0" and value <= 0 or bound == ">= 0" and value < 0:
-        raise ConfigError(f"{owner}: {name} must be {bound}")
-
-
-def _owner(section: str, index: int, edges) -> str:
-    """How messages name item ``index`` of a config section; ``edges``
-    holds each edge's kind and endpoint ids."""
-    if section == "cavities":
-        return f"cavity c{index}"
-    if section == "mechanicals":
-        return f"mechanical m{index}"
-    kind, endpoints = edges[index]
-    return f"{kind} edge {endpoints}"
-
-
-def edge_ids(model: Model) -> list[tuple[str, tuple[str, str]]]:
-    """Each edge's kind and endpoint mode ids, which its canonical indices
-    fix: an edge's kind follows from the kinds of its endpoints."""
-    kinds = {ends: kind for kind, ends in EDGE_KINDS.items()}
-    ids = ([f"c{c}" for c in range(model.n_cavities)]
-           + [f"m{l}" for l in range(model.n_mechanicals)])
-    return [(kinds[ids[i][0], ids[j][0]], (ids[i], ids[j]))
-            for i, j in zip(model.edge_i.tolist(), model.edge_j.tolist())]
-
-
-def axis_slot(model: Model, path: str, values) -> tuple[str, int]:
-    """Resolve a path such as 'cavities.0.detuning' or 'edges.3.strength'
-    to its (array name, index) slot in the model, and check each value
-    against that field's rule.  Every rule concerns one field, so a point
-    with these values written in is valid when the model and each value
-    are.  The index must be spelled canonically, so that no two paths name
-    one slot."""
-    parts = path.split(".")
-    if len(parts) != 3:
-        raise ConfigError(f"bad parameter path {path!r} (want section.index.field)")
-    section, idx_s, name = parts
-    if section not in _SLOTS:
-        raise ConfigError(f"bad parameter path {path!r}: unknown section {section!r}")
-    size = {"cavities": model.n_cavities, "mechanicals": model.n_mechanicals,
-            "edges": len(model.strength)}[section]
-    if not re.fullmatch(_INDEX, idx_s) or int(idx_s) >= size:
-        raise ConfigError(f"bad parameter path {path!r}: no element {idx_s}")
-    index = int(idx_s)
-    if name not in _SLOTS[section]:
-        raise ConfigError(f"bad parameter path {path!r}: {name!r} is not a numeric field")
-    owner = _owner(section, index, edge_ids(model))
-    for value in values:
-        _check_field(owner, name, value)
-    return _SLOTS[section][name], index
 
 
 def coupling_matrix(model: Model) -> np.ndarray:

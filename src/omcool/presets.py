@@ -18,15 +18,16 @@ from .sweep import SweepAxis, run_atomic, run_solve, run_sweep, run_taxonomy
 DEFAULT_POINTS = 100
 
 
-def _two_cavity_model(topology, cavities, frequencies, gamma, nbar, edges) -> Model:
+def _two_cavity_model(topology, frequencies, edges, kappa=0.1, gamma=1e-5,
+                      nbar=1000.0) -> Model:
     """The Model of an effective-mode document with the intermediate cavity
-    c0 and the auxiliary cavity c1, each a (detuning, decay) pair, and one
-    mechanical mode per frequency.  Each edge is (kind, endpoint, endpoint,
-    strength)."""
+    c0 (decay kappa) and the auxiliary cavity c1 (decay 0.1), both at
+    detuning 1.0, and one mechanical mode per frequency.  Each edge is
+    (kind, endpoint, endpoint, strength)."""
     return config_from_dict({
         "parameter_mode": "effective",
         "topology": topology,
-        "cavities": [{"detuning": d, "decay": k} for d, k in cavities],
+        "cavities": [{"detuning": 1.0, "decay": kappa}, {"detuning": 1.0, "decay": 0.1}],
         "mechanicals": [{"frequency": w, "damping": gamma, "thermal_occupation": nbar}
                         for w in frequencies],
         "edges": [{"kind": kind, "endpoints": [a, b], "strength": s}
@@ -35,10 +36,7 @@ def _two_cavity_model(topology, cavities, frequencies, gamma, nbar, edges) -> Mo
 
 
 def n_type_config(
-    delta_c: float = 1.0,
-    delta_s: float = 1.0,
     kappa: float = 0.1,
-    kappa_s: float = 0.1,
     omega2: float = 1.0,
     gamma: float = 1e-5,
     nbar: float = 1000.0,
@@ -50,18 +48,11 @@ def n_type_config(
     only.  Edge order: G1, G2, Gs1."""
     edges = (("optomechanical", "c0", "m0", G1), ("optomechanical", "c0", "m1", G2),
              ("optomechanical", "c1", "m0", Gs1))
-    return _two_cavity_model("n_type", ((delta_c, kappa), (delta_s, kappa_s)), (1.0, omega2),
-                             gamma, nbar, edges)
+    return _two_cavity_model("n_type", (1.0, omega2), edges, kappa, gamma, nbar)
 
 
 def network4_config(
-    delta_c: float = 1.0,
-    delta_s: float = 1.0,
-    kappa: float = 0.1,
-    kappa_s: float = 0.1,
     omega2: float = 1.0,
-    gamma: float = 1e-5,
-    nbar: float = 1000.0,
     G1: float = 0.05,
     G2: float = 0.05,
     Gs1: float = 0.08,
@@ -74,32 +65,18 @@ def network4_config(
     edges = (("optomechanical", "c0", "m0", G1), ("optomechanical", "c0", "m1", G2),
              ("optomechanical", "c1", "m0", Gs1), ("optomechanical", "c1", "m1", Gs2),
              ("photon_hop", "c0", "c1", J), ("phonon_hop", "m0", "m1", eta))
-    return _two_cavity_model("network4", ((delta_c, kappa), (delta_s, kappa_s)), (1.0, omega2),
-                             gamma, nbar, edges)
+    return _two_cavity_model("network4", (1.0, omega2), edges)
 
 
-def chain_config(
-    N: int,
-    delta_c: float = 1.0,
-    delta_s: float = 1.0,
-    kappa: float = 0.1,
-    kappa_s: float = 0.1,
-    omega: float = 1.0,
-    gamma: float = 1e-5,
-    nbar: float = 1000.0,
-    G: float = 0.05,
-    Gs: float = 0.1,
-    eta: float = 0.06,
-) -> Model:
+def chain_config(N: int, Gs: float = 0.1, eta: float = 0.06) -> Model:
     """Uniform N-resonator chain with intermediate cavity coupled to every
-    mechanical mode and auxiliary cavity coupled to m0."""
+    mechanical mode (G = 0.05) and auxiliary cavity coupled to m0."""
     if N < 2:
         raise ConfigError("chain_config requires N >= 2")
-    edges = [("optomechanical", "c0", f"m{l}", G) for l in range(N)]
+    edges = [("optomechanical", "c0", f"m{l}", 0.05) for l in range(N)]
     edges.append(("optomechanical", "c1", "m0", Gs))
     edges += [("phonon_hop", f"m{l}", f"m{l + 1}", eta) for l in range(N - 1)]
-    return _two_cavity_model("chain", ((delta_c, kappa), (delta_s, kappa_s)), [omega] * N,
-                             gamma, nbar, edges)
+    return _two_cavity_model("chain", [1.0] * N, edges)
 
 
 @dataclass(frozen=True)

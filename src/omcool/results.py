@@ -77,11 +77,11 @@ def read_csv(path: str | Path) -> ResultTable:
     try:
         with open(path, newline="") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     for index, line in enumerate(lines):
         if line.startswith("# ") and "=" in line:
-            key, _, value = line[2:].rstrip("\n").partition("=")
+            key, _, value = line[2:].rstrip("\r\n").partition("=")
             metadata[key] = value
             # a blank line in its place keeps reader.line_num the file's line
             lines[index] = "\n"

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import four_level_eigensystem, three_level_eigensystem
-from .config_io import config_hash
+from .config_io import axis_slot, config_hash
 from .darkmode import (
     TAXONOMY_SIZES,
     closed_channel_variants,
@@ -24,7 +24,6 @@ from .model import (
     Assembly,
     Model,
     assembly,
-    axis_slot,
     build_drift_matrix,
     build_noise_matrix,
     linearized,

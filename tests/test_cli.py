@@ -1,21 +1,25 @@
 """Config documents, result tables, sweeps, presets, and the CLI contract."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from omcool.cli import main
 from omcool.config_io import (
+    axis_slot,
     config_from_dict,
     config_hash,
     config_to_dict,
     dump_config,
+    edge_ids,
     parse_config,
 )
 from omcool.errors import ConfigError, ParseError, SolverError
-from omcool.model import axis_slot, edge_ids
 from omcool.presets import (
     chain_config,
     get_preset,
@@ -36,8 +40,44 @@ from omcool.sweep import (
 # ---------------------------------------------------------------------------
 # config documents
 
-def test_config_round_trip_is_fixed_point():
-    cfg = network4_config()
+_value = st.floats(-2.0, 2.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+_complex_value = _value | st.lists(_value, min_size=2, max_size=2)
+
+
+@st.composite
+def _documents(draw):
+    """Config documents of 1-3 cavities and 1-3 mechanical modes in either
+    parameter mode: no, zero, real and complex drives; real, -0.0 and
+    complex strengths; and every hop's endpoints in either order."""
+    nc, nm = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cavities = []
+    for _ in range(nc):
+        cavity = {"detuning": draw(_value), "decay": draw(st.floats(0.0, 2.0))}
+        drive = draw(st.none() | st.sampled_from([0, [0.0, -0.0]]) | _complex_value)
+        if drive is not None:
+            cavity["drive_amplitude"] = drive
+        cavities.append(cavity)
+    mechanicals = [{"frequency": draw(st.floats(0.1, 2.0)), "damping": draw(st.floats(0.0, 1.0)),
+                    "thermal_occupation": draw(st.floats(0.0, 1e3))} for _ in range(nm)]
+    ids = [f"c{c}" for c in range(nc)] + [f"m{l}" for l in range(nm)]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(ids, 2))),
+                          unique=True, max_size=6))
+    kinds = {"cm": "optomechanical", "cc": "photon_hop", "mm": "phonon_hop"}
+    edges = []
+    for a, b in pairs:  # a cavity comes before a mechanical mode in ids
+        kind = kinds[a[0] + b[0]]
+        ends = [b, a] if kind != "optomechanical" and draw(st.booleans()) else [a, b]
+        edges.append({"kind": kind, "endpoints": ends, "strength": draw(_complex_value)})
+    return {"parameter_mode": draw(st.sampled_from(["effective", "physical"])),
+            "topology": draw(st.sampled_from(["n_type", "network4", "chain", "generic"])),
+            "cavities": cavities, "mechanicals": mechanicals, "edges": edges}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents())
+@example(config_to_dict(network4_config()))
+def test_config_round_trip_is_fixed_point(doc):
+    cfg = config_from_dict(doc)
     text = dump_config(cfg)
     reparsed = config_from_dict(json.loads(text))
     assert dump_config(reparsed) == text
@@ -717,6 +757,33 @@ def test_cli_emit_unreadable_input_exit_code(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
     with pytest.raises(ParseError, match="cannot read"):
         read_csv(missing)
+
+
+@pytest.mark.parametrize("verb", [["solve", "--config"], ["emit", "--format", "csv", "--in"]],
+                         ids=["solve", "emit"])
+def test_cli_non_utf8_file_exit_code(tmp_path, capsys, verb):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main([*verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"cannot read {path}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_emit_reads_crlf_csv(tmp_path):
+    """A CSV with CRLF line ends emits what its LF copy does: no metadata
+    value keeps a \\r, so the two-axis table still renders as a heatmap."""
+    lf = tmp_path / "lf.csv"
+    assert main(["preset", "fig2a", "--run", "--points", "3", "--out", str(lf)]) == 0
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    for fmt in ("svg", "csv"):
+        for source in (lf, crlf):
+            assert main(["emit", "--in", str(source), "--format", fmt,
+                         "--out", str(tmp_path / f"{source.stem}_out.{fmt}")]) == 0
+        outs = [(tmp_path / f"{stem}_out.{fmt}").read_bytes() for stem in ("lf", "crlf")]
+        assert outs[0] == outs[1]
+    assert (tmp_path / "crlf_out.svg").read_text().count("<rect") == 10
 
 
 @pytest.mark.parametrize("text", ["", "# tool_version=0.1.0\n# axes=x\n"],

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omcool.config_io import config_from_dict, config_to_dict
+from omcool.config_io import config_from_dict, config_to_dict, edge_ids
 from omcool.darkmode import closed_channel_variants, dark_mode_condition
 from omcool.errors import ConfigError
 from omcool.lyapunov import solve_lyapunov
-from omcool.model import build_drift_matrix, build_noise_matrix, coupling_matrix, edge_ids
+from omcool.model import build_drift_matrix, build_noise_matrix, coupling_matrix
 from omcool.presets import chain_config, n_type_config, network4_config
 from omcool.sweep import run_solve, run_taxonomy
 

@@ -15,7 +15,7 @@ from scipy.optimize import fsolve
 
 from omcool import config_io
 from omcool.cli import main
-from omcool.config_io import config_from_dict, config_to_dict, dump_config
+from omcool.config_io import axis_slot, config_from_dict, config_to_dict, dump_config
 from omcool.errors import ConfigError, ConvergenceError
 from omcool.lyapunov import phonon_numbers, solve_lyapunov
 from omcool.model import (
@@ -23,7 +23,6 @@ from omcool.model import (
     AMPLITUDE_MAX_ITER,
     AMPLITUDE_TOL,
     assembly,
-    axis_slot,
     build_drift_matrix,
     build_noise_matrix,
     coupling_matrix,

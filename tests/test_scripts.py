@@ -32,6 +32,18 @@ def test_script_writes_its_tables(tmp_path, monkeypatch, capsys, script, args, f
             assert path.read_text().startswith("<svg")
 
 
+def test_chain_cooling_reports_an_unstable_chain(tmp_path, monkeypatch, capsys):
+    """At N = 128 the default chain is unstable, so its occupations are
+    empty; the detuning sweep still has a stable point to draw."""
+    script = "chain_cooling.py"
+    monkeypatch.setattr(sys, "argv", [script, "--n", "128", "--points", "2",
+                                      "--outdir", str(tmp_path)])
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert "unstable" in capsys.readouterr().out
+    assert len(read_csv(tmp_path / "chain_n128.csv").rows) == 2
+    assert (tmp_path / "chain_n128.svg").read_text().startswith("<svg")
+
+
 @pytest.mark.parametrize("script, args, message", [
     ("cooling_landscape.py", ["--points", "0"], "--points must be >= 1, got 0"),
     ("cooling_landscape.py", ["--jobs", "0"], "--jobs must be >= 1, got 0"),
