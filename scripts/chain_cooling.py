@@ -14,7 +14,7 @@ import argparse
 from pathlib import Path
 
 from omcool.presets import chain_config
-from omcool.results import write_csv, write_svg
+from omcool.results import table_to_svg, write_csv
 from omcool.sweep import SweepAxis, run_solve, run_sweep
 
 
@@ -35,19 +35,21 @@ def main() -> None:
     intact = run_solve(chain_config(args.n, Gs=0.0, eta=0.0))
     print(f"N = {args.n}")
     for label, table, spec in (("broken", broken, ".4f"), ("intact", intact, ".1f")):
-        cells = [table.column(c)[0] for c in n_f]  # empty on an unstable chain
+        (row,) = table.rows
+        cells = [row[table.columns.index(c)] for c in n_f]  # empty on an unstable chain
         print(f"  dark modes {label}:",
               "  ".join("unstable" if v is None else format(v, spec) for v in cells))
 
     table = run_sweep(chain_config(args.n),
                       [SweepAxis("cavities.0.detuning", 0.5, 1.5, args.points)],
                       [*n_f, "stable"], args.jobs)
+    table.rows = list(table.rows)  # written twice, as CSV and SVG
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"chain_n{args.n}.csv"
     svg_path = outdir / f"chain_n{args.n}.svg"
     write_csv(table, csv_path)
-    write_svg(table, svg_path)
+    svg_path.write_text(table_to_svg(table))
     print(f"wrote {csv_path} and {svg_path}")
 
 

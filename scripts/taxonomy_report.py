@@ -30,6 +30,7 @@ def main() -> None:
 
     base = network4_config()
     summary = table = run_taxonomy(base)
+    summary.rows = list(summary.rows)  # printed, counted and, without --kappa, written
     if args.kappa:
         try:
             table = run_taxonomy(base, SweepAxis.parse(args.kappa, "cavities.0.decay"))

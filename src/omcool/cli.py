@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .config_io import parse_config
-from .errors import ConfigError, OmcoolError, ParseError, SolverError, UnstableSystemError
+from .errors import ConfigError, OmcoolError, ParseError, UnstableSystemError
 from .presets import get_preset, preset_names
-from .results import ResultTable, read_csv, table_to_csv, table_to_svg, write_csv, write_svg
+from .results import ResultTable, read_csv, stream_csv, table_to_svg, write_csv
 from .sweep import SweepAxis, run_atomic, run_solve, run_sweep, run_taxonomy
 
 EXIT_OK = 0
@@ -48,47 +49,40 @@ def _jobs(args) -> int:
     return args.jobs
 
 
+def _write_text(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_table(table: ResultTable, out: str | None, fmt: str) -> None:
     if fmt == "svg":
-        if out:
-            write_svg(table, out)
-        else:
-            sys.stdout.write(table_to_svg(table))
+        _write_text(table_to_svg(table), out)
+    elif out:
+        write_csv(table, out)
     else:
-        if out:
-            write_csv(table, out)
-        else:
-            sys.stdout.write(table_to_csv(table))
+        stream_csv(table, sys.stdout)
 
 
 def _cmd_solve(args) -> int:
     table = run_solve(parse_config(args.config))
+    table.rows = list(table.rows)  # solved before the write, so a failed solve writes nothing
     _write_table(table, args.out, args.format)
-    if table.rows and table.rows[0][table.columns.index("stable")] is False:
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return EXIT_UNSTABLE if table.rows[0][table.columns.index("stable")] is False else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     model = parse_config(args.config)
     axes = [SweepAxis.parse(spec) for spec in args.axis]
-    try:
-        table = run_sweep(model, axes, parallelism=_jobs(args))
-    except SolverError as exc:
-        partial = getattr(exc, "partial", None)
-        if partial is not None and args.out:
-            write_csv(partial, args.out)
-        print(f"error: sweep aborted: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    _write_table(table, args.out, args.format)
+    _write_table(run_sweep(model, axes, parallelism=_jobs(args)), args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_taxonomy(args) -> int:
     model = parse_config(args.config)
     kappa = SweepAxis.parse(args.kappa, "cavities.0.decay") if args.kappa else None
-    table = run_taxonomy(model, kappa)
-    _write_table(table, args.out, args.format)
+    _write_table(run_taxonomy(model, kappa), args.out, args.format)
     return EXIT_OK
 
 
@@ -102,12 +96,7 @@ def _cmd_preset(args) -> int:
     preset = get_preset(args.name, points=args.points)
     jobs = _jobs(args)
     if args.dump:
-        text = json.dumps(preset.document, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text(json.dumps(preset.document, indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK
     table = preset.run(jobs)
     table.metadata["preset"] = preset.name
@@ -116,8 +105,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    table = read_csv(args.infile)
-    _write_table(table, args.out, args.format)
+    _write_table(read_csv(args.infile), args.out, args.format)
     return EXIT_OK
 
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ParseError, SolverError
@@ -18,8 +20,10 @@ from .errors import ParseError, SolverError
 
 @dataclass
 class ResultTable:
+    """The rows of a solve, sweep or taxonomy run are solved as they are
+    read, once: a reader that needs them twice takes list(table.rows)."""
     columns: list[str]
-    rows: list[list]
+    rows: Iterable[list]
     metadata: dict[str, str] = field(default_factory=dict)
 
     def column(self, name: str) -> list:
@@ -54,19 +58,26 @@ def _parse_value(text: str):
         return text
 
 
-def table_to_csv(table: ResultTable) -> str:
-    buf = io.StringIO()
+def stream_csv(table: ResultTable, fh: io.TextIOBase) -> None:
+    """Write the metadata and header to ``fh``, then each row as it is read,
+    so a run that fails has written every row before the failing one."""
     for key in sorted(table.metadata):
-        buf.write(f"# {key}={table.metadata[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+        fh.write(f"# {key}={table.metadata[key]}\n")
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(table.columns)
     for row in table.rows:
         writer.writerow([_format_value(v) for v in row])
+
+
+def table_to_csv(table: ResultTable) -> str:
+    buf = io.StringIO()
+    stream_csv(table, buf)
     return buf.getvalue()
 
 
 def write_csv(table: ResultTable, path: str | Path) -> None:
-    Path(path).write_text(table_to_csv(table))
+    with open(path, "w") as fh:  # before the first row is solved
+        stream_csv(table, fh)
 
 
 def read_csv(path: str | Path) -> ResultTable:
@@ -122,24 +133,17 @@ def _numeric(values) -> list[float]:
 
 
 def _axis_columns(table: ResultTable) -> list[str]:
-    names = table.metadata.get("axes", "")
-    axes = [n for n in names.split(",") if n]
-    if not axes:
-        axes = table.columns[:1]
-    return axes
+    return [n for n in table.metadata.get("axes", "").split(",") if n] or table.columns[:1]
 
 
 def table_to_svg(table: ResultTable) -> str:
+    table = replace(table, rows=list(table.rows))  # all read before any is drawn
     if not table.rows:
         raise SolverError("cannot render an empty table")
     axes = _axis_columns(table)
     if len(axes) >= 2 and axes[0] in table.columns and axes[1] in table.columns:
         return _heatmap_svg(table, axes[0], axes[1])
     return _line_svg(table, axes[0])
-
-
-def write_svg(table: ResultTable, path: str | Path) -> None:
-    Path(path).write_text(table_to_svg(table))
 
 
 def _svg_open(title: str) -> list[str]:
@@ -201,18 +205,21 @@ def _line_svg(table: ResultTable, ax: str) -> str:
     out_cols = [c for c in table.columns if c != ax and _numeric(table.column(c))]
     if not out_cols:
         raise SolverError("no numeric output column to render")
-    xs_all = table.column(ax)
+    # a series draws one line per run of rows with the same label columns,
+    # those before the axis (a taxonomy's configuration)
+    ia = table.columns.index(ax)
     series = {}
     for cname in out_cols:
-        pts = [(float(x), float(v)) for x, v in zip(xs_all, table.column(cname))
-               if isinstance(x, (int, float)) and isinstance(v, (int, float))
-               and not isinstance(v, bool) and math.isfinite(float(v))]
+        iv = table.columns.index(cname)
+        pts = [(row[:ia], float(row[ia]), float(row[iv])) for row in table.rows
+               if isinstance(row[ia], (int, float)) and isinstance(row[iv], (int, float))
+               and not isinstance(row[iv], bool) and math.isfinite(float(row[iv]))]
         if pts:
             series[cname] = pts
     if not series:
         raise SolverError("no finite values to render")
-    all_y = [p[1] for pts in series.values() for p in pts]
-    all_x = [p[0] for pts in series.values() for p in pts]
+    all_y = [p[2] for pts in series.values() for p in pts]
+    all_x = [p[1] for pts in series.values() for p in pts]
     log_scale = min(all_y) > 0 and max(all_y) / min(all_y) > 100
     ys = [math.log10(y) for y in all_y] if log_scale else all_y
     x_lo, x_hi = min(all_x), max(all_x)
@@ -225,15 +232,16 @@ def _line_svg(table: ResultTable, ax: str) -> str:
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     parts = _svg_open(", ".join(series) + f" vs {ax}" + (" (log y)" if log_scale else ""))
     for k, (cname, pts) in enumerate(series.items()):
-        coords = []
-        for x, y in pts:
-            yy = math.log10(y) if log_scale else y
-            px = _MARGIN + (x - x_lo) / x_span * plot_w
-            py = _HEIGHT - _MARGIN - (yy - y_lo) / y_span * plot_h
-            coords.append(f"{px:.2f},{py:.2f}")
         color = colors[k % len(colors)]
-        parts.append(f'<polyline points="{" ".join(coords)}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
+        for _, line in itertools.groupby(pts, key=lambda p: p[0]):
+            coords = []
+            for _, x, y in line:
+                yy = math.log10(y) if log_scale else y
+                px = _MARGIN + (x - x_lo) / x_span * plot_w
+                py = _HEIGHT - _MARGIN - (yy - y_lo) / y_span * plot_h
+                coords.append(f"{px:.2f},{py:.2f}")
+            parts.append(f'<polyline points="{" ".join(coords)}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_WIDTH - _MARGIN}" y="{_MARGIN + 16 * k}" text-anchor="end" '
                      f'font-size="12" fill="{color}">{cname}</text>')
     parts.extend(_axis_labels(ax, "", x_lo, x_hi, min(all_y), max(all_y)))

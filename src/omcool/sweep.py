@@ -4,6 +4,7 @@ and atomic ratio grids, all producing ResultTables."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -170,17 +171,19 @@ def _record_columns(model: Model) -> list[str]:
     return cols
 
 
-def _solve_points(model: Model, plan: PointPlan, points) -> tuple[list[dict], OmcoolError | None]:
-    """Records of the grid points, each the model with its axis values
-    written into the plan's slots, up to the first point that raises an
-    OmcoolError, returned with that error (None when every point solved)."""
-    records: list[dict] = []
+def _solve_points(model: Model, plan: PointPlan, out_cols,
+                  points) -> tuple[list[list], OmcoolError | None]:
+    """Rows of the points, each its axis values and ``out_cols`` of their
+    solve_record, up to the first point that raises an OmcoolError, returned
+    with that error (None when every point solved)."""
+    rows: list[list] = []
     try:
         for point in points:
-            records.append(solve_record(model, plan, point))
+            record = solve_record(model, plan, point)
+            rows.append([*point, *(record.get(c) for c in out_cols)])
     except OmcoolError as exc:
-        return records, exc
-    return records, None
+        return rows, exc
+    return rows, None
 
 
 def _grid_rows(variants, base: Model, axes, head, out_cols,
@@ -191,45 +194,46 @@ def _grid_rows(variants, base: Model, axes, head, out_cols,
     a (labels, Model) pair with one point_plan over the axes' slots of
     ``base``, each axis value checked once.  The metadata carry the base's
     config_hash and, given axes, the names of their columns, the last of
-    ``head``.  Row order never depends on ``parallelism``, which must be at
-    least 1.  A hard failure aborts the run with the table of every row
-    solved before it attached to the exception, whatever ``parallelism``."""
+    ``head``.  All is checked here and nothing solved: the rows solve each
+    chunk of points as it is read.  Row order never depends on
+    ``parallelism``, which must be at least 1, nor do the rows read before a
+    hard failure raises."""
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     metadata = {"tool_version": __version__, "config_hash": config_hash(base)}
     if axes:
         metadata["axes"] = ",".join(head[-len(axes):])
-    table = ResultTable(columns=[*head, *out_cols], rows=[], metadata=metadata)
     axis_values = [[float(x) for x in axis.values()] for axis in axes]
     slots = [axis_slot(base, axis.path, values) for axis, values in zip(axes, axis_values)]
-    points = list(itertools.product(*axis_values))
-    # a task is a chunk: the model and plan are sent once per chunk, each point
-    # as its axis values
+    rows = _solved_rows(variants, slots, axis_values, out_cols, parallelism)
+    return ResultTable(columns=[*head, *out_cols], rows=rows, metadata=metadata)
+
+
+def _solved_rows(variants, slots, axis_values, out_cols, parallelism: int):
+    """The rows of _grid_rows.  A chunk is one point serially, or a quarter
+    of a worker's share of the grid in a pool made at the first read."""
     if parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
 
         executor = ProcessPoolExecutor(max_workers=parallelism)
-        size = max(1, len(points) // (parallelism * 4))
+        size = max(1, math.prod(map(len, axis_values)) // (parallelism * 4))
         run = executor.map
     else:
         executor, size, run = None, 1, map
-    chunks = [points[k:k + size] for k in range(0, len(points), size)]
     try:
         for labels, model in variants:
             plan = point_plan(model, slots)
-            solved = run(_solve_points, itertools.repeat(model), itertools.repeat(plan), chunks)
-            for chunk, (records, error) in zip(chunks, solved):
-                table.rows.extend([*labels, *point] + [record.get(c) for c in out_cols]
-                                  for point, record in zip(chunk, records))
+            points = itertools.product(*axis_values)
+            # a task is a chunk, which sends the model and plan once for its points
+            chunks = iter(lambda: list(itertools.islice(points, size)), [])
+            for rows, error in run(_solve_points, itertools.repeat(model),
+                                   itertools.repeat(plan), itertools.repeat(out_cols), chunks):
+                yield from ([*labels, *row] for row in rows)
                 if error is not None:
                     raise error
-    except OmcoolError as exc:
-        exc.partial = table  # type: ignore[attr-defined]
-        raise
     finally:
         if executor is not None:
-            executor.shutdown()
-    return table
+            executor.shutdown(cancel_futures=True)
 
 
 def run_solve(model: Model) -> ResultTable:

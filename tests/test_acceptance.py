@@ -61,10 +61,13 @@ def test_criterion_3_taxonomy():
     base = network4_config()
     start = time.perf_counter()
     table = run_taxonomy(base, SweepAxis("cavities.0.decay", 0.05, 1.0, 100))
+    rows = list(table.rows)  # the rows are solved as they are read
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
+    assert len(rows) == 14 * 100
 
     at_base = run_taxonomy(base)  # kappa = 0.1 from the base config
+    at_base.rows = list(at_base.rows)
     dark_labels = {row[0] for row in at_base.rows
                    if row[at_base.columns.index("dark")]}
     assert dark_labels == {"J", "eta", "J+eta", "Gs1+Gs2", "J+Gs1+Gs2", "eta+Gs1+Gs2"}

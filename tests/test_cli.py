@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from omcool.sweep import (
     run_solve,
     run_sweep,
     run_taxonomy,
+    solve_record,
 )
 
 
@@ -166,6 +168,7 @@ def test_csv_round_trip_preserves_floats():
 
 def test_csv_file_round_trip(tmp_path):
     table = run_solve(n_type_config())
+    table.rows = list(table.rows)
     path = tmp_path / "out.csv"
     write_csv(table, path)
     back = read_csv(path)
@@ -189,6 +192,19 @@ def test_svg_heatmap_one_cell_per_point():
     svg = table_to_svg(table)
     # one background rect plus one cell per grid point
     assert svg.count("<rect") == 1 + 12
+
+
+def test_svg_line_chart_breaks_its_lines_between_configurations(tmp_path):
+    # a taxonomy's rows run through the decay axis once per configuration:
+    # each configuration is its own line, so no line runs back along the axis
+    out = tmp_path / "fig7a.svg"
+    assert main(["preset", "fig7a", "--run", "--points", "3", "--format", "svg",
+                 "--out", str(out)]) == 0
+    lines = re.findall(r'<polyline points="([^"]*)"', out.read_text())
+    assert len(lines) == 4 * 4  # four configurations, four numeric columns
+    for points in lines:
+        xs = [float(pair.split(",")[0]) for pair in points.split()]
+        assert len(xs) == 3 and xs == sorted(set(xs))
 
 
 def test_empty_table_svg_rejected():
@@ -222,9 +238,9 @@ def test_single_point_sweep_equals_solve():
     base = n_type_config()
     sweep = run_sweep(base, [SweepAxis("cavities.0.decay", 0.1, 0.1, 1)])
     solve = run_solve(base)
+    (sweep_row,), (solve_row,) = sweep.rows, solve.rows
     for col in solve.columns:
-        assert sweep.rows[0][sweep.columns.index(col)] == \
-            solve.rows[0][solve.columns.index(col)]
+        assert sweep_row[sweep.columns.index(col)] == solve_row[solve.columns.index(col)]
 
 
 def test_sweep_row_major_order():
@@ -267,6 +283,7 @@ def test_unstable_points_flagged_not_dropped():
     # crank the coupling far past the stability boundary
     table = run_sweep(n_type_config(), [SweepAxis("edges.0.strength", 0.05, 5.0, 4)],
                       ["stable", "n_f_1"])
+    table.rows = list(table.rows)
     assert len(table.rows) == 4
     stables = table.column("stable")
     assert False in stables
@@ -277,6 +294,7 @@ def test_unstable_points_flagged_not_dropped():
 
 def test_taxonomy_table_shape():
     table = run_taxonomy(network4_config())
+    table.rows = list(table.rows)
     assert len(table.rows) == 14
     assert sum(1 for row in table.rows if row[table.columns.index("dark")]) == 6
 
@@ -288,7 +306,7 @@ def test_taxonomy_sizes_equal_filtered_full_table(k):
     kept = run_taxonomy(network4_config(), kappa, sizes=(k,))
     assert kept.columns == full.columns
     assert kept.metadata == full.metadata
-    assert kept.rows == [row for row in full.rows if len(row[0].split("+")) == k]
+    assert list(kept.rows) == [row for row in full.rows if len(row[0].split("+")) == k]
 
 
 def test_atomic_table_dark_column():
@@ -509,6 +527,49 @@ def test_cli_sweep_solver_failure_keeps_partial_table(tmp_path):
     assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
                  "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
     assert read_csv(out).column("cavities.0.drive_amplitude") == [60.0]
+
+
+def test_cli_failed_sweep_streams_its_rows_to_stdout(tmp_path, capsys):
+    # the drive-60 row is written before the drive-3000 point fails
+    assert main(["sweep", "--config", _write_physical_n_type(tmp_path),
+                 "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
+    out, err = capsys.readouterr()
+    assert [line.split(",")[0] for line in out.splitlines()[-2:]] == \
+        ["cavities.0.drive_amplitude", "60.0"]
+    assert "did not converge" in err
+
+
+def test_cli_failed_svg_sweep_writes_nothing(tmp_path):
+    # a chart is drawn from every row, so a run that fails leaves no file
+    out = tmp_path / "bad.svg"
+    assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
+                 "--format", "svg", "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
+    assert not out.exists()
+
+
+def _count_solves(monkeypatch) -> list:
+    solves = []
+    monkeypatch.setattr("omcool.sweep.solve_record",
+                        lambda *args: solves.append(args) or solve_record(*args))
+    return solves
+
+
+def test_run_rows_are_solved_as_they_are_read(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    table = run_sweep(n_type_config(), [SweepAxis("cavities.0.decay", 0.05, 1.0, 6)])
+    assert solves == []
+    rows = iter(table.rows)
+    for k in range(1, 4):
+        next(rows)
+        assert len(solves) == k
+
+
+def test_cli_sweep_unwritable_output_solves_nothing(tmp_path, monkeypatch):
+    solves = _count_solves(monkeypatch)
+    assert main(["sweep", "--config", _write_config(tmp_path, n_type_config()),
+                 "--axis", "cavities.0.decay:0.05:1.0:6",
+                 "--out", str(tmp_path / "no-such-dir" / "x.csv")]) == 5
+    assert solves == []
 
 
 @pytest.mark.parametrize("c0, message", [

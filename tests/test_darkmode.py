@@ -139,6 +139,7 @@ def _taxonomy(base):
     """(closed-channel set, dark flag) of each row of the taxonomy at the base
     decay rate, in row order."""
     table = run_taxonomy(base)
+    table.rows = list(table.rows)
     return [(frozenset(label.split("+")), dark)
             for label, dark in zip(table.column("closed_channels"), table.column("dark"))]
 

@@ -449,7 +449,7 @@ def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
     calls = _count_calls(monkeypatch, config_from_dict)
     table = run_sweep(n_type_config(), [SweepAxis("cavities.0.decay", 0.05, 1.0, k)],
                       parallelism=1)
-    assert len(table.rows) == k
+    assert len(list(table.rows)) == k
     assert len(calls) == 1  # the base, where it enters; no point re-validates
     assert calls[0]["topology"] == "n_type"
 
@@ -617,13 +617,14 @@ _COMPLEX_N_TYPE = config_from_dict(
 def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
     # each row of a planned sweep equals the one-shot solve of its point
     # rebuilt as a document, dark-mode columns included
-    table = run_sweep(base, axes, parallelism=jobs)
-    assert len(table.rows) == np.prod([axis.points for axis in axes])
-    for row in table.rows:
+    rows = list(run_sweep(base, axes, parallelism=jobs).rows)
+    assert len(rows) == np.prod([axis.points for axis in axes])
+    for row in rows:
         point = config_to_dict(base)
         for axis, x in zip(axes, row):
             point = _rebuilt(point, axis.path, x)
-        assert row[len(axes):] == run_solve(config_from_dict(point)).rows[0]
+        (solved,) = run_solve(config_from_dict(point)).rows
+        assert row[len(axes):] == solved
 
 
 @pytest.mark.parametrize("model", [
@@ -664,7 +665,7 @@ def test_runs_plan_drift_and_dark_report_once(monkeypatch, name, dark_calls, dri
     preset = get_preset(name, points=4)
     dark = _count_calls(monkeypatch, dark_mode_condition)
     drift = _count_calls(monkeypatch, build_drift_matrix)
-    preset.run(1)
+    list(preset.run(1).rows)  # the rows are solved as they are read
     assert len(dark) == dark_calls
     assert len(drift) == drift_builds
 

@@ -13,12 +13,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.mark.parametrize("script, args, files, rows", [
-    ("cooling_landscape.py", ["--points", "4"], ["fig2a.csv", "fig2a.svg"], 16),
     ("chain_cooling.py", ["--n", "3", "--points", "4"], ["chain_n3.csv", "chain_n3.svg"], 4),
-    ("atomic_probabilities.py", ["--points", "5"],
-     ["atomic_3level.csv", "atomic_3level.svg", "atomic_4level.csv", "atomic_4level.svg"], 5),
     ("taxonomy_report.py", ["--kappa", "0.05:1.0:2"], ["taxonomy.csv"], 28),
-], ids=["cooling_landscape", "chain_cooling", "atomic_probabilities", "taxonomy_report"])
+], ids=["chain_cooling", "taxonomy_report"])
 def test_script_writes_its_tables(tmp_path, monkeypatch, capsys, script, args, files, rows):
     monkeypatch.setattr(sys, "argv", [script, *args, "--outdir", str(tmp_path)])
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
@@ -45,9 +42,6 @@ def test_chain_cooling_reports_an_unstable_chain(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("script, args, message", [
-    ("cooling_landscape.py", ["--points", "0"], "--points must be >= 1, got 0"),
-    ("cooling_landscape.py", ["--jobs", "0"], "--jobs must be >= 1, got 0"),
-    ("atomic_probabilities.py", ["--points", "0"], "--points must be >= 1, got 0"),
     ("chain_cooling.py", ["--n", "1"], "--n must be >= 2, got 1"),
     ("chain_cooling.py", ["--points", "0"], "--points must be >= 1, got 0"),
     ("chain_cooling.py", ["--jobs", "0"], "--jobs must be >= 1, got 0"),
