@@ -38,10 +38,10 @@ def main() -> None:
             parser.error(f"--kappa: {exc}")
 
     print(f"{'closed':<14} {'dark':<6} {'n_f_1':>10} {'n_f_2':>10}")
-    for row in summary.rows:
-        label, _, dark, _, _, _, n1, n2 = row
-        print(f"{label:<14} {str(dark):<6} {n1:>10.4f} {n2:>10.4f}")
-    dark_count = sum(1 for row in summary.rows if row[2])
+    rows = [dict(zip(summary.columns, row)) for row in summary.rows]
+    for r in rows:
+        print(f"{r['closed_channels']:<14} {str(r['dark']):<6} {r['n_f_1']:>10.4f} {r['n_f_2']:>10.4f}")
+    dark_count = sum(1 for r in rows if r["dark"])
     print(f"\n{dark_count} dark / {len(summary.rows) - dark_count} broken")
 
     outdir = Path(args.outdir)

@@ -1,11 +1,11 @@
 """Analytical dark-mode machinery: the two-resonator dark-mode existence
-and breaking conditions, and the network4 channel taxonomy's
-configurations."""
+and breaking conditions, the report of them that tables write (its
+columns, cells and the slots it reads), and the network4 channel
+taxonomy's configurations."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,19 +13,16 @@ from .errors import ConfigError
 from .model import Model, coupling_matrix
 
 EPS_DARK = 1e-10
+# the dark-mode report's columns, in the order every table writes them
+DARK_COLUMNS = ("dark", "zeta_residual", "gs_minus_residual")
+# the Model slots the report reads: a point that writes one needs its own
+DARK_SLOTS = frozenset({"frequency", "strength"})
 
 # Names of the four optional coupling channels of the network-coupled
 # four-mode system (the two intermediate-cavity couplings stay open).
 CHANNELS = ("J", "eta", "Gs1", "Gs2")
 # Closed-channel subset sizes of the 14 taxonomy configurations.
 TAXONOMY_SIZES = (1, 2, 3)
-
-
-@dataclass(frozen=True)
-class DarkModeReport:
-    dark_present: bool
-    zeta_residual: float
-    gs_minus_residual: float
 
 
 def _inapplicable(model: Model) -> str:
@@ -40,14 +37,26 @@ def _inapplicable(model: Model) -> str:
     return ""
 
 
-def dark_mode_applies(model: Model) -> bool:
-    """Whether dark_mode_condition applies: two mechanical modes and at most
-    two cavities on an n_type or network4 topology."""
-    return not _inapplicable(model)
+def dark_columns(model: Model) -> tuple[str, ...]:
+    """The dark-mode columns of a table of ``model``: DARK_COLUMNS where
+    dark_mode_condition applies (two mechanical modes and at most two
+    cavities on an n_type or network4 topology), else none."""
+    return () if _inapplicable(model) else DARK_COLUMNS
 
 
-def dark_mode_condition(model: Model) -> DarkModeReport:
-    """Evaluate the algebraic dark-mode conditions of a two-mechanical model
+def dark_cells(model: Model) -> dict:
+    """The dark-mode cells of a point: none where the analysis does not
+    apply, nor where it refuses the point (complex strengths, or cavity c0
+    uncoupled), which leaves the point's dark-mode columns empty."""
+    try:
+        return dark_mode_condition(model) if dark_columns(model) else {}
+    except ConfigError:
+        return {}
+
+
+def dark_mode_condition(model: Model) -> dict:
+    """The DARK_COLUMNS cells of the dark-mode conditions of a two-mechanical
+    model, "dark" and the residuals of zeta and Gs-:
 
         zeta = ((omega1 - omega2) G1 G2 + eta (G2^2 - G1^2)) / G+^2 = 0
         Gs-  = (Gs1 G2 - Gs2 G1) / G+ = 0,   G+ = sqrt(G1^2 + G2^2)
@@ -79,11 +88,8 @@ def dark_mode_condition(model: Model) -> DarkModeReport:
     tol = EPS_DARK * max(1.0, gp)
     zeta_res = abs(((omega1 - omega2) * G1 * G2 + eta * (G2 * G2 - G1 * G1)) / gp2)
     gs_res = abs((Gs1 * G2 - Gs2 * G1) / gp)
-    return DarkModeReport(
-        dark_present=zeta_res < tol and gs_res < tol,
-        zeta_residual=zeta_res,
-        gs_minus_residual=gs_res,
-    )
+    return {"dark": zeta_res < tol and gs_res < tol,
+            "zeta_residual": zeta_res, "gs_minus_residual": gs_res}
 
 
 def closed_channel_variants(

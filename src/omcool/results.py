@@ -26,10 +26,6 @@ class ResultTable:
     rows: Iterable[list]
     metadata: dict[str, str] = field(default_factory=dict)
 
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
 
 def _format_value(value) -> str:
     if value is None:
@@ -156,18 +152,15 @@ def _svg_open(title: str) -> list[str]:
 
 
 def _heatmap_svg(table: ResultTable, ax1: str, ax2: str) -> str:
-    out_cols = [c for c in table.columns
-                if c not in (ax1, ax2) and _numeric(table.column(c))]
+    cells = dict(zip(table.columns, zip(*table.rows)))  # each column's cells
+    out_cols = [c for c in table.columns if c not in (ax1, ax2) and _numeric(cells[c])]
     if not out_cols:
         raise SolverError("no numeric output column to render")
     out = out_cols[0]
-    xs = sorted(set(_numeric(table.column(ax1))))
-    ys = sorted(set(_numeric(table.column(ax2))))
-    values = {}
-    i1, i2, io_ = table.columns.index(ax1), table.columns.index(ax2), table.columns.index(out)
-    for row in table.rows:
-        if isinstance(row[io_], (int, float)) and not isinstance(row[io_], bool):
-            values[(float(row[i1]), float(row[i2]))] = float(row[io_])
+    xs = sorted(set(_numeric(cells[ax1])))
+    ys = sorted(set(_numeric(cells[ax2])))
+    values = {(float(x), float(y)): float(v) for x, y, v in zip(cells[ax1], cells[ax2], cells[out])
+              if isinstance(v, (int, float)) and not isinstance(v, bool)}
     finite = [v for v in values.values() if math.isfinite(v)]
     if not finite:
         raise SolverError("no finite values to render")
@@ -182,14 +175,16 @@ def _heatmap_svg(table: ResultTable, ax1: str, ax2: str) -> str:
     plot_h = _HEIGHT - 2 * _MARGIN
     cw = plot_w / len(xs)
     ch = plot_h / len(ys)
+    x_pos = {x: i for i, x in enumerate(xs)}
+    y_pos = {y: j for j, y in enumerate(ys)}
     parts = _svg_open(f"{out} over {ax1} x {ax2}" + (" (log color)" if log_scale else ""))
     for (x, y), v in sorted(values.items()):
         if not math.isfinite(v):
             continue
         vv = math.log10(v) if log_scale and v > 0 else (lo if log_scale else v)
         t = (vv - lo) / span
-        px = _MARGIN + xs.index(x) * cw
-        py = _HEIGHT - _MARGIN - (ys.index(y) + 1) * ch
+        px = _MARGIN + x_pos[x] * cw
+        py = _HEIGHT - _MARGIN - (y_pos[y] + 1) * ch
         parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" '
                      f'height="{ch + 0.5:.2f}" fill="{_ramp_color(t)}"/>')
     parts.extend(_axis_labels(ax1, ax2, xs[0], xs[-1], ys[0], ys[-1]))
@@ -202,7 +197,8 @@ def _heatmap_svg(table: ResultTable, ax1: str, ax2: str) -> str:
 def _line_svg(table: ResultTable, ax: str) -> str:
     if ax not in table.columns:
         raise SolverError(f"axis column {ax!r} missing from table")
-    out_cols = [c for c in table.columns if c != ax and _numeric(table.column(c))]
+    cells = dict(zip(table.columns, zip(*table.rows)))  # each column's cells
+    out_cols = [c for c in table.columns if c != ax and _numeric(cells[c])]
     if not out_cols:
         raise SolverError("no numeric output column to render")
     # a series draws one line per run of rows with the same label columns,

@@ -3,6 +3,8 @@ and atomic ratio grids, all producing ResultTables."""
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from collections.abc import Sequence
@@ -13,12 +15,7 @@ import numpy as np
 from . import __version__
 from .atomic import four_level_eigensystem, three_level_eigensystem
 from .config_io import axis_slot, config_hash
-from .darkmode import (
-    TAXONOMY_SIZES,
-    closed_channel_variants,
-    dark_mode_applies,
-    dark_mode_condition,
-)
+from .darkmode import DARK_SLOTS, TAXONOMY_SIZES, closed_channel_variants, dark_cells, dark_columns
 from .errors import ConfigError, OmcoolError
 from .lyapunov import phonon_numbers, solve_lyapunov, stability
 from .model import (
@@ -87,7 +84,7 @@ class PointPlan:
     """The parts of a run's point solves that no point changes, made once
     per run by point_plan.  A point is the run's model with its values
     written into ``slots``.  ``drift`` and ``noise`` assemble the point's A
-    and Q, and ``dark`` holds its dark-mode columns ({} where there are
+    and Q, and ``dark`` holds its dark-mode cells ({} where there are
     none); each is None where it is made per point from the written model
     instead."""
 
@@ -101,8 +98,8 @@ def point_plan(model: Model, slots) -> PointPlan:
     """The plan of the points that write ``slots`` of ``model``.  What is
     made per point: the drift of a physical-mode model, whose linearisation
     is not affine in any slot; the noise under a thermal-occupation slot,
-    which gamma (2 nbar + 1) reads with an offset; and the dark-mode columns
-    under a frequency or strength slot, the only slots they read."""
+    which gamma (2 nbar + 1) reads with an offset; and the dark-mode cells
+    under a slot of DARK_SLOTS, the only slots they read."""
     slots = tuple(slots)
     names = {name for name, _ in slots}
     return PointPlan(
@@ -110,24 +107,8 @@ def point_plan(model: Model, slots) -> PointPlan:
         drift=(None if model.parameter_mode == "physical"
                else assembly(build_drift_matrix, model, slots)),
         noise=None if "nbar" in names else assembly(build_noise_matrix, model, slots),
-        dark=None if names & {"frequency", "strength"} else _dark_columns(model),
+        dark=None if names & DARK_SLOTS else dark_cells(model),
     )
-
-
-# the dark-mode report's columns, in the order every table writes them
-DARK_COLUMNS = ("dark", "zeta_residual", "gs_minus_residual")
-
-
-def _dark_columns(model: Model) -> dict:
-    """The dark-mode columns of a point: none where the two-mode analysis
-    does not apply or rejects the couplings (complex strengths)."""
-    if not dark_mode_applies(model):
-        return {}
-    try:
-        dm = dark_mode_condition(model)
-    except ConfigError:
-        return {}
-    return dict(zip(DARK_COLUMNS, (dm.dark_present, dm.zeta_residual, dm.gs_minus_residual)))
 
 
 def solve_record(model: Model, plan: PointPlan, point=()) -> dict:
@@ -158,7 +139,7 @@ def solve_record(model: Model, plan: PointPlan, point=()) -> dict:
         n_f, n_c = phonons.mechanical, phonons.cavity
     record.update({f"n_f_{l + 1}": n for l, n in enumerate(n_f)})
     record.update({f"n_c_{c + 1}": n for c, n in enumerate(n_c)})
-    record.update(_dark_columns(written) if plan.dark is None else plan.dark)
+    record.update(dark_cells(written) if plan.dark is None else plan.dark)
     return record
 
 
@@ -166,8 +147,7 @@ def _record_columns(model: Model) -> list[str]:
     cols = ["stable", "max_real_part"]
     cols += [f"n_f_{l + 1}" for l in range(model.n_mechanicals)]
     cols += [f"n_c_{c + 1}" for c in range(model.n_cavities)]
-    if dark_mode_applies(model):
-        cols += DARK_COLUMNS
+    cols += dark_columns(model)
     return cols
 
 
@@ -209,15 +189,21 @@ def _grid_rows(variants, base: Model, axes, head, out_cols,
     return ResultTable(columns=[*head, *out_cols], rows=rows, metadata=metadata)
 
 
+# the most points of a pooled chunk, so the rows in flight do not grow with the grid
+_MAX_CHUNK = 1000
+
+
 def _solved_rows(variants, slots, axis_values, out_cols, parallelism: int):
-    """The rows of _grid_rows.  A chunk is one point serially, or a quarter
-    of a worker's share of the grid in a pool made at the first read."""
+    """The rows of _grid_rows.  A chunk is one point serially; in a pool made
+    at the first read, it is a quarter of a worker's share of the grid, at
+    most _MAX_CHUNK points, and each worker has at most two chunks in
+    flight, so memory stays flat in the grid size at every parallelism."""
     if parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
 
         executor = ProcessPoolExecutor(max_workers=parallelism)
-        size = max(1, math.prod(map(len, axis_values)) // (parallelism * 4))
-        run = executor.map
+        size = min(_MAX_CHUNK, max(1, math.prod(map(len, axis_values)) // (parallelism * 4)))
+        run = functools.partial(_windowed_map, executor, 2 * parallelism)
     else:
         executor, size, run = None, 1, map
     try:
@@ -226,14 +212,26 @@ def _solved_rows(variants, slots, axis_values, out_cols, parallelism: int):
             points = itertools.product(*axis_values)
             # a task is a chunk, which sends the model and plan once for its points
             chunks = iter(lambda: list(itertools.islice(points, size)), [])
-            for rows, error in run(_solve_points, itertools.repeat(model),
-                                   itertools.repeat(plan), itertools.repeat(out_cols), chunks):
+            solve = functools.partial(_solve_points, model, plan, out_cols)
+            for rows, error in run(solve, chunks):
                 yield from ([*labels, *row] for row in rows)
                 if error is not None:
                     raise error
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
+
+
+def _windowed_map(executor, window: int, fn, items):
+    """executor.map(fn, items), in order, with at most ``window`` items
+    submitted and not yet read, where executor.map submits them all at once."""
+    pending = collections.deque()
+    for item in items:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(executor.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 def run_solve(model: Model) -> ResultTable:
@@ -246,8 +244,8 @@ def run_sweep(base: Model, axes: Sequence[SweepAxis], outputs: Sequence[str] = (
     ``outputs`` columns (default: every record column).  The run's
     point_plan is made once: an effective-mode point's A and Q are the
     plan's base plus its axis values times unit-slot steps, and the
-    dark-mode columns come once per run unless an axis writes a frequency
-    or strength."""
+    dark-mode cells come once per run unless an axis writes a slot they
+    read."""
     if not 1 <= len(axes) <= 2:
         raise ConfigError("a sweep needs one or two axes")
     paths = [axis.path for axis in axes]
@@ -271,7 +269,7 @@ def run_taxonomy(base: Model, kappa: SweepAxis | None = None,
         decay = float(base.decay[0])
         kappa = SweepAxis("cavities.0.decay", decay, decay, 1)
     return _grid_rows(variants, base, (kappa,), ["closed_channels", "kappa"],
-                      [*DARK_COLUMNS, "stable", "n_f_1", "n_f_2"])
+                      [*dark_columns(base), "stable", "n_f_1", "n_f_2"])
 
 
 def run_atomic(levels: int, ratio: SweepAxis) -> ResultTable:

@@ -136,8 +136,8 @@ def test_criterion_6_hybrid_and_chain_identities():
         report = dark_mode_condition(model)
         T = np.array([[G1, G2], [G2, -G1]]) / np.hypot(G1, G2)
         H_m = np.diag(model.frequency) + coupling_matrix(model)[2:, 2:].real  # 2 cavities
-        assert abs(report.zeta_residual - abs((T @ H_m @ T.T)[0, 1])) < 1e-12
-        assert abs(report.gs_minus_residual - abs((T @ [Gs1, Gs2])[1])) < 1e-12
+        assert abs(report["zeta_residual"] - abs((T @ H_m @ T.T)[0, 1])) < 1e-12
+        assert abs(report["gs_minus_residual"] - abs((T @ [Gs1, Gs2])[1])) < 1e-12
     for N in range(2, 51):
         l = np.arange(1, N + 1)
         for k in range(2, N + 1, 2):

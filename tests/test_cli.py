@@ -285,7 +285,7 @@ def test_unstable_points_flagged_not_dropped():
                       ["stable", "n_f_1"])
     table.rows = list(table.rows)
     assert len(table.rows) == 4
-    stables = table.column("stable")
+    stables = [row[table.columns.index("stable")] for row in table.rows]
     assert False in stables
     for row in table.rows:
         if row[table.columns.index("stable")] is False:
@@ -448,6 +448,36 @@ def test_cli_non_finite_exit_code(tmp_path, capsys):
             assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("edit, axis, code, message", [
+    (lambda doc: doc["cavities"][0].update(decay="fast"), None, 2,
+     "cavities[0].decay: expected a number, got 'fast'"),
+    (lambda doc: doc["edges"][0].update(strength=[0.05, 0.0, 1.0]), None, 2,
+     "edges[0].strength: expected a number or [re, im] pair, got [0.05, 0.0, 1.0]"),
+    (lambda doc: doc["mechanicals"].__setitem__(0, 1.0), None, 2,
+     "mechanicals[0]: expected an object"),
+    (lambda doc: doc.update(edges={}), None, 2, "edges: expected a list"),
+    (lambda doc: doc["edges"][0].update(endpoints=["c0", "m0", "m1"]), None, 2,
+     "edges[0].endpoints: expected a pair of mode ids"),
+    (lambda doc: doc.update(parameter_mode="linear"), None, 3,
+     "unknown parameter_mode 'linear'"),
+    (lambda doc: doc.update(topology="ring"), None, 3, "unknown topology 'ring'"),
+    (lambda doc: doc["edges"][0].update(kind="tunnel"), None, 3, "unknown edge kind 'tunnel'"),
+    (lambda doc: None, "bogus.0.decay:0:1:2", 3,
+     "bad parameter path 'bogus.0.decay': unknown section 'bogus'"),
+], ids=["non-number-field", "bad-complex-pair", "item-not-object", "section-not-list",
+        "endpoints-not-pair", "unknown-parameter-mode", "unknown-topology",
+        "unknown-edge-kind", "unknown-axis-section"])
+def test_cli_config_rejection_exit_code_and_message(tmp_path, capsys, edit, axis, code, message):
+    # through solve, or through sweep given an axis
+    doc = config_to_dict(n_type_config())
+    edit(doc)
+    argv = ["solve", "--config", _write_config(tmp_path, doc)]
+    if axis is not None:
+        argv = ["sweep", *argv[1:], "--axis", axis]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_sweep_and_emit(tmp_path):
     cfg_path = _write_config(tmp_path, n_type_config())
     out_csv = str(tmp_path / "sweep.csv")
@@ -526,7 +556,8 @@ def test_cli_sweep_solver_failure_keeps_partial_table(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
                  "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
-    assert read_csv(out).column("cavities.0.drive_amplitude") == [60.0]
+    table = read_csv(out)
+    assert [row[table.columns.index("cavities.0.drive_amplitude")] for row in table.rows] == [60.0]
 
 
 def test_cli_failed_sweep_streams_its_rows_to_stdout(tmp_path, capsys):
@@ -562,6 +593,27 @@ def test_run_rows_are_solved_as_they_are_read(monkeypatch):
     for k in range(1, 4):
         next(rows)
         assert len(solves) == k
+
+
+def test_pooled_rows_keep_two_chunks_per_worker_in_flight(monkeypatch):
+    # a quarter of a worker's share of 100 x 100 points is 1250, capped at
+    # 1000; the first row is read with four chunks submitted, not the grid
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = []
+    submit = ProcessPoolExecutor.submit
+
+    def counting(self, fn, *args):
+        chunks.append(len(args[-1]))
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
+    axes = [SweepAxis("cavities.0.decay", 0.05, 1.0, 100),
+            SweepAxis("cavities.0.detuning", 0.5, 1.5, 100)]
+    rows = run_sweep(n_type_config(), axes, ["stable"], parallelism=2).rows
+    next(rows)
+    assert chunks == [1000] * 4
+    rows.close()
 
 
 def test_cli_sweep_unwritable_output_solves_nothing(tmp_path, monkeypatch):
@@ -600,8 +652,9 @@ def test_cli_sweep_partial_table_independent_of_jobs(tmp_path, jobs):
                  "--axis", "cavities.0.drive_amplitude:60:3000:30", "--jobs", jobs]) == 5
     drives = SweepAxis("cavities.0.drive_amplitude", 60.0, 3000.0, 30).values()
     table = read_csv(out)
-    assert table.column("cavities.0.drive_amplitude") == drives[:4].tolist()
-    assert all(table.column("stable"))
+    rows = [dict(zip(table.columns, row)) for row in table.rows]
+    assert [row["cavities.0.drive_amplitude"] for row in rows] == drives[:4].tolist()
+    assert all(row["stable"] for row in rows)
 
 
 def test_cli_taxonomy(tmp_path, capsys):
@@ -764,7 +817,9 @@ def test_cli_taxonomy_non_finite_kappa_exit_code(tmp_path, kappa):
 def test_cli_range_value_may_start_with_minus(tmp_path, capsys):
     out = tmp_path / "atomic.csv"
     assert main(["atomic", "--levels", "3", "--ratio", "-3:3:7", "--out", str(out)]) == 0
-    assert read_csv(out).column("ratio") == [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    table = read_csv(out)
+    assert [row[table.columns.index("ratio")] for row in table.rows] == [
+        -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
     cfg_path = _write_config(tmp_path, network4_config())
     assert main(["taxonomy", "--config", cfg_path, "--kappa", "-1:1:3"]) == 3
     assert "decay must be >= 0" in capsys.readouterr().err

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omcool.config_io import config_from_dict, config_to_dict, edge_ids
-from omcool.darkmode import closed_channel_variants, dark_mode_condition
+from omcool.darkmode import (
+    DARK_COLUMNS,
+    closed_channel_variants,
+    dark_cells,
+    dark_columns,
+    dark_mode_condition,
+)
 from omcool.errors import ConfigError
 from omcool.lyapunov import solve_lyapunov
 from omcool.model import build_drift_matrix, build_noise_matrix, coupling_matrix
@@ -31,23 +37,23 @@ def _mechanical_block(model):
 def test_symmetric_reduction():
     # G1 = G2 and omega1 = omega2: zeta vanishes, Gs- = Gs1 / sqrt(2)
     report = dark_mode_condition(n_type_config(Gs1=0.08))
-    assert report.zeta_residual == pytest.approx(0.0, abs=1e-15)
-    assert report.gs_minus_residual == pytest.approx(0.08 / np.sqrt(2))
-    assert not report.dark_present
+    assert report["zeta_residual"] == pytest.approx(0.0, abs=1e-15)
+    assert report["gs_minus_residual"] == pytest.approx(0.08 / np.sqrt(2))
+    assert not report["dark"]
 
 
 def test_frequency_mismatch_mixing():
     report = dark_mode_condition(n_type_config(omega2=1.1, Gs1=0.0))
-    assert report.zeta_residual == pytest.approx(0.05)
-    assert report.gs_minus_residual == 0.0
-    assert not report.dark_present
+    assert report["zeta_residual"] == pytest.approx(0.05)
+    assert report["gs_minus_residual"] == 0.0
+    assert not report["dark"]
 
 
 def test_symmetric_network_defaults_dark():
     report = dark_mode_condition(network4_config())
-    assert report.zeta_residual == pytest.approx(0.0, abs=1e-15)
-    assert report.gs_minus_residual == pytest.approx(0.0, abs=1e-15)
-    assert report.dark_present
+    assert report["zeta_residual"] == pytest.approx(0.0, abs=1e-15)
+    assert report["gs_minus_residual"] == pytest.approx(0.0, abs=1e-15)
+    assert report["dark"]
 
 
 def test_zero_couplings_rejected():
@@ -62,6 +68,20 @@ def test_complex_couplings_rejected():
         dark_mode_condition(model)
 
 
+def test_report_cells_are_its_columns():
+    # the report is its columns' cells; a refused analysis keeps its columns
+    # and leaves their cells empty, and an inapplicable one has neither
+    model = network4_config()
+    assert tuple(dark_mode_condition(model)) == dark_columns(model) == DARK_COLUMNS
+    assert dark_cells(model) == dark_mode_condition(model)
+    for refused in (network4_config(G1=0.0, G2=0.0),
+                    model.write([("strength", 0)], [0.05 + 0.01j])):
+        assert dark_columns(refused) == DARK_COLUMNS
+        assert dark_cells(refused) == {}
+    assert dark_columns(chain_config(3)) == ()
+    assert dark_cells(chain_config(3)) == {}
+
+
 @settings(max_examples=100, deadline=None)
 @given(coupling, coupling, coupling, coupling, frequency, frequency, finite)
 def test_residuals_match_hybrid_rotation(G1, G2, Gs1, Gs2, omega1, omega2, eta):
@@ -74,8 +94,8 @@ def test_residuals_match_hybrid_rotation(G1, G2, Gs1, Gs2, omega1, omega2, eta):
     assert np.abs(T @ T.T - np.eye(2)).max() < 1e-14
     zeta = (T @ _mechanical_block(model) @ T.T)[0, 1]
     gs_minus = (T @ np.array([Gs1, Gs2]))[1]
-    assert report.zeta_residual == pytest.approx(abs(zeta), abs=1e-12)
-    assert report.gs_minus_residual == pytest.approx(abs(gs_minus), abs=1e-12)
+    assert report["zeta_residual"] == pytest.approx(abs(zeta), abs=1e-12)
+    assert report["gs_minus_residual"] == pytest.approx(abs(gs_minus), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -86,32 +106,32 @@ def test_proportional_couplings_dark():
     # add Gs2 with Gs1/Gs2 = G1/G2
     cfg = network4_config(G1=0.04, G2=0.08, Gs1=0.03, Gs2=0.06, J=0.0, eta=0.0)
     report = dark_mode_condition(cfg)
-    assert report.dark_present
+    assert report["dark"]
 
 
 def test_asymmetric_auxiliary_coupling_breaks():
     cfg = network4_config(Gs1=0.02, Gs2=0.08, J=0.0, eta=0.03)
     report = dark_mode_condition(cfg)
-    assert not report.dark_present
-    assert report.gs_minus_residual > 1e-10
-    assert report.zeta_residual < 1e-15
+    assert not report["dark"]
+    assert report["gs_minus_residual"] > 1e-10
+    assert report["zeta_residual"] < 1e-15
 
 
 def test_phonon_hop_with_unequal_couplings_breaks():
     cfg = network4_config(G1=0.04, G2=0.06, Gs1=0.0, Gs2=0.0, J=0.0, eta=0.03)
     report = dark_mode_condition(cfg)
-    assert not report.dark_present
-    assert report.zeta_residual > 1e-10
+    assert not report["dark"]
+    assert report["zeta_residual"] > 1e-10
 
 
 def test_photon_hop_never_enters():
     for J in (0.0, 0.03, 0.3):
         cfg = network4_config(Gs1=0.0, Gs2=0.0, J=J, eta=0.0)
-        assert dark_mode_condition(cfg).dark_present
+        assert dark_mode_condition(cfg)["dark"]
 
 
 def test_n_type_with_auxiliary_broken():
-    assert not dark_mode_condition(n_type_config()).dark_present
+    assert not dark_mode_condition(n_type_config())["dark"]
 
 
 def test_wrong_topology_rejected():
@@ -139,9 +159,8 @@ def _taxonomy(base):
     """(closed-channel set, dark flag) of each row of the taxonomy at the base
     decay rate, in row order."""
     table = run_taxonomy(base)
-    table.rows = list(table.rows)
-    return [(frozenset(label.split("+")), dark)
-            for label, dark in zip(table.column("closed_channels"), table.column("dark"))]
+    rows = [dict(zip(table.columns, row)) for row in table.rows]
+    return [(frozenset(row["closed_channels"].split("+")), row["dark"]) for row in rows]
 
 
 def test_taxonomy_enumerates_fourteen():
