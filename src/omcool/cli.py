@@ -5,13 +5,15 @@ Exit codes: 0 success, 2 parse error (including an unreadable --config or
 --in, or an --in with no header row or a record whose field count differs
 from the header's), 3 validation error (including --points below 1, --jobs
 below 1 on a sweep or any preset, run or dump, and a range with a
-non-finite bound, no point, or MIN >= MAX over more points than one), 4
-unstable system, 5 solver failure (or a failed write).
+non-finite bound, no point, or, over more points than one, MIN >= MAX or a
+MAX - MIN that is not finite), 4 unstable system, 5 solver failure (or a
+failed write).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -109,7 +111,12 @@ def _cmd_emit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The omcool parser, built at the first call and shared by every later
+    one in the process.  Sharing it is safe: each parse_args makes a fresh
+    Namespace, and --axis appends to a None default, so no parsed value is
+    kept between calls."""
     parser = argparse.ArgumentParser(
         prog="omcool",
         description="Steady-state cooling analysis for linearized optomechanical networks.",
@@ -165,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(attach_range_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (OmcoolError, OSError) as exc:

@@ -74,8 +74,9 @@ def solve_lyapunov(
     is returned only if its residual is within RESIDUAL_RTOL * max(1,
     ||Q||_max); a singular S or a failed residual (a defective or
     near-defective A) falls back to Bartels-Stewart on the Schur form, which
-    checks its own residual.  Q must be symmetric, as A V + V A^T always
-    is; the fallback refuses a Q that is not, before it solves.
+    checks its own residual.  A Q that is not finite raises a SolverError.
+    Q must be symmetric, as A V + V A^T always is; the fallback refuses a Q
+    that is not, before it solves.
     """
     a = np.asarray(A)
     q = np.asarray(Q)
@@ -88,7 +89,10 @@ def solve_lyapunov(
         raise UnstableSystemError(
             f"drift matrix is not stable (max Re eigenvalue = {report.max_real_part:g})"
         )
-    tol = RESIDUAL_RTOL * max(1.0, float(np.abs(q).max()))
+    q_max = float(np.abs(q).max())
+    if not np.isfinite(q_max):
+        raise SolverError("noise matrix contains non-finite entries")
+    tol = RESIDUAL_RTOL * max(1.0, q_max)
     lam, S = report.eigen
     # overflow or NaN from an ill-conditioned S fails the residual check and
     # falls back, rather than warning

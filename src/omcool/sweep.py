@@ -56,15 +56,17 @@ class SweepAxis:
 
     def values(self) -> np.ndarray:
         """The axis points, which start at min and end at max exactly; a
-        zero is +0.0.  The bounds must be finite, and min < max when there
-        is more than one point; the scale and its bounds are checked for
-        every point count, one point included."""
+        zero is +0.0.  The bounds must be finite, and min < max with a
+        finite max - min when there is more than one point; the scale and
+        its bounds are checked for every point count, one point included."""
         if self.points < 1:
             raise ConfigError(f"axis {self.path}: needs at least one point")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ConfigError(f"axis {self.path}: min and max must be finite")
         if self.points > 1 and self.lo >= self.hi:
             raise ConfigError(f"axis {self.path}: min must be < max")
+        if self.points > 1 and not math.isfinite(self.hi - self.lo):
+            raise ConfigError(f"axis {self.path}: max - min must be finite")
         if self.scale == "log" and self.lo <= 0:
             raise ConfigError(f"axis {self.path}: log scale needs min > 0")
         if self.scale not in ("linear", "log"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omcool.cli import main
+from omcool.cli import build_parser, main
 from omcool.config_io import (
     axis_slot,
     config_from_dict,
@@ -387,6 +387,32 @@ def test_cli_solve_success(tmp_path, capsys):
     assert "n_f_1" in out and "true" in out
 
 
+def test_cli_parser_shared_between_calls(tmp_path, capsys):
+    # every call in a process parses with one parser, and each keeps its
+    # own parsed values
+    build_parser.cache_clear()
+    cfg_path = _write_config(tmp_path, n_type_config())
+    two, one = tmp_path / "two.csv", tmp_path / "one.csv"
+    assert main(["sweep", "--config", cfg_path, "--out", str(two),
+                 "--axis", "cavities.0.decay:0.1:0.2:2",
+                 "--axis", "cavities.0.detuning:0.9:1.1:2"]) == 0
+    assert main(["sweep", "--config", cfg_path, "--out", str(one),
+                 "--axis", "cavities.0.detuning:0.9:1.1:3"]) == 0
+    assert read_csv(two).metadata["axes"] == "cavities.0.decay,cavities.0.detuning"
+    assert read_csv(one).metadata["axes"] == "cavities.0.detuning"
+    assert len(read_csv(one).rows) == 3
+    dump = tmp_path / "table1.json"
+    assert main(["preset", "table1", "--dump", "--out", str(dump)]) == 0
+    assert main(["preset", "table1", "--run", "--out", str(tmp_path / "table1.csv")]) == 0
+    assert json.loads(dump.read_text()) == get_preset("table1").document
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert main(["solve", "--config", cfg_path]) == 0
+    assert build_parser.cache_info().misses == 1
+
+
 def test_cli_solve_unstable_exit_code(tmp_path):
     doc = config_to_dict(n_type_config(gamma=0.0))
     doc["edges"] = []
@@ -642,6 +668,24 @@ def test_cli_solve_non_finite_amplitudes_exit_code(tmp_path, capsys, c0, message
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("axis, rows", [
+    (None, 0),
+    ("mechanicals.0.thermal_occupation:0:1e308:2", 1),
+    ("cavities.0.decay:0.1:0.2:2", 0),
+], ids=["solve", "nbar-sweep", "decay-sweep"])
+def test_cli_noise_matrix_overflow_exit_code(tmp_path, capsys, axis, rows):
+    # gamma (2 nbar + 1) overflows from finite fields at nbar = 1e308: the
+    # point is refused with no numpy warning, after the rows before it
+    doc = get_preset("table1").document
+    doc["mechanicals"][0]["thermal_occupation"] = 1e308
+    argv = ["--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "out.csv")]
+    argv = ["solve", *argv] if axis is None else ["sweep", *argv, "--axis", axis]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "error: noise matrix contains non-finite entries\n"
+    if rows:
+        assert len(read_csv(tmp_path / "out.csv").rows) == rows
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_sweep_partial_table_independent_of_jobs(tmp_path, jobs):
     # the amplitudes converge at the first four drives and not at the fifth;
@@ -823,6 +867,18 @@ def test_cli_range_value_may_start_with_minus(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, network4_config())
     assert main(["taxonomy", "--config", cfg_path, "--kappa", "-1:1:3"]) == 3
     assert "decay must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["atomic", "--levels", "3", "--ratio=-1e308:1e308:3"], "ratio"),
+    (["sweep", "--config", None, "--axis", "cavities.0.detuning:-1e308:1e308:3"],
+     "cavities.0.detuning"),
+], ids=["atomic", "sweep"])
+def test_cli_range_span_overflow_exit_code(tmp_path, capsys, argv, axis):
+    # finite bounds whose max - min overflows would give NaN and inf points
+    argv = [_write_config(tmp_path, network4_config()) if a is None else a for a in argv]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: axis {axis}: max - min must be finite\n"
 
 
 @pytest.mark.parametrize("jobs, argv", [
