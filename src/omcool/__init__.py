@@ -25,4 +25,4 @@ from .lyapunov import (  # noqa: F401
     stability,
 )
 from .darkmode import dark_mode_condition  # noqa: F401
-from .atomic import four_level_eigensystem, three_level_eigensystem  # noqa: F401
+from .atomic import level_eigensystem  # noqa: F401

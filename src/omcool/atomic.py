@@ -49,41 +49,26 @@ def _report(matrix: np.ndarray) -> AtomicEigenReport:
     )
 
 
-def three_level_matrix(xi: float, Omega2: float) -> np.ndarray:
-    """Resonant Lambda-system Hamiltonian in the basis {e, f, g},
-    xi = Omega1 / Omega2."""
-    return Omega2 * np.array([
-        [0.0, 1.0, xi],
-        [1.0, 0.0, 0.0],
-        [xi, 0.0, 0.0],
-    ])
+def level_matrix(levels: int, ratio: float) -> np.ndarray:
+    """Resonant Hamiltonian of the Lambda system (``levels`` 3, basis {e, f, g},
+    ratio xi = Omega1 / Omega2, Omega2 = 1) or of the N-type scheme (4, basis
+    {e, f, g, d}, Omega1 = Omega2 = Omega' = 1, ratio xi' = Omega3 / Omega')."""
+    if levels == 3:
+        return np.array([[0.0, 1.0, ratio],
+                         [1.0, 0.0, 0.0],
+                         [ratio, 0.0, 0.0]])
+    if levels == 4:
+        return np.array([[0.0, 1.0, 1.0, 0.0],
+                         [1.0, 0.0, 0.0, ratio],
+                         [1.0, 0.0, 0.0, 0.0],
+                         [0.0, ratio, 0.0, 0.0]])
+    raise ConfigError("levels must be 3 or 4")
 
 
-def four_level_matrix(xi_prime: float, Omega_prime: float) -> np.ndarray:
-    """Resonant four-level Hamiltonian in the basis {e, f, g, d} with
-    Omega1 = Omega2 = Omega' and xi' = Omega3 / Omega'."""
-    return Omega_prime * np.array([
-        [0.0, 1.0, 1.0, 0.0],
-        [1.0, 0.0, 0.0, xi_prime],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, xi_prime, 0.0, 0.0],
-    ])
-
-
-def three_level_eigensystem(xi: float, Omega2: float) -> AtomicEigenReport:
-    """Eigenvalues {0, +-Omega2 sqrt(1 + xi^2)} and eigenstates of the
-    resonant Lambda system.  The zero eigenstate has no excited-state
-    component for any xi: it is the dark state."""
-    if Omega2 <= 0:
-        raise ConfigError("Omega2 must be > 0")
-    return _report(three_level_matrix(xi, Omega2))
-
-
-def four_level_eigensystem(xi_prime: float, Omega_prime: float) -> AtomicEigenReport:
-    """Eigensystem of the resonant four-level scheme.  At xi' = 0 exactly two
-    eigenstates are dark; any xi' > 0 gives all four a nonzero excited-state
-    probability (the auxiliary level breaks the dark state)."""
-    if Omega_prime <= 0:
-        raise ConfigError("Omega_prime must be > 0")
-    return _report(four_level_matrix(xi_prime, Omega_prime))
-
+def level_eigensystem(levels: int, ratio: float) -> AtomicEigenReport:
+    """Eigensystem of level_matrix.  Three levels: eigenvalues
+    {0, +-sqrt(1 + xi^2)}, and the zero eigenstate has no excited-state
+    component for any xi: it is the dark state.  Four levels: at xi' = 0
+    exactly two eigenstates are dark; any xi' > 0 gives all four a nonzero
+    excited-state probability (the auxiliary level breaks the dark state)."""
+    return _report(level_matrix(levels, ratio))

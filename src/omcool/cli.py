@@ -6,8 +6,9 @@ Exit codes: 0 success, 2 parse error (including an unreadable --config or
 from the header's), 3 validation error (including --points below 1, --jobs
 below 1 on a sweep or any preset, run or dump, and a range with a
 non-finite bound, no point, or, over more points than one, MIN >= MAX or a
-MAX - MIN that is not finite), 4 unstable system, 5 solver failure (or a
-failed write).
+MAX - MIN that is not finite), 4 unstable system, 5 solver failure (also a
+failed write, a drift or noise matrix that overflows from finite fields,
+and an SVG of a table with no numeric axis column, such as a solve's).
 """
 
 from __future__ import annotations

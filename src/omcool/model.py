@@ -246,10 +246,8 @@ def build_noise_matrix(model: Model) -> np.ndarray:
     """Noise matrix Q = diag(D, D) of the (x, p) quadratures for Markovian
     baths: both quadratures of cavity c receive D = kappa_c (vacuum bath)
     and both of mechanical mode l receive D = gamma_l (2 nbar_l + 1), with
-    no cross-correlations.  gamma (2 nbar + 1) can overflow from finite
-    fields; the Q that results is not finite, and solve_lyapunov refuses it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = np.concatenate((model.decay, model.damping * (2.0 * model.nbar + 1.0)))
+    no cross-correlations."""
+    diag = np.concatenate((model.decay, model.damping * (2.0 * model.nbar + 1.0)))
     return np.diag(np.concatenate((diag, diag)))
 
 
@@ -295,8 +293,7 @@ def assembly(build: Callable[[Model], np.ndarray], model: Model, slots) -> Assem
         unit[k] = 1.0
         # an entry that overflowed in the build (inf - inf) gives a NaN step,
         # so every point's matrix is non-finite there, and refused as such
-        with np.errstate(invalid="ignore"):
-            diff = (build(model.write(slots, unit)) - base).reshape(-1)
+        diff = (build(model.write(slots, unit)) - base).reshape(-1)
         index = np.flatnonzero(diff)
         steps.append((index, diff[index]))
     return Assembly(base, tuple(steps))

@@ -124,8 +124,19 @@ def _ramp_color(t: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _numeric(values) -> list[float]:
-    return [float(v) for v in values if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    return [float(v) for v in values if _is_number(v)]
+
+
+def _check_axes(cells: dict, *axes: str) -> None:
+    """Refuse to draw against an axis column that holds no number."""
+    for ax in axes:
+        if not _numeric(cells[ax]):
+            raise SolverError(f"axis column {ax!r} has no numeric value to draw against")
 
 
 def _axis_columns(table: ResultTable) -> list[str]:
@@ -153,6 +164,7 @@ def _svg_open(title: str) -> list[str]:
 
 def _heatmap_svg(table: ResultTable, ax1: str, ax2: str) -> str:
     cells = dict(zip(table.columns, zip(*table.rows)))  # each column's cells
+    _check_axes(cells, ax1, ax2)
     out_cols = [c for c in table.columns if c not in (ax1, ax2) and _numeric(cells[c])]
     if not out_cols:
         raise SolverError("no numeric output column to render")
@@ -160,7 +172,7 @@ def _heatmap_svg(table: ResultTable, ax1: str, ax2: str) -> str:
     xs = sorted(set(_numeric(cells[ax1])))
     ys = sorted(set(_numeric(cells[ax2])))
     values = {(float(x), float(y)): float(v) for x, y, v in zip(cells[ax1], cells[ax2], cells[out])
-              if isinstance(v, (int, float)) and not isinstance(v, bool)}
+              if _is_number(x) and _is_number(y) and _is_number(v)}
     finite = [v for v in values.values() if math.isfinite(v)]
     if not finite:
         raise SolverError("no finite values to render")
@@ -198,6 +210,7 @@ def _line_svg(table: ResultTable, ax: str) -> str:
     if ax not in table.columns:
         raise SolverError(f"axis column {ax!r} missing from table")
     cells = dict(zip(table.columns, zip(*table.rows)))  # each column's cells
+    _check_axes(cells, ax)
     out_cols = [c for c in table.columns if c != ax and _numeric(cells[c])]
     if not out_cols:
         raise SolverError("no numeric output column to render")
@@ -208,8 +221,7 @@ def _line_svg(table: ResultTable, ax: str) -> str:
     for cname in out_cols:
         iv = table.columns.index(cname)
         pts = [(row[:ia], float(row[ia]), float(row[iv])) for row in table.rows
-               if isinstance(row[ia], (int, float)) and isinstance(row[iv], (int, float))
-               and not isinstance(row[iv], bool) and math.isfinite(float(row[iv]))]
+               if _is_number(row[ia]) and _is_number(row[iv]) and math.isfinite(float(row[iv]))]
         if pts:
             series[cname] = pts
     if not series:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .atomic import four_level_eigensystem, three_level_eigensystem
+from .atomic import level_eigensystem
 from .config_io import axis_slot, config_hash
 from .darkmode import DARK_SLOTS, TAXONOMY_SIZES, closed_channel_variants, dark_cells, dark_columns
 from .errors import ConfigError, OmcoolError
@@ -104,13 +104,14 @@ def point_plan(model: Model, slots) -> PointPlan:
     under a slot of DARK_SLOTS, the only slots they read."""
     slots = tuple(slots)
     names = {name for name, _ in slots}
-    return PointPlan(
-        slots=slots,
-        drift=(None if model.parameter_mode == "physical"
-               else assembly(build_drift_matrix, model, slots)),
-        noise=None if "nbar" in names else assembly(build_noise_matrix, model, slots),
-        dark=None if names & DARK_SLOTS else dark_cells(model),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _solve_points
+        return PointPlan(
+            slots=slots,
+            drift=(None if model.parameter_mode == "physical"
+                   else assembly(build_drift_matrix, model, slots)),
+            noise=None if "nbar" in names else assembly(build_noise_matrix, model, slots),
+            dark=None if names & DARK_SLOTS else dark_cells(model),
+        )
 
 
 def solve_record(model: Model, plan: PointPlan, point=()) -> dict:
@@ -157,12 +158,15 @@ def _solve_points(model: Model, plan: PointPlan, out_cols,
                   points) -> tuple[list[list], OmcoolError | None]:
     """Rows of the points, each its axis values and ``out_cols`` of their
     solve_record, up to the first point that raises an OmcoolError, returned
-    with that error (None when every point solved)."""
+    with that error (None when every point solved).  It and point_plan own
+    the solve path's overflow: a matrix that overflows from finite fields
+    fails the finiteness check of stability or solve_lyapunov, unwarned."""
     rows: list[list] = []
     try:
-        for point in points:
-            record = solve_record(model, plan, point)
-            rows.append([*point, *(record.get(c) for c in out_cols)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for point in points:
+                record = solve_record(model, plan, point)
+                rows.append([*point, *(record.get(c) for c in out_cols)])
     except OmcoolError as exc:
         return rows, exc
     return rows, None
@@ -243,18 +247,21 @@ def run_solve(model: Model) -> ResultTable:
 def run_sweep(base: Model, axes: Sequence[SweepAxis], outputs: Sequence[str] = (),
               parallelism: int = 1) -> ResultTable:
     """The grid of one or two ``axes`` over ``base``, row-major, with the
-    ``outputs`` columns (default: every record column).  The run's
-    point_plan is made once: an effective-mode point's A and Q are the
-    plan's base plus its axis values times unit-slot steps, and the
-    dark-mode cells come once per run unless an axis writes a slot they
-    read."""
+    ``outputs`` columns (default: every record column; a name that is not
+    one is refused).  The run's point_plan is made once: an effective-mode
+    point's A and Q are the plan's base plus its axis values times unit-slot
+    steps, and the dark-mode cells come once per run unless an axis writes a
+    slot they read."""
     if not 1 <= len(axes) <= 2:
         raise ConfigError("a sweep needs one or two axes")
     paths = [axis.path for axis in axes]
     if len(set(paths)) != len(paths):
         raise ConfigError(f"duplicate sweep axis {paths[0]!r}")
-    return _grid_rows([((), base)], base, axes, paths,
-                      list(outputs) or _record_columns(base), parallelism)
+    columns = _record_columns(base)
+    unknown = [name for name in outputs if name not in columns]
+    if unknown:
+        raise ConfigError(f"unknown sweep output {', '.join(map(repr, unknown))}")
+    return _grid_rows([((), base)], base, axes, paths, list(outputs) or columns, parallelism)
 
 
 def run_taxonomy(base: Model, kappa: SweepAxis | None = None,
@@ -277,16 +284,13 @@ def run_taxonomy(base: Model, kappa: SweepAxis | None = None,
 def run_atomic(levels: int, ratio: SweepAxis) -> ResultTable:
     """Eigenvalues and excited-state probabilities over the amplitude-ratio
     axis ``ratio`` for the three- or four-level system (unit reference
-    amplitude)."""
-    if levels not in (3, 4):
-        raise ConfigError("levels must be 3 or 4")
+    amplitude); another level count is refused at the first point."""
     columns = (["ratio"] + [f"lambda_{s + 1}" for s in range(levels)]
                + [f"p_e_{s + 1}" for s in range(levels)])
     table = ResultTable(columns=columns, rows=[],
                         metadata={"tool_version": __version__, "axes": "ratio",
                                   "levels": str(levels)})
-    eigensystem = three_level_eigensystem if levels == 3 else four_level_eigensystem
     for x in ratio.values().tolist():
-        rep = eigensystem(x, 1.0)
+        rep = level_eigensystem(levels, x)
         table.rows.append([x] + list(rep.eigenvalues) + list(rep.excited_probabilities))
     return table

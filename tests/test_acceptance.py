@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from omcool.atomic import four_level_eigensystem, four_level_matrix, three_level_eigensystem
+from omcool.atomic import level_eigensystem, level_matrix
 from omcool.config_io import config_from_dict, dump_config
 from omcool.darkmode import dark_mode_condition
 from omcool.lyapunov import integrate_covariance, phonon_numbers, solve_lyapunov
@@ -180,37 +180,39 @@ def test_criterion_7_chain_cooling():
                "the auxiliary cavity and hopping on, stay above 100 without them")
 
 
-def three_level_closed_form(xi, Omega2):
-    """Closed-form eigenvalues of the resonant Lambda system, ascending."""
-    r = Omega2 * np.sqrt(1.0 + xi * xi)
+def three_level_closed_form(xi):
+    """Closed-form eigenvalues {0, +-sqrt(1 + xi^2)} of the resonant Lambda
+    system at Omega2 = 1, ascending."""
+    r = np.sqrt(1.0 + xi * xi)
     return np.array([-r, 0.0, r])
 
 
-def four_level_closed_form(xi_prime, Omega_prime):
-    """Closed-form eigenvalues +-Omega' sqrt((2 + xi'^2 +- sqrt((2 + xi'^2)^2
-    - 4 xi'^2)) / 2), ascending."""
+def four_level_closed_form(xi_prime):
+    """Closed-form eigenvalues +-sqrt((2 + xi'^2 +- sqrt((2 + xi'^2)^2
+    - 4 xi'^2)) / 2) of the resonant four-level scheme at Omega' = 1,
+    ascending."""
     s = 2.0 + xi_prime * xi_prime
     root = np.sqrt(max(s * s - 4.0 * xi_prime * xi_prime, 0.0))
-    lam_outer = Omega_prime * np.sqrt((s + root) / 2.0)
-    lam_inner = Omega_prime * np.sqrt(max((s - root) / 2.0, 0.0))
+    lam_outer = np.sqrt((s + root) / 2.0)
+    lam_inner = np.sqrt(max((s - root) / 2.0, 0.0))
     return np.array([-lam_outer, -lam_inner, lam_inner, lam_outer])
 
 
 def test_criterion_8_atomic_eigenstructure():
     for xi in np.logspace(-3, 3, 61):
-        rep = three_level_eigensystem(float(xi), 1.0)
+        rep = level_eigensystem(3, float(xi))
         i0 = int(np.argmin(np.abs(rep.eigenvalues)))
         assert rep.excited_probabilities[i0] < 1e-12
         assert np.abs(np.sort(rep.eigenvalues)
-                      - three_level_closed_form(float(xi), 1.0)).max() < 1e-12
+                      - three_level_closed_form(float(xi))).max() < 1e-12
     rng = np.random.default_rng(8)
     for _ in range(100):
         xi = float(rng.uniform(0.0, 6.0))
-        numeric = np.linalg.eigvalsh(four_level_matrix(xi, 1.0))
-        assert np.abs(numeric - four_level_closed_form(xi, 1.0)).max() < 1e-10
-    assert len(four_level_eigensystem(0.0, 1.0).dark_states) == 2
+        numeric = np.linalg.eigvalsh(level_matrix(4, xi))
+        assert np.abs(numeric - four_level_closed_form(xi)).max() < 1e-10
+    assert len(level_eigensystem(4, 0.0).dark_states) == 2
     for xi in (1e-2, 0.5, 1.0, 5.0):
-        assert four_level_eigensystem(xi, 1.0).dark_states == ()
+        assert level_eigensystem(4, xi).dark_states == ()
     _report(8, "three-level dark state survives over xi in [1e-3, 1e3]; "
                "four-level closed forms verified; auxiliary level kills every "
                "dark state for xi' > 0")

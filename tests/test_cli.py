@@ -686,6 +686,25 @@ def test_cli_noise_matrix_overflow_exit_code(tmp_path, capsys, axis, rows):
         assert len(read_csv(tmp_path / "out.csv").rows) == rows
 
 
+@pytest.mark.parametrize("strength, axis, rows", [
+    (1e308, None, 0),
+    (None, "edges.0.strength:0:1e308:2", 1),
+], ids=["solve", "strength-sweep"])
+def test_cli_drift_matrix_overflow_exit_code(tmp_path, capsys, strength, axis, rows):
+    # the drift overflows from finite fields at edge 0's strength 1e308 (E + F
+    # in the build, x * coef in a sweep's assembled A): the point is refused
+    # with no numpy warning, after the rows before it
+    doc = get_preset("table1").document
+    if strength is not None:
+        doc["edges"][0]["strength"] = strength
+    argv = ["--config", _write_config(tmp_path, doc), "--out", str(tmp_path / "out.csv")]
+    argv = ["solve", *argv] if axis is None else ["sweep", *argv, "--axis", axis]
+    assert main(argv) == 5
+    assert capsys.readouterr().err == "error: drift matrix contains non-finite entries\n"
+    if rows:
+        assert len(read_csv(tmp_path / "out.csv").rows) == rows
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_sweep_partial_table_independent_of_jobs(tmp_path, jobs):
     # the amplitudes converge at the first four drives and not at the fifth;
@@ -921,6 +940,33 @@ def test_run_sweep_rejects_axis_count_and_repeats(paths, message):
     axes = [SweepAxis(path, 0.1, 0.2, 2) for path in paths]
     with pytest.raises(ConfigError, match=f"^{message}$"):
         run_sweep(n_type_config(), axes)
+
+
+def test_run_sweep_rejects_unknown_outputs():
+    # a name that is no record column would be a column of empty cells
+    axes = [SweepAxis("cavities.0.decay", 0.1, 0.2, 2)]
+    with pytest.raises(ConfigError, match="^unknown sweep output 'n_f_9', 'stabel'$"):
+        run_sweep(n_type_config(), axes, ["n_f_9", "stabel"])
+
+
+@pytest.mark.parametrize("route", ["preset", "solve", "emit"])
+def test_cli_svg_without_numeric_axis_exit_code(tmp_path, capsys, route):
+    # a solve table has no axis, so its first column, stable, would be drawn
+    # against; it holds bools, which are no numbers to the SVG: the chart is
+    # refused and no file is written
+    config = _write_config(tmp_path, get_preset("table1").document)
+    out = tmp_path / "out.svg"
+    if route == "preset":
+        argv = ["preset", "table1", "--run"]
+    elif route == "solve":
+        argv = ["solve", "--config", config]
+    else:
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "t.csv")]) == 0
+        argv = ["emit", "--in", str(tmp_path / "t.csv")]
+    assert main([*argv, "--format", "svg", "--out", str(out)]) == 5
+    assert capsys.readouterr().err == \
+        "error: axis column 'stable' has no numeric value to draw against\n"
+    assert not out.exists()
 
 
 def test_cli_emit_unreadable_input_exit_code(tmp_path, capsys):
