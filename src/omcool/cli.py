@@ -8,7 +8,8 @@ below 1 on a sweep or any preset, run or dump, and a range with a
 non-finite bound, no point, or, over more points than one, MIN >= MAX or a
 MAX - MIN that is not finite), 4 unstable system, 5 solver failure (also a
 failed write, a drift or noise matrix that overflows from finite fields,
-and an SVG of a table with no numeric axis column, such as a solve's).
+and an SVG of a table with no finite number in an axis column, such as a
+solve's).
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _cmd_preset(args) -> int:
         _write_text(json.dumps(preset.document, indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK
     table = preset.run(jobs)
-    table.metadata["preset"] = preset.name
+    table.metadata["preset"] = args.name
     _write_table(table, args.out, args.format)
     return EXIT_OK
 

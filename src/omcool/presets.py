@@ -81,22 +81,22 @@ def chain_config(N: int, Gs: float = 0.1, eta: float = 0.06) -> Model:
 
 @dataclass(frozen=True)
 class Preset:
-    """A figure or table of the paper.  ``document`` is the JSON object
-    ``preset --dump`` writes: the config, or the atomic grid of fig13a/b.
-    ``run(jobs)`` computes the table ``preset --run`` writes, over the ranges
-    and grid sizes its figure fixes; only the sweeps use ``jobs``."""
+    """A figure or table of the paper, named only by its ``_BUILDERS`` key.
+    ``document`` is the JSON object ``preset --dump`` writes: the config, or
+    the atomic grid of fig13a/b.  ``run(jobs)`` computes the table ``preset
+    --run`` writes, over the ranges and grid sizes its figure fixes; only the
+    sweeps use ``jobs``."""
 
-    name: str
     document: dict
     run: Callable[[int], ResultTable]
 
 
-def _preset(name: str, config: Model, run: Callable[[int], ResultTable]) -> Preset:
-    return Preset(name, config_to_dict(config), run)
+def _preset(config: Model, run: Callable[[int], ResultTable]) -> Preset:
+    return Preset(config_to_dict(config), run)
 
 
-def _sweep_preset(name, base, axes, outputs) -> Preset:
-    return _preset(name, base, lambda jobs: run_sweep(base, axes, outputs, jobs))
+def _sweep_preset(base, axes, outputs) -> Preset:
+    return _preset(base, lambda jobs: run_sweep(base, axes, outputs, jobs))
 
 
 def get_preset(name: str, points: int | None = None) -> Preset:
@@ -127,7 +127,7 @@ def _fig2(panel: str, pts: int) -> Preset:
         axes = (SweepAxis("cavities.1.detuning", 0.5, 1.5, pts),
                 SweepAxis("cavities.1.decay", 0.05, 1.0, pts))
     out = "n_f_1" if panel in "ac" else "n_f_2"
-    return _sweep_preset(f"fig2{panel}", base, axes, (out, "stable"))
+    return _sweep_preset(base, axes, (out, "stable"))
 
 
 def _fig3(panel: str, pts: int) -> Preset:
@@ -137,7 +137,7 @@ def _fig3(panel: str, pts: int) -> Preset:
     axes = (SweepAxis("mechanicals.1.frequency", 0.5, 1.5, pts),
             SweepAxis("cavities.0.decay", 0.05, 1.0, pts))
     out = "n_f_1" if panel in "ac" else "n_f_2"
-    return _sweep_preset(f"fig3{panel}", base, axes, (out, "stable"))
+    return _sweep_preset(base, axes, (out, "stable"))
 
 
 def _fig4(panel: str, pts: int) -> Preset:
@@ -147,7 +147,7 @@ def _fig4(panel: str, pts: int) -> Preset:
     axes = (SweepAxis("edges.2.strength", 0.0, 0.3, pts),
             SweepAxis("cavities.1.decay", 0.4, 1.2, 3))
     out = "n_f_1" if panel == "a" else "n_f_2"
-    return _sweep_preset(f"fig4{panel}", base, axes, (out, "stable"))
+    return _sweep_preset(base, axes, (out, "stable"))
 
 
 def _fig7(panel: str, pts: int) -> Preset:
@@ -155,8 +155,8 @@ def _fig7(panel: str, pts: int) -> Preset:
     channels, swept over the intermediate-cavity decay in [0.05, 1]."""
     sizes = {"a": (1,), "b": (1,), "c": (2,), "d": (2,), "e": (3,), "f": (3,)}[panel]
     base = network4_config()
-    return _preset(f"fig7{panel}", base,
-                   lambda jobs: run_taxonomy(base, SweepAxis("cavities.0.decay", 0.05, 1.0, pts), sizes))
+    kappa = SweepAxis("cavities.0.decay", 0.05, 1.0, pts)
+    return _preset(base, lambda jobs: run_taxonomy(base, kappa, sizes))
 
 
 def _fig8(panel: str, pts: int) -> Preset:
@@ -169,7 +169,7 @@ def _fig8(panel: str, pts: int) -> Preset:
     else:
         base = network4_config(Gs1=0.08, Gs2=0.08)
         axes = (SweepAxis("edges.3.strength", 0.0, 0.24, pts),)
-    return _sweep_preset(f"fig8{panel}", base, axes, ("n_f_1", "n_f_2", "stable", "dark"))
+    return _sweep_preset(base, axes, ("n_f_1", "n_f_2", "stable", "dark"))
 
 
 def _fig11(panel: str, pts: int) -> Preset:
@@ -182,7 +182,7 @@ def _fig11(panel: str, pts: int) -> Preset:
     else:
         axes = (SweepAxis("cavities.0.decay", 0.05, 1.0, pts),)
     outputs = tuple(f"n_f_{l + 1}" for l in range(N)) + ("stable",)
-    return _sweep_preset(f"fig11{panel}", base, axes, outputs)
+    return _sweep_preset(base, axes, outputs)
 
 
 def _fig13(panel: str, pts: int) -> Preset:
@@ -190,14 +190,13 @@ def _fig13(panel: str, pts: int) -> Preset:
     system vs amplitude ratio in [0, 3]."""
     levels = 3 if panel == "a" else 4
     grid = {"atomic": {"levels": levels, "ratio": [0.0, 3.0], "points": pts}}
-    return Preset(f"fig13{panel}", grid,
-                  lambda jobs: run_atomic(levels, SweepAxis("ratio", 0.0, 3.0, pts)))
+    return Preset(grid, lambda jobs: run_atomic(levels, SweepAxis("ratio", 0.0, 3.0, pts)))
 
 
 def _table1(pts: int) -> Preset:
     """Scaled electromechanical parameter set, single solve."""
     config = network4_config(J=0.03, eta=0.03)
-    return _preset("table1", config, lambda jobs: run_solve(config))
+    return _preset(config, lambda jobs: run_solve(config))
 
 
 _BUILDERS = {}

@@ -11,8 +11,9 @@ import csv
 import io
 import itertools
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+import sys
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, SolverError
@@ -110,6 +111,7 @@ def read_csv(path: str | Path) -> ResultTable:
 
 _WIDTH, _HEIGHT = 720, 520
 _MARGIN = 70
+_PLOT_W, _PLOT_H = _WIDTH - 2 * _MARGIN, _HEIGHT - 2 * _MARGIN
 
 # blue -> yellow anchor ramp; normalization is per-run min/max
 _RAMP = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)]
@@ -124,137 +126,121 @@ def _ramp_color(t: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _drawable(cell) -> bool:
+    """The one rule for every axis and output cell a chart draws: an int or
+    float, not a bool, that is finite as a float (no nan, no inf, and no int
+    beyond float range)."""
+    return isinstance(cell, (int, float)) and not isinstance(cell, bool) \
+        and abs(cell) <= sys.float_info.max
 
 
-def _numeric(values) -> list[float]:
-    return [float(v) for v in values if _is_number(v)]
-
-
-def _check_axes(cells: dict, *axes: str) -> None:
-    """Refuse to draw against an axis column that holds no number."""
-    for ax in axes:
-        if not _numeric(cells[ax]):
-            raise SolverError(f"axis column {ax!r} has no numeric value to draw against")
-
-
-def _axis_columns(table: ResultTable) -> list[str]:
-    return [n for n in table.metadata.get("axes", "").split(",") if n] or table.columns[:1]
+def _scale(values: list[float]) -> tuple[bool, Callable[[float], float]]:
+    """(log, unit) for the heatmap's colours and the line chart's y axis:
+    log is true when every value is positive and they span more than two
+    decades; unit maps a value to [0, 1] between their min and max on that
+    scale (to 0 when they are all equal)."""
+    log = min(values) > 0 and max(values) / min(values) > 100
+    scaled = math.log10 if log else float
+    lo = scaled(min(values))
+    span = (scaled(max(values)) - lo) or 1.0
+    return log, lambda v: (scaled(v) - lo) / span
 
 
 def table_to_svg(table: ResultTable) -> str:
-    table = replace(table, rows=list(table.rows))  # all read before any is drawn
-    if not table.rows:
+    """A heatmap when the first two metadata axes are both columns, else a
+    line chart over the first axis.  Raises SolverError for an empty table,
+    an axis column that is missing or has no drawable cell, no output column
+    with a drawable cell, or no point with every cell it needs drawable."""
+    rows = list(table.rows)  # all read before any is drawn
+    if not rows:
         raise SolverError("cannot render an empty table")
-    axes = _axis_columns(table)
-    if len(axes) >= 2 and axes[0] in table.columns and axes[1] in table.columns:
-        return _heatmap_svg(table, axes[0], axes[1])
-    return _line_svg(table, axes[0])
-
-
-def _svg_open(title: str) -> list[str]:
-    return [
+    axes = [n for n in table.metadata.get("axes", "").split(",") if n] or table.columns[:1]
+    axes = axes[:2] if len(axes) >= 2 and set(axes[:2]) <= set(table.columns) else axes[:1]
+    cells = dict(zip(table.columns, zip(*rows)))  # each column's cells
+    for ax in axes:
+        if ax not in cells:
+            raise SolverError(f"axis column {ax!r} missing from table")
+        if not any(map(_drawable, cells[ax])):
+            raise SolverError(f"axis column {ax!r} has no numeric value to draw against")
+    outputs = [c for c in table.columns if c not in axes and any(map(_drawable, cells[c]))]
+    if not outputs:
+        raise SolverError("no numeric output column to render")
+    if len(axes) == 2:
+        title, body = _heatmap_svg(cells, *axes, outputs[0])
+    else:
+        title, body = _line_svg(table.columns, rows, axes[0], outputs)
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
-    ]
+        *body, "</svg>"]) + "\n"
 
 
-def _heatmap_svg(table: ResultTable, ax1: str, ax2: str) -> str:
-    cells = dict(zip(table.columns, zip(*table.rows)))  # each column's cells
-    _check_axes(cells, ax1, ax2)
-    out_cols = [c for c in table.columns if c not in (ax1, ax2) and _numeric(cells[c])]
-    if not out_cols:
-        raise SolverError("no numeric output column to render")
-    out = out_cols[0]
-    xs = sorted(set(_numeric(cells[ax1])))
-    ys = sorted(set(_numeric(cells[ax2])))
+def _heatmap_svg(cells: dict, ax1: str, ax2: str, out: str) -> tuple[str, list[str]]:
+    """The title and elements of ``out`` over the ax1 x ax2 grid: one cell
+    per point whose three cells are drawable."""
+    xs = sorted({float(x) for x in cells[ax1] if _drawable(x)})
+    ys = sorted({float(y) for y in cells[ax2] if _drawable(y)})
     values = {(float(x), float(y)): float(v) for x, y, v in zip(cells[ax1], cells[ax2], cells[out])
-              if _is_number(x) and _is_number(y) and _is_number(v)}
-    finite = [v for v in values.values() if math.isfinite(v)]
-    if not finite:
+              if _drawable(x) and _drawable(y) and _drawable(v)}
+    if not values:
         raise SolverError("no finite values to render")
-    positive = [v for v in finite if v > 0]
-    log_scale = bool(positive) and min(positive) > 0 and len(positive) == len(finite) \
-        and max(positive) / min(positive) > 100
-    lo = math.log10(min(finite)) if log_scale else min(finite)
-    hi = math.log10(max(finite)) if log_scale else max(finite)
-    span = (hi - lo) or 1.0
-
-    plot_w = _WIDTH - 2 * _MARGIN
-    plot_h = _HEIGHT - 2 * _MARGIN
-    cw = plot_w / len(xs)
-    ch = plot_h / len(ys)
+    finite = list(values.values())
+    log_scale, unit = _scale(finite)
+    cw = _PLOT_W / len(xs)
+    ch = _PLOT_H / len(ys)
     x_pos = {x: i for i, x in enumerate(xs)}
     y_pos = {y: j for j, y in enumerate(ys)}
-    parts = _svg_open(f"{out} over {ax1} x {ax2}" + (" (log color)" if log_scale else ""))
+    parts = []
     for (x, y), v in sorted(values.items()):
-        if not math.isfinite(v):
-            continue
-        vv = math.log10(v) if log_scale and v > 0 else (lo if log_scale else v)
-        t = (vv - lo) / span
         px = _MARGIN + x_pos[x] * cw
         py = _HEIGHT - _MARGIN - (y_pos[y] + 1) * ch
         parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" '
-                     f'height="{ch + 0.5:.2f}" fill="{_ramp_color(t)}"/>')
+                     f'height="{ch + 0.5:.2f}" fill="{_ramp_color(unit(v))}"/>')
     parts.extend(_axis_labels(ax1, ax2, xs[0], xs[-1], ys[0], ys[-1]))
     parts.append(f'<text x="{_WIDTH - _MARGIN}" y="{_MARGIN - 12}" text-anchor="end" '
                  f'font-size="12">min={min(finite):.4g} max={max(finite):.4g}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return f"{out} over {ax1} x {ax2}" + (" (log color)" if log_scale else ""), parts
 
 
-def _line_svg(table: ResultTable, ax: str) -> str:
-    if ax not in table.columns:
-        raise SolverError(f"axis column {ax!r} missing from table")
-    cells = dict(zip(table.columns, zip(*table.rows)))  # each column's cells
-    _check_axes(cells, ax)
-    out_cols = [c for c in table.columns if c != ax and _numeric(cells[c])]
-    if not out_cols:
-        raise SolverError("no numeric output column to render")
+def _line_svg(columns: list[str], rows: list[list], ax: str,
+              outputs: list[str]) -> tuple[str, list[str]]:
+    """The title and elements of each output column against ``ax``, drawn
+    through the rows whose axis and output cells are drawable."""
     # a series draws one line per run of rows with the same label columns,
     # those before the axis (a taxonomy's configuration)
-    ia = table.columns.index(ax)
+    ia = columns.index(ax)
     series = {}
-    for cname in out_cols:
-        iv = table.columns.index(cname)
-        pts = [(row[:ia], float(row[ia]), float(row[iv])) for row in table.rows
-               if _is_number(row[ia]) and _is_number(row[iv]) and math.isfinite(float(row[iv]))]
+    for cname in outputs:
+        iv = columns.index(cname)
+        pts = [(row[:ia], float(row[ia]), float(row[iv])) for row in rows
+               if _drawable(row[ia]) and _drawable(row[iv])]
         if pts:
             series[cname] = pts
     if not series:
         raise SolverError("no finite values to render")
     all_y = [p[2] for pts in series.values() for p in pts]
     all_x = [p[1] for pts in series.values() for p in pts]
-    log_scale = min(all_y) > 0 and max(all_y) / min(all_y) > 100
-    ys = [math.log10(y) for y in all_y] if log_scale else all_y
+    log_scale, unit = _scale(all_y)
     x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    plot_w = _WIDTH - 2 * _MARGIN
-    plot_h = _HEIGHT - 2 * _MARGIN
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    parts = _svg_open(", ".join(series) + f" vs {ax}" + (" (log y)" if log_scale else ""))
+    parts = []
     for k, (cname, pts) in enumerate(series.items()):
         color = colors[k % len(colors)]
         for _, line in itertools.groupby(pts, key=lambda p: p[0]):
             coords = []
             for _, x, y in line:
-                yy = math.log10(y) if log_scale else y
-                px = _MARGIN + (x - x_lo) / x_span * plot_w
-                py = _HEIGHT - _MARGIN - (yy - y_lo) / y_span * plot_h
+                px = _MARGIN + (x - x_lo) / x_span * _PLOT_W
+                py = _HEIGHT - _MARGIN - unit(y) * _PLOT_H
                 coords.append(f"{px:.2f},{py:.2f}")
             parts.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_WIDTH - _MARGIN}" y="{_MARGIN + 16 * k}" text-anchor="end" '
                      f'font-size="12" fill="{color}">{cname}</text>')
     parts.extend(_axis_labels(ax, "", x_lo, x_hi, min(all_y), max(all_y)))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return ", ".join(series) + f" vs {ax}" + (" (log y)" if log_scale else ""), parts
 
 
 def _axis_labels(xname, yname, x_lo, x_hi, y_lo, y_hi) -> list[str]:

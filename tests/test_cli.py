@@ -212,6 +212,67 @@ def test_empty_table_svg_rejected():
         table_to_svg(ResultTable(columns=["x"], rows=[]))
 
 
+def _emit_svg(tmp_path, capsys, text):
+    """emit --format svg of the CSV ``text``: the exit code, the stderr, and
+    the SVG written (None when no file was written)."""
+    source, out = tmp_path / "t.csv", tmp_path / "t.svg"
+    out.unlink(missing_ok=True)
+    source.write_text(text)
+    code = main(["emit", "--in", str(source), "--format", "svg", "--out", str(out)])
+    return code, capsys.readouterr().err, out.read_text() if out.exists() else None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# axes=x\nx,y\n1,a\n2,b\n", "no numeric output column to render"),
+    ("# axes=x,y\nx,y,v\n0,0,a\n0,1,b\n", "no numeric output column to render"),
+    ("# axes=x\nx,y\n1,nan\na,2\n", "no finite values to render"),
+    ("# axes=x,y\nx,y,v\n0,0,nan\na,1,2\n", "no finite values to render"),
+    ("# axes=x\nx,y\n1,nan\n2,inf\n", "no numeric output column to render"),
+    ("# axes=x,y\nx,y,v\n0,0,nan\n0,1,-inf\n", "no numeric output column to render"),
+    ("# axes=q\nx,y\n1,2\n", "axis column 'q' missing from table"),
+    ("# axes=q,r\nx,y\n1,2\n", "axis column 'q' missing from table"),
+], ids=["line-text-outputs", "heatmap-text-outputs", "line-no-drawable-point",
+        "heatmap-no-drawable-point", "line-non-finite-outputs", "heatmap-non-finite-outputs",
+        "line-missing-axis", "heatmap-missing-axes"])
+def test_cli_emit_svg_refusals(tmp_path, capsys, text, message):
+    # every refusal exits 5 and writes no file; output cells that hold only
+    # non-finite numbers are no drawable output column
+    assert _emit_svg(tmp_path, capsys, text) == (5, f"error: {message}\n", None)
+
+
+@pytest.mark.parametrize("text, drawn", [
+    ("# axes=x\nx,y\n0,1\n{},2\n1,3\n", 'points="70.00,450.00 650.00,70.00"'),
+    ("# axes=x,y\nx,y,v\n0,0,1\n0,1,2\n{},0,5\n1,0,3\n1,1,4\n",
+     '<rect x="360.00" y="70.00" width="290.50" height="190.50"'),
+], ids=["line", "heatmap"])
+def test_cli_emit_svg_skips_non_finite_axis_cells(tmp_path, capsys, text, drawn):
+    # a nan or inf axis cell, or an int beyond float range, is skipped as a
+    # text cell is; an axis column with no finite number is refused
+    code, _, want = _emit_svg(tmp_path, capsys, text.format("a"))
+    assert code == 0
+    for cell in ("nan", "inf", "-inf", "1" + "0" * 400):
+        assert _emit_svg(tmp_path, capsys, text.format(cell)) == (0, "", want)
+    assert drawn in want and "nan" not in want and "inf" not in want
+    for cell in ("nan", "inf"):
+        no_axis = re.sub(r"^[01a]", cell, text.format("a"), flags=re.M)
+        assert _emit_svg(tmp_path, capsys, no_axis) == (
+            5, "error: axis column 'x' has no numeric value to draw against\n", None)
+
+
+def test_cli_emit_heatmap_draws_first_output_column_with_a_drawable_cell(tmp_path, capsys):
+    # a column of non-finite numbers is no output column, as in a line chart
+    code, _, svg = _emit_svg(tmp_path, capsys, "# axes=x,y\nx,y,a,b\n0,0,nan,1\n0,1,inf,2\n")
+    assert code == 0
+    assert ">b over x x y</text>" in svg
+
+
+def test_cli_emit_heatmap_skips_non_finite_output_cell(tmp_path, capsys):
+    code, _, svg = _emit_svg(tmp_path, capsys, "# axes=x,y\nx,y,v\n0,0,1\n0,1,nan\n1,0,3\n1,1,4\n")
+    assert code == 0
+    assert svg.count("<rect") == 1 + 3
+    assert "nan" not in svg
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -727,6 +788,15 @@ def test_cli_taxonomy(tmp_path, capsys):
     assert out.count("\n") == 14 + 1 + 3  # rows + header + metadata
 
 
+def test_cli_taxonomy_requires_network4(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["taxonomy", "--config", _write_config(tmp_path, n_type_config()), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == \
+        "error: configuration taxonomy requires topology 'network4'\n"
+    assert not out.exists()
+
+
 def test_cli_atomic(tmp_path, capsys):
     assert main(["atomic", "--levels", "4", "--ratio", "0:2:5"]) == 0
     out = capsys.readouterr().out
@@ -738,6 +808,15 @@ def test_cli_preset_dump_reparses(tmp_path):
     assert main(["preset", "fig2a", "--dump", "--out", str(out)]) == 0
     want = config_from_dict(get_preset("fig2a").document)
     assert dump_config(parse_config(out)) == dump_config(want)
+
+
+def test_cli_dump_and_svg_without_out_go_to_stdout(capsys):
+    assert main(["preset", "fig2a", "--dump"]) == 0
+    assert capsys.readouterr().out == \
+        json.dumps(get_preset("fig2a").document, indent=2, sort_keys=True) + "\n"
+    assert main(["preset", "fig8a", "--run", "--points", "3", "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
 
 
 def test_cli_preset_run(tmp_path):
@@ -859,10 +938,12 @@ def test_cli_chain_solve(tmp_path, capsys):
     ["taxonomy", "--config", None, "--kappa", "0.5:0.1:3"],
     ["atomic", "--levels", "3", "--ratio", "3:0:4"],
     ["atomic", "--levels", "3", "--ratio", "1:1:3"],
+    ["sweep", "--config", None, "--axis", "cavities.0.decay:0.1:x:3"],
+    ["atomic", "--levels", "3", "--ratio", "0:3:x"],
 ], ids=["fig13a-negative-points", "fig7a-negative-points", "fig7a-zero-points",
         "fig2a-zero-points", "dump-zero-points", "atomic-nan-min", "atomic-inf-max",
         "preset-zero-jobs", "taxonomy-descending-kappa", "atomic-descending-ratio",
-        "atomic-equal-bounds"])
+        "atomic-equal-bounds", "sweep-text-max", "atomic-text-points"])
 def test_cli_bad_option_exit_code(tmp_path, capsys, argv):
     argv = [_write_config(tmp_path, network4_config()) if a is None else a for a in argv]
     out = tmp_path / "out.csv"

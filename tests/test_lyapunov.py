@@ -255,6 +255,19 @@ def test_singular_or_non_finite_eigenbasis_falls_back(fallbacks):
     assert len(fallbacks) == 2
 
 
+def test_mismatched_sizes_rejected():
+    with pytest.raises(SolverError, match="^A and Q must be square matrices of equal dimension$"):
+        solve_lyapunov(-np.eye(2), np.eye(3))
+
+
+def test_schur_solve_refuses_marginal_drift():
+    # eigenvalues +-i: lambda_i + lambda_j = 0 makes the Sylvester system singular
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(SolverError,
+                       match=r"^singular Lyapunov system \(marginal stability, info=1\)$"):
+        lyapunov._schur_solve(a, np.eye(2), 1e-9)
+
+
 def _preset_base_points():
     for name in preset_names():
         document = get_preset(name).document
