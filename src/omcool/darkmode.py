@@ -44,14 +44,15 @@ def dark_columns(model: Model) -> tuple[str, ...]:
     return () if _inapplicable(model) else DARK_COLUMNS
 
 
-def dark_cells(model: Model) -> dict:
-    """The dark-mode cells of a point: none where the analysis does not
-    apply, nor where it refuses the point (complex strengths, or cavity c0
-    uncoupled), which leaves the point's dark-mode columns empty."""
+def dark_cells(model: Model) -> tuple:
+    """The cells of a point's dark_columns, in their order: none where the
+    analysis does not apply, and all None where it refuses the point
+    (complex strengths, or cavity c0 uncoupled), which leaves the point's
+    dark-mode columns empty."""
     try:
-        return dark_mode_condition(model) if dark_columns(model) else {}
+        return tuple(dark_mode_condition(model).values()) if dark_columns(model) else ()
     except ConfigError:
-        return {}
+        return (None,) * len(DARK_COLUMNS)
 
 
 def dark_mode_condition(model: Model) -> dict:

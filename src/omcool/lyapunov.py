@@ -33,15 +33,6 @@ class CovarianceMatrix:
     entries: np.ndarray
 
 
-@dataclass(frozen=True)
-class PhononReport:
-    """Final occupations per mode; the mechanical ones are floored at zero
-    for reporting, which drops the (tiny) negative round-off."""
-
-    mechanical: tuple[float, ...]
-    cavity: tuple[float, ...]
-
-
 def stability(A: np.ndarray) -> StabilityReport:
     """Eigenvalue stability test: stable iff max Re(lambda) < -STABILITY_MARGIN.
 
@@ -205,12 +196,15 @@ def _propagate(a: np.ndarray, q: np.ndarray, v0: np.ndarray, t_end: float, k: in
     return E @ v0 @ E.T + S
 
 
-def phonon_numbers(V: np.ndarray, model: Model) -> PhononReport:
-    """Extract final occupations from the quadrature covariance matrix.
+def phonon_numbers(V: np.ndarray, model: Model) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The final occupations (mechanical, cavity) read off the quadrature
+    covariance matrix.
 
     With M modes in canonical order, mode k has occupation
     n_k = (V[k, k] + V[M + k, M + k])/2 - 1/2, since <x^2> + <p^2> = 2n + 1.
-    Cavity photon fluctuation occupations are reported as a diagnostic.
+    The mechanical ones are floored at zero, which drops the (tiny)
+    negative round-off; the cavity photon fluctuation occupations are a
+    diagnostic.
     """
     m = model.n_modes
     if V.shape != (2 * m, 2 * m):
@@ -218,7 +212,4 @@ def phonon_numbers(V: np.ndarray, model: Model) -> PhononReport:
     nc = model.n_cavities
     d = np.diag(V)
     occupations = ((d[:m] + d[m:]) / 2 - 0.5).tolist()
-    return PhononReport(
-        mechanical=tuple(max(0.0, x) for x in occupations[nc:]),
-        cavity=tuple(occupations[:nc]),
-    )
+    return tuple(max(0.0, x) for x in occupations[nc:]), tuple(occupations[:nc])

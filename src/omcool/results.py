@@ -126,6 +126,14 @@ def _ramp_color(t: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
+def _text(x, y, attrs: str, text) -> str:
+    """The one writer of chart text: a <text> element at (x, y) with
+    ``attrs``, its text XML-escaped, as a column name may hold <, > or &."""
+    from xml.sax.saxutils import escape  # only a chart pays its import (urllib.request)
+
+    return f'<text x="{x}" y="{y}" {attrs}>{escape(str(text))}</text>'
+
+
 def _drawable(cell) -> bool:
     """The one rule for every axis and output cell a chart draws: an int or
     float, not a bool, that is finite as a float (no nan, no inf, and no int
@@ -173,7 +181,7 @@ def table_to_svg(table: ResultTable) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        _text(_WIDTH / 2, 24, 'text-anchor="middle" font-size="15"', title),
         *body, "</svg>"]) + "\n"
 
 
@@ -199,8 +207,8 @@ def _heatmap_svg(cells: dict, ax1: str, ax2: str, out: str) -> tuple[str, list[s
         parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" '
                      f'height="{ch + 0.5:.2f}" fill="{_ramp_color(unit(v))}"/>')
     parts.extend(_axis_labels(ax1, ax2, xs[0], xs[-1], ys[0], ys[-1]))
-    parts.append(f'<text x="{_WIDTH - _MARGIN}" y="{_MARGIN - 12}" text-anchor="end" '
-                 f'font-size="12">min={min(finite):.4g} max={max(finite):.4g}</text>')
+    parts.append(_text(_WIDTH - _MARGIN, _MARGIN - 12, 'text-anchor="end" font-size="12"',
+                       f"min={min(finite):.4g} max={max(finite):.4g}"))
     return f"{out} over {ax1} x {ax2}" + (" (log color)" if log_scale else ""), parts
 
 
@@ -237,8 +245,8 @@ def _line_svg(columns: list[str], rows: list[list], ax: str,
                 coords.append(f"{px:.2f},{py:.2f}")
             parts.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{_WIDTH - _MARGIN}" y="{_MARGIN + 16 * k}" text-anchor="end" '
-                     f'font-size="12" fill="{color}">{cname}</text>')
+        parts.append(_text(_WIDTH - _MARGIN, _MARGIN + 16 * k,
+                           f'text-anchor="end" font-size="12" fill="{color}"', cname))
     parts.extend(_axis_labels(ax, "", x_lo, x_hi, min(all_y), max(all_y)))
     return ", ".join(series) + f" vs {ax}" + (" (log y)" if log_scale else ""), parts
 
@@ -248,11 +256,11 @@ def _axis_labels(xname, yname, x_lo, x_hi, y_lo, y_hi) -> list[str]:
     return [
         f'<line x1="{_MARGIN}" y1="{bottom}" x2="{_WIDTH - _MARGIN}" y2="{bottom}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{bottom}" stroke="black"/>',
-        f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 16}" text-anchor="middle" font-size="13">{xname}</text>',
-        f'<text x="{_MARGIN}" y="{bottom + 18}" text-anchor="middle" font-size="11">{x_lo:.4g}</text>',
-        f'<text x="{_WIDTH - _MARGIN}" y="{bottom + 18}" text-anchor="middle" font-size="11">{x_hi:.4g}</text>',
-        f'<text x="{_MARGIN - 8}" y="{bottom}" text-anchor="end" font-size="11">{y_lo:.4g}</text>',
-        f'<text x="{_MARGIN - 8}" y="{_MARGIN + 4}" text-anchor="end" font-size="11">{y_hi:.4g}</text>',
-        f'<text x="18" y="{_HEIGHT / 2}" font-size="13" '
-        f'transform="rotate(-90 18 {_HEIGHT / 2})" text-anchor="middle">{yname}</text>',
+        _text(_WIDTH / 2, _HEIGHT - 16, 'text-anchor="middle" font-size="13"', xname),
+        _text(_MARGIN, bottom + 18, 'text-anchor="middle" font-size="11"', f"{x_lo:.4g}"),
+        _text(_WIDTH - _MARGIN, bottom + 18, 'text-anchor="middle" font-size="11"', f"{x_hi:.4g}"),
+        _text(_MARGIN - 8, bottom, 'text-anchor="end" font-size="11"', f"{y_lo:.4g}"),
+        _text(_MARGIN - 8, _MARGIN + 4, 'text-anchor="end" font-size="11"', f"{y_hi:.4g}"),
+        _text(18, _HEIGHT / 2, f'font-size="13" transform="rotate(-90 18 {_HEIGHT / 2})" '
+              'text-anchor="middle"', yname),
     ]

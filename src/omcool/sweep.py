@@ -86,14 +86,13 @@ class PointPlan:
     """The parts of a run's point solves that no point changes, made once
     per run by point_plan.  A point is the run's model with its values
     written into ``slots``.  ``drift`` and ``noise`` assemble the point's A
-    and Q, and ``dark`` holds its dark-mode cells ({} where there are
-    none); each is None where it is made per point from the written model
-    instead."""
+    and Q, and ``dark`` holds its dark_cells; each is None where it is made
+    per point from the written model instead."""
 
     slots: tuple[tuple[str, int], ...]
     drift: Assembly | None
     noise: Assembly | None
-    dark: dict | None
+    dark: tuple | None
 
 
 def point_plan(model: Model, slots) -> PointPlan:
@@ -114,12 +113,13 @@ def point_plan(model: Model, slots) -> PointPlan:
         )
 
 
-def solve_record(model: Model, plan: PointPlan, point=()) -> dict:
+def solve_record(model: Model, plan: PointPlan, point=()) -> list:
     """Full pipeline for one point, ``model`` with ``point`` written into
     the slots of ``plan``, the point_plan its run made once: stability,
     covariance, phonon numbers, and (for two-mechanical topologies) the
     dark-mode report, which in physical mode describes the single-photon
-    couplings g.
+    couplings g.  The record is the point's row, one cell per
+    _record_columns(model), in their order.
 
     Unstable systems produce a flagged record with empty occupations instead
     of raising.  The model was checked where its document entered
@@ -135,38 +135,33 @@ def solve_record(model: Model, plan: PointPlan, point=()) -> dict:
         A = plan.drift.at(point)
     Q = build_noise_matrix(written) if plan.noise is None else plan.noise.at(point)
     report = stability(A)
-    record: dict = {"stable": report.stable, "max_real_part": report.max_real_part}
-    n_f, n_c = [None] * model.n_mechanicals, [None] * model.n_cavities
+    n_f, n_c = (None,) * model.n_mechanicals, (None,) * model.n_cavities
     if report.stable:
-        phonons = phonon_numbers(solve_lyapunov(A, Q, report=report), model)
-        n_f, n_c = phonons.mechanical, phonons.cavity
-    record.update({f"n_f_{l + 1}": n for l, n in enumerate(n_f)})
-    record.update({f"n_c_{c + 1}": n for c, n in enumerate(n_c)})
-    record.update(dark_cells(written) if plan.dark is None else plan.dark)
-    return record
+        n_f, n_c = phonon_numbers(solve_lyapunov(A, Q, report=report), model)
+    dark = dark_cells(written) if plan.dark is None else plan.dark
+    return [report.stable, report.max_real_part, *n_f, *n_c, *dark]
 
 
 def _record_columns(model: Model) -> list[str]:
-    cols = ["stable", "max_real_part"]
-    cols += [f"n_f_{l + 1}" for l in range(model.n_mechanicals)]
-    cols += [f"n_c_{c + 1}" for c in range(model.n_cavities)]
-    cols += dark_columns(model)
-    return cols
+    """The columns of a solve_record row of ``model``, in its order."""
+    return ["stable", "max_real_part", *(f"n_f_{l + 1}" for l in range(model.n_mechanicals)),
+            *(f"n_c_{c + 1}" for c in range(model.n_cavities)), *dark_columns(model)]
 
 
-def _solve_points(model: Model, plan: PointPlan, out_cols,
+def _solve_points(model: Model, plan: PointPlan, picks,
                   points) -> tuple[list[list], OmcoolError | None]:
-    """Rows of the points, each its axis values and ``out_cols`` of their
-    solve_record, up to the first point that raises an OmcoolError, returned
-    with that error (None when every point solved).  It and point_plan own
-    the solve path's overflow: a matrix that overflows from finite fields
-    fails the finiteness check of stability or solve_lyapunov, unwarned."""
+    """Rows of the points, each its axis values and the cells at positions
+    ``picks`` of their solve_record, up to the first point that raises an
+    OmcoolError, returned with that error (None when every point solved).
+    It and point_plan own the solve path's overflow: a matrix that
+    overflows from finite fields fails the finiteness check of stability or
+    solve_lyapunov, unwarned."""
     rows: list[list] = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for point in points:
                 record = solve_record(model, plan, point)
-                rows.append([*point, *(record.get(c) for c in out_cols)])
+                rows.append([*point, *(record[i] for i in picks)])
     except OmcoolError as exc:
         return rows, exc
     return rows, None
@@ -176,14 +171,15 @@ def _grid_rows(variants, base: Model, axes, head, out_cols,
                parallelism: int = 1) -> ResultTable:
     """The table of one row per variant and point of the axes' grid,
     row-major: the variant's label columns and the point's axis values,
-    named by ``head``, then ``out_cols`` of its solve_record.  A variant is
-    a (labels, Model) pair with one point_plan over the axes' slots of
-    ``base``, each axis value checked once.  The metadata carry the base's
-    config_hash and, given axes, the names of their columns, the last of
-    ``head``.  All is checked here and nothing solved: the rows solve each
-    chunk of points as it is read.  Row order never depends on
-    ``parallelism``, which must be at least 1, nor do the rows read before a
-    hard failure raises."""
+    named by ``head``, then ``out_cols`` of its solve_record, picked by
+    their positions among the record columns of ``base``, found once.  A
+    variant is a (labels, Model) pair with one point_plan over the axes'
+    slots of ``base``, each axis value checked once.  The metadata carry
+    the base's config_hash and, given axes, the names of their columns, the
+    last of ``head``.  All is checked here and nothing solved: the rows
+    solve each chunk of points as it is read.  Row order never depends on
+    ``parallelism``, which must be at least 1, nor do the rows read before
+    a hard failure raises."""
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     metadata = {"tool_version": __version__, "config_hash": config_hash(base)}
@@ -191,7 +187,9 @@ def _grid_rows(variants, base: Model, axes, head, out_cols,
         metadata["axes"] = ",".join(head[-len(axes):])
     axis_values = [[float(x) for x in axis.values()] for axis in axes]
     slots = [axis_slot(base, axis.path, values) for axis, values in zip(axes, axis_values)]
-    rows = _solved_rows(variants, slots, axis_values, out_cols, parallelism)
+    columns = _record_columns(base)
+    picks = [columns.index(name) for name in out_cols]
+    rows = _solved_rows(variants, slots, axis_values, picks, parallelism)
     return ResultTable(columns=[*head, *out_cols], rows=rows, metadata=metadata)
 
 
@@ -199,7 +197,7 @@ def _grid_rows(variants, base: Model, axes, head, out_cols,
 _MAX_CHUNK = 1000
 
 
-def _solved_rows(variants, slots, axis_values, out_cols, parallelism: int):
+def _solved_rows(variants, slots, axis_values, picks, parallelism: int):
     """The rows of _grid_rows.  A chunk is one point serially; in a pool made
     at the first read, it is a quarter of a worker's share of the grid, at
     most _MAX_CHUNK points, and each worker has at most two chunks in
@@ -218,7 +216,7 @@ def _solved_rows(variants, slots, axis_values, out_cols, parallelism: int):
             points = itertools.product(*axis_values)
             # a task is a chunk, which sends the model and plan once for its points
             chunks = iter(lambda: list(itertools.islice(points, size)), [])
-            solve = functools.partial(_solve_points, model, plan, out_cols)
+            solve = functools.partial(_solve_points, model, plan, picks)
             for rows, error in run(solve, chunks):
                 yield from ([*labels, *row] for row in rows)
                 if error is not None:

@@ -30,7 +30,8 @@ import json
 
 def _solve(model):
     V = solve_lyapunov(build_drift_matrix(model), build_noise_matrix(model))
-    return phonon_numbers(V, model).mechanical
+    mechanical, _ = phonon_numbers(V, model)
+    return mechanical
 
 
 def _report(n, text):

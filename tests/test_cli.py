@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -238,6 +239,19 @@ def test_cli_emit_svg_refusals(tmp_path, capsys, text, message):
     # every refusal exits 5 and writes no file; output cells that hold only
     # non-finite numbers are no drawable output column
     assert _emit_svg(tmp_path, capsys, text) == (5, f"error: {message}\n", None)
+
+
+@pytest.mark.parametrize("text", [
+    "# axes=x\nx,a<b&c\n0,1\n1,2\n",
+    "# axes=x,y\nx,y,a<b&c\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n",
+], ids=["line", "heatmap"])
+def test_cli_emit_svg_escapes_its_text(tmp_path, capsys, text):
+    # a column name holding <, > or & is written escaped into the title,
+    # legend and axis names, so the SVG stays well-formed XML
+    code, err, svg = _emit_svg(tmp_path, capsys, text)
+    assert (code, err) == (0, "")
+    texts = ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+    assert any(node.text.startswith("a<b&c") for node in texts)
 
 
 @pytest.mark.parametrize("text, drawn", [

@@ -69,17 +69,18 @@ def test_complex_couplings_rejected():
 
 
 def test_report_cells_are_its_columns():
-    # the report is its columns' cells; a refused analysis keeps its columns
-    # and leaves their cells empty, and an inapplicable one has neither
+    # the report is its columns' cells, one per column in their order; a
+    # refused analysis keeps its columns and leaves their cells empty, and
+    # an inapplicable one has neither
     model = network4_config()
     assert tuple(dark_mode_condition(model)) == dark_columns(model) == DARK_COLUMNS
-    assert dark_cells(model) == dark_mode_condition(model)
+    assert dark_cells(model) == tuple(dark_mode_condition(model).values())
     for refused in (network4_config(G1=0.0, G2=0.0),
                     model.write([("strength", 0)], [0.05 + 0.01j])):
         assert dark_columns(refused) == DARK_COLUMNS
-        assert dark_cells(refused) == {}
+        assert dark_cells(refused) == (None,) * len(DARK_COLUMNS)
     assert dark_columns(chain_config(3)) == ()
-    assert dark_cells(chain_config(3)) == {}
+    assert dark_cells(chain_config(3)) == ()
 
 
 @settings(max_examples=100, deadline=None)

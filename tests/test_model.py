@@ -29,9 +29,16 @@ from omcool.model import (
     linearized,
     solve_steady_amplitudes,
 )
-from omcool.darkmode import dark_mode_condition
+from omcool.darkmode import dark_columns, dark_mode_condition
 from omcool.presets import chain_config, get_preset, n_type_config, network4_config
-from omcool.sweep import SweepAxis, point_plan, run_solve, run_sweep, solve_record
+from omcool.sweep import (
+    SweepAxis,
+    _record_columns,
+    point_plan,
+    run_solve,
+    run_sweep,
+    solve_record,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +447,41 @@ def test_solve_record_validates_once(monkeypatch, physical):
     calls = _count_calls(monkeypatch, config_from_dict)
     model = config_io.config_from_dict(doc)
     record = solve_record(model, point_plan(model, ()))
-    assert "dark" in record  # the dark-mode stage ran too
+    assert record[-1] is not None  # the dark-mode stage ran too, on the last column
     assert calls == [doc]
+
+
+@pytest.mark.parametrize("build", [
+    n_type_config,
+    network4_config,
+    lambda: chain_config(3),
+    lambda: config_from_dict({**config_to_dict(n_type_config()), "topology": "generic"}),
+    _physical_n_type,
+    lambda: config_from_dict(
+        _rebuilt(config_to_dict(n_type_config()), "edges.2.strength", 0.08 + 0.01j)),
+], ids=["n_type", "network4", "chain3", "generic", "physical", "complex-strength"])
+def test_record_is_its_row_in_column_order(build):
+    # the record has one cell per record column, in their order: the
+    # occupations of the point's covariance and the dark-mode report's cells,
+    # all None where the analysis refuses the point
+    model = build()
+    record = solve_record(model, point_plan(model, ()))
+    columns = _record_columns(model)
+    assert len(record) == len(columns)
+    row = dict(zip(columns, record))
+    assert row["stable"] is True
+    written = model
+    if model.parameter_mode == "physical":
+        written = linearized(model, solve_steady_amplitudes(model))
+    V = solve_lyapunov(build_drift_matrix(written), build_noise_matrix(model))
+    mechanical, cavity = phonon_numbers(V, model)
+    assert tuple(row[f"n_f_{l + 1}"] for l in range(model.n_mechanicals)) == mechanical
+    assert tuple(row[f"n_c_{c + 1}"] for c in range(model.n_cavities)) == cavity
+    try:
+        dark = tuple(dark_mode_condition(model).values())
+    except ConfigError:
+        dark = (None,) * len(dark_columns(model))
+    assert tuple(row[name] for name in dark_columns(model)) == dark
 
 
 def test_serial_sweep_validates_base_and_each_point_once(monkeypatch):
@@ -717,6 +757,6 @@ def test_noise_matrix_chain_block_structure():
 def test_zero_coupling_thermal_equilibrium():
     cfg = config_from_dict(_with_edges(n_type_config()))
     V = solve_lyapunov(build_drift_matrix(cfg), build_noise_matrix(cfg))
-    report = phonon_numbers(V, cfg)
-    for n in report.mechanical:
+    mechanical, _ = phonon_numbers(V, cfg)
+    for n in mechanical:
         assert n == pytest.approx(1000.0, rel=1e-8)
