@@ -1,15 +1,15 @@
 """Command-line entry point.
 
-Verbs: solve, sweep, taxonomy, atomic, preset, emit.
+Verbs: solve, sweep, taxonomy, atomic, preset (each writes CSV), emit (CSV or SVG).
 Exit codes: 0 success, 2 parse error (including an unreadable --config or
 --in, or an --in with no header row or a record whose field count differs
 from the header's), 3 validation error (including --points below 1, --jobs
 below 1 on a sweep or any preset, run or dump, and a range with a
 non-finite bound, no point, or, over more points than one, MIN >= MAX or a
 MAX - MIN that is not finite), 4 unstable system, 5 solver failure (also a
-failed write, a drift or noise matrix that overflows from finite fields,
-and an SVG of a table with no finite number in an axis column, such as a
-solve's).
+failed write, a drift or noise matrix that overflows from finite fields, a
+range too large to hold in memory, and an emitted SVG of a table with no
+finite number in an axis column, such as a solve's).
 """
 
 from __future__ import annotations
@@ -60,10 +60,8 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_table(table: ResultTable, out: str | None, fmt: str) -> None:
-    if fmt == "svg":
-        _write_text(table_to_svg(table), out)
-    elif out:
+def _write_csv(table: ResultTable, out: str | None) -> None:
+    if out:
         write_csv(table, out)
     else:
         stream_csv(table, sys.stdout)
@@ -72,27 +70,27 @@ def _write_table(table: ResultTable, out: str | None, fmt: str) -> None:
 def _cmd_solve(args) -> int:
     table = run_solve(parse_config(args.config))
     table.rows = list(table.rows)  # solved before the write, so a failed solve writes nothing
-    _write_table(table, args.out, args.format)
+    _write_csv(table, args.out)
     return EXIT_UNSTABLE if table.rows[0][table.columns.index("stable")] is False else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     model = parse_config(args.config)
     axes = [SweepAxis.parse(spec) for spec in args.axis]
-    _write_table(run_sweep(model, axes, parallelism=_jobs(args)), args.out, args.format)
+    _write_csv(run_sweep(model, axes, parallelism=_jobs(args)), args.out)
     return EXIT_OK
 
 
 def _cmd_taxonomy(args) -> int:
     model = parse_config(args.config)
     kappa = SweepAxis.parse(args.kappa, "cavities.0.decay") if args.kappa else None
-    _write_table(run_taxonomy(model, kappa), args.out, args.format)
+    _write_csv(run_taxonomy(model, kappa), args.out)
     return EXIT_OK
 
 
 def _cmd_atomic(args) -> int:
     table = run_atomic(args.levels, SweepAxis.parse(args.ratio, "ratio"))
-    _write_table(table, args.out, args.format)
+    _write_csv(table, args.out)
     return EXIT_OK
 
 
@@ -104,12 +102,16 @@ def _cmd_preset(args) -> int:
         return EXIT_OK
     table = preset.run(jobs)
     table.metadata["preset"] = args.name
-    _write_table(table, args.out, args.format)
+    _write_csv(table, args.out)
     return EXIT_OK
 
 
 def _cmd_emit(args) -> int:
-    _write_table(read_csv(args.infile), args.out, args.format)
+    table = read_csv(args.infile)
+    if args.format == "svg":
+        _write_text(table_to_svg(table), args.out)
+    else:
+        _write_csv(table, args.out)
     return EXIT_OK
 
 
@@ -125,13 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "svg"), default="csv")
-
     p = sub.add_parser("solve", help="one-shot solve of a config document")
     p.add_argument("--config", required=True)
-    add_output(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="parameter sweep over a 1D or 2D grid")
@@ -139,20 +136,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", action="append", required=True,
                    metavar="PATH:MIN:MAX:POINTS[:log]")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
-    add_output(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("taxonomy", help="evaluate the 14 coupling configurations")
     p.add_argument("--config", required=True)
     p.add_argument("--kappa", metavar="MIN:MAX:POINTS",
                    help="sweep the intermediate-cavity decay per configuration")
-    add_output(p)
     p.set_defaults(func=_cmd_taxonomy)
 
     p = sub.add_parser("atomic", help="three-/four-level eigenanalysis over a ratio grid")
     p.add_argument("--levels", type=int, choices=(3, 4), required=True)
     p.add_argument("--ratio", required=True, metavar="MIN:MAX:POINTS")
-    add_output(p)
     p.set_defaults(func=_cmd_atomic)
 
     p = sub.add_parser("preset", help="dump or run a named figure/table preset")
@@ -162,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--run", action="store_true", help="run the preset (default)")
     p.add_argument("--points", type=int, default=None, help="grid points per axis")
     p.add_argument("--jobs", type=int, default=1)
-    add_output(p)
     p.set_defaults(func=_cmd_preset)
 
     p = sub.add_parser("emit", help="re-emit a saved result table as CSV or SVG")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "svg"), required=True)
     p.set_defaults(func=_cmd_emit)
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output file (default: stdout)")
     return parser
 
 
@@ -177,7 +171,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (OmcoolError, OSError) as exc:
+    except (OmcoolError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         codes = ((ParseError, EXIT_PARSE), (ConfigError, EXIT_VALIDATION),
                  (UnstableSystemError, EXIT_UNSTABLE))

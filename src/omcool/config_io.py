@@ -102,14 +102,17 @@ def _split_mode_id(mode_id: str) -> tuple[str, int]:
     return mode_id[0], int(mode_id[1:])
 
 
-def _check_field(owner: str, name: str, value) -> None:
+def _check_field(owner: str, name: str, value, parameter_mode: str) -> None:
     """The rule of one numeric field, for config_from_dict and axis_slot:
-    finite, and within its sign bound."""
+    finite, within its sign bound, and a drive nonzero only in physical
+    mode, the one mode whose amplitude solve reads it."""
     if not cmath.isfinite(value):
         raise ConfigError(f"{owner}: {name} must be finite")
     bound = _BOUNDS.get(name)
     if bound == "> 0" and value <= 0 or bound == ">= 0" and value < 0:
         raise ConfigError(f"{owner}: {name} must be {bound}")
+    if name == "drive_amplitude" and value and parameter_mode != "physical":
+        raise ConfigError(f"{owner}: drive_amplitude must be 0 in {parameter_mode} mode")
 
 
 def _owner(section: str, index: int, edges) -> str:
@@ -154,7 +157,7 @@ def axis_slot(model: Model, path: str, values) -> tuple[str, int]:
         raise ConfigError(f"bad parameter path {path!r}: {name!r} is not a numeric field")
     owner = _owner(section, index, edge_ids(model))
     for value in values:
-        _check_field(owner, name, value)
+        _check_field(owner, name, value, model.parameter_mode)
     return _SLOTS[section][name], index
 
 
@@ -200,7 +203,7 @@ def config_from_dict(doc: dict) -> Model:
         for index in range(len(doc[section])):
             owner = _owner(section, index, edges)
             for name, slot in fields.items():
-                _check_field(owner, name, values[slot][index])
+                _check_field(owner, name, values[slot][index], parameter_mode)
     seen: set[tuple[str, frozenset[str]]] = set()
     ends = []
     for kind, endpoints in edges:

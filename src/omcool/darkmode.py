@@ -50,14 +50,14 @@ def dark_cells(model: Model) -> tuple:
     (complex strengths, or cavity c0 uncoupled), which leaves the point's
     dark-mode columns empty."""
     try:
-        return tuple(dark_mode_condition(model).values()) if dark_columns(model) else ()
+        return _condition_cells(model) if dark_columns(model) else ()
     except ConfigError:
         return (None,) * len(DARK_COLUMNS)
 
 
 def dark_mode_condition(model: Model) -> dict:
-    """The DARK_COLUMNS cells of the dark-mode conditions of a two-mechanical
-    model, "dark" and the residuals of zeta and Gs-:
+    """The dark-mode conditions of a two-mechanical model, "dark" and the
+    residuals of zeta and Gs-, keyed by their DARK_COLUMNS:
 
         zeta = ((omega1 - omega2) G1 G2 + eta (G2^2 - G1^2)) / G+^2 = 0
         Gs-  = (Gs1 G2 - Gs2 G1) / G+ = 0,   G+ = sqrt(G1^2 + G2^2)
@@ -70,6 +70,12 @@ def dark_mode_condition(model: Model) -> dict:
     as zero below EPS_DARK * max(1, G+).  The photon-hopping strength J
     never enters: it cannot break the dark mode.
     """
+    return dict(zip(DARK_COLUMNS, _condition_cells(model)))
+
+
+def _condition_cells(model: Model) -> tuple:
+    """dark_mode_condition's cells in DARK_COLUMNS order; raises ConfigError
+    where the analysis does not apply to the model or refuses it."""
     reason = _inapplicable(model)
     if reason:
         raise ConfigError(reason)
@@ -89,8 +95,7 @@ def dark_mode_condition(model: Model) -> dict:
     tol = EPS_DARK * max(1.0, gp)
     zeta_res = abs(((omega1 - omega2) * G1 * G2 + eta * (G2 * G2 - G1 * G1)) / gp2)
     gs_res = abs((Gs1 * G2 - Gs2 * G1) / gp)
-    return {"dark": zeta_res < tol and gs_res < tol,
-            "zeta_residual": zeta_res, "gs_minus_residual": gs_res}
+    return zeta_res < tol and gs_res < tol, zeta_res, gs_res
 
 
 def closed_channel_variants(

@@ -50,13 +50,18 @@ _complex_value = _value | st.lists(_value, min_size=2, max_size=2)
 @st.composite
 def _documents(draw):
     """Config documents of 1-3 cavities and 1-3 mechanical modes in either
-    parameter mode: no, zero, real and complex drives; real, -0.0 and
-    complex strengths; and every hop's endpoints in either order."""
+    parameter mode: no and zero drives, and in physical mode, the one mode
+    that reads a drive, real and complex ones too; real, -0.0 and complex
+    strengths; and every hop's endpoints in either order."""
+    mode = draw(st.sampled_from(["effective", "physical"]))
+    drives = st.none() | st.sampled_from([0, [0.0, -0.0]])
+    if mode == "physical":
+        drives |= _complex_value
     nc, nm = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cavities = []
     for _ in range(nc):
         cavity = {"detuning": draw(_value), "decay": draw(st.floats(0.0, 2.0))}
-        drive = draw(st.none() | st.sampled_from([0, [0.0, -0.0]]) | _complex_value)
+        drive = draw(drives)
         if drive is not None:
             cavity["drive_amplitude"] = drive
         cavities.append(cavity)
@@ -71,7 +76,7 @@ def _documents(draw):
         kind = kinds[a[0] + b[0]]
         ends = [b, a] if kind != "optomechanical" and draw(st.booleans()) else [a, b]
         edges.append({"kind": kind, "endpoints": ends, "strength": draw(_complex_value)})
-    return {"parameter_mode": draw(st.sampled_from(["effective", "physical"])),
+    return {"parameter_mode": mode,
             "topology": draw(st.sampled_from(["n_type", "network4", "chain", "generic"])),
             "cavities": cavities, "mechanicals": mechanicals, "edges": edges}
 
@@ -198,14 +203,42 @@ def test_svg_heatmap_one_cell_per_point():
 def test_svg_line_chart_breaks_its_lines_between_configurations(tmp_path):
     # a taxonomy's rows run through the decay axis once per configuration:
     # each configuration is its own line, so no line runs back along the axis
-    out = tmp_path / "fig7a.svg"
-    assert main(["preset", "fig7a", "--run", "--points", "3", "--format", "svg",
-                 "--out", str(out)]) == 0
+    csv_path, out = tmp_path / "fig7a.csv", tmp_path / "fig7a.svg"
+    assert main(["preset", "fig7a", "--run", "--points", "3", "--out", str(csv_path)]) == 0
+    assert main(["emit", "--in", str(csv_path), "--format", "svg", "--out", str(out)]) == 0
     lines = re.findall(r'<polyline points="([^"]*)"', out.read_text())
     assert len(lines) == 4 * 4  # four configurations, four numeric columns
     for points in lines:
         xs = [float(pair.split(",")[0]) for pair in points.split()]
         assert len(xs) == 3 and xs == sorted(set(xs))
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig7a"], ids=["heatmap", "line-chart"])
+def test_emitted_chart_of_a_run_csv_is_the_chart_of_its_table(tmp_path, name):
+    # a run's CSV holds every cell a chart reads, so drawing the CSV read
+    # back draws the chart of the run's own table: emit is the only drawer
+    path = tmp_path / f"{name}.csv"
+    assert main(["preset", name, "--run", "--points", "4", "--out", str(path)]) == 0
+    table = get_preset(name, points=4).run(1)
+    table.rows = list(table.rows)
+    table.metadata["preset"] = name
+    assert table_to_svg(read_csv(path)) == table_to_svg(table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "c.json"],
+    ["sweep", "--config", "c.json", "--axis", "cavities.0.decay:0.1:0.2:2"],
+    ["taxonomy", "--config", "c.json"],
+    ["atomic", "--levels", "3", "--ratio", "0:3:4"],
+    ["preset", "fig2a", "--run"],
+    ["preset", "fig2a", "--dump"],
+], ids=["solve", "sweep", "taxonomy", "atomic", "preset", "preset-dump"])
+def test_run_verbs_take_no_format(capsys, argv):
+    # a run verb writes CSV only; a chart is drawn by emit
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "svg"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format svg" in capsys.readouterr().err
 
 
 def test_empty_table_svg_rejected():
@@ -565,9 +598,13 @@ def test_cli_non_finite_exit_code(tmp_path, capsys):
     (lambda doc: doc["edges"][0].update(kind="tunnel"), None, 3, "unknown edge kind 'tunnel'"),
     (lambda doc: None, "bogus.0.decay:0:1:2", 3,
      "bad parameter path 'bogus.0.decay': unknown section 'bogus'"),
+    (lambda doc: doc["cavities"][0].update(drive_amplitude=5.0), None, 3,
+     "cavity c0: drive_amplitude must be 0 in effective mode"),
+    (lambda doc: None, "cavities.0.drive_amplitude:0:10:3", 3,
+     "cavity c0: drive_amplitude must be 0 in effective mode"),
 ], ids=["non-number-field", "bad-complex-pair", "item-not-object", "section-not-list",
         "endpoints-not-pair", "unknown-parameter-mode", "unknown-topology",
-        "unknown-edge-kind", "unknown-axis-section"])
+        "unknown-edge-kind", "unknown-axis-section", "effective-drive", "effective-drive-axis"])
 def test_cli_config_rejection_exit_code_and_message(tmp_path, capsys, edit, axis, code, message):
     # through solve, or through sweep given an axis
     doc = config_to_dict(n_type_config())
@@ -669,14 +706,6 @@ def test_cli_failed_sweep_streams_its_rows_to_stdout(tmp_path, capsys):
     assert [line.split(",")[0] for line in out.splitlines()[-2:]] == \
         ["cavities.0.drive_amplitude", "60.0"]
     assert "did not converge" in err
-
-
-def test_cli_failed_svg_sweep_writes_nothing(tmp_path):
-    # a chart is drawn from every row, so a run that fails leaves no file
-    out = tmp_path / "bad.svg"
-    assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
-                 "--format", "svg", "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
-    assert not out.exists()
 
 
 def _count_solves(monkeypatch) -> list:
@@ -824,11 +853,13 @@ def test_cli_preset_dump_reparses(tmp_path):
     assert dump_config(parse_config(out)) == dump_config(want)
 
 
-def test_cli_dump_and_svg_without_out_go_to_stdout(capsys):
+def test_cli_dump_and_svg_without_out_go_to_stdout(tmp_path, capsys):
     assert main(["preset", "fig2a", "--dump"]) == 0
     assert capsys.readouterr().out == \
         json.dumps(get_preset("fig2a").document, indent=2, sort_keys=True) + "\n"
-    assert main(["preset", "fig8a", "--run", "--points", "3", "--format", "svg"]) == 0
+    path = tmp_path / "fig8a.csv"
+    assert main(["preset", "fig8a", "--run", "--points", "3", "--out", str(path)]) == 0
+    assert main(["emit", "--in", str(path), "--format", "svg"]) == 0
     svg = capsys.readouterr().out
     assert svg.startswith("<svg") and svg.endswith("</svg>\n")
 
@@ -966,6 +997,20 @@ def test_cli_bad_option_exit_code(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["atomic", "--levels", "3", "--ratio", "0:3:1000000000000000"],
+    ["preset", "fig2a", "--run", "--points", "1000000000000000"],
+], ids=["atomic-ratio", "preset-points"])
+def test_cli_range_too_large_to_hold_exit_code(tmp_path, capsys, argv):
+    # numpy refuses an array of 10^15 points before it allocates any of it:
+    # the MemoryError exits 5 with one error line, and nothing is written
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kappa", ["nan:1:3", "0.05:-inf:3"])
 def test_cli_taxonomy_non_finite_kappa_exit_code(tmp_path, kappa):
     cfg_path = _write_config(tmp_path, network4_config())
@@ -1044,21 +1089,16 @@ def test_run_sweep_rejects_unknown_outputs():
         run_sweep(n_type_config(), axes, ["n_f_9", "stabel"])
 
 
-@pytest.mark.parametrize("route", ["preset", "solve", "emit"])
+@pytest.mark.parametrize("route", ["emit"])
 def test_cli_svg_without_numeric_axis_exit_code(tmp_path, capsys, route):
     # a solve table has no axis, so its first column, stable, would be drawn
     # against; it holds bools, which are no numbers to the SVG: the chart is
     # refused and no file is written
     config = _write_config(tmp_path, get_preset("table1").document)
     out = tmp_path / "out.svg"
-    if route == "preset":
-        argv = ["preset", "table1", "--run"]
-    elif route == "solve":
-        argv = ["solve", "--config", config]
-    else:
-        assert main(["solve", "--config", config, "--out", str(tmp_path / "t.csv")]) == 0
-        argv = ["emit", "--in", str(tmp_path / "t.csv")]
-    assert main([*argv, "--format", "svg", "--out", str(out)]) == 5
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(["emit", "--in", str(tmp_path / "t.csv"), "--format", "svg",
+                 "--out", str(out)]) == 5
     assert capsys.readouterr().err == \
         "error: axis column 'stable' has no numeric value to draw against\n"
     assert not out.exists()

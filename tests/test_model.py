@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
-from omcool import config_io
+from omcool import config_io, darkmode
 from omcool.cli import main
 from omcool.config_io import axis_slot, config_from_dict, config_to_dict, dump_config
 from omcool.errors import ConfigError, ConvergenceError
@@ -649,11 +649,10 @@ _COMPLEX_N_TYPE = config_from_dict(
     (n_type_config(), (SweepAxis("mechanicals.0.damping", 0.0, 2e-5, 3),)),
     (n_type_config(), (SweepAxis("mechanicals.1.thermal_occupation", 0.0, 2000.0, 3),)),
     (_COMPLEX_N_TYPE, (SweepAxis("edges.2.strength", -0.1, 0.1, 3),)),
-    (n_type_config(), (SweepAxis("cavities.0.drive_amplitude", 0.0, 1.0, 3),)),
     (n_type_config(), (SweepAxis("mechanicals.0.damping", 0.0, 2e-5, 3),
                        SweepAxis("mechanicals.0.thermal_occupation", 0.0, 2000.0, 2))),
 ], ids=["network4", "physical", "detuning", "decay", "frequency", "damping",
-        "thermal-occupation", "complex-strength", "effective-drive", "damping-x-occupation"])
+        "thermal-occupation", "complex-strength", "damping-x-occupation"])
 def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
     # each row of a planned sweep equals the one-shot solve of its point
     # rebuilt as a document, dark-mode columns included
@@ -665,6 +664,24 @@ def test_sweep_equals_solve_of_rebuilt_points(base, axes, jobs):
             point = _rebuilt(point, axis.path, x)
         (solved,) = run_solve(config_from_dict(point)).rows
         assert row[len(axes):] == solved
+
+
+def test_effective_mode_drive_refused():
+    # only physical mode's amplitude solve reads a drive, so an effective-mode
+    # drive would change nothing but the config hash: one field rule refuses
+    # a nonzero one in a document and on a sweep axis alike, before any
+    # point is solved, and keeps a zero one
+    path = "cavities.0.drive_amplitude"
+    message = "^cavity c0: drive_amplitude must be 0 in effective mode$"
+    doc = config_to_dict(n_type_config())
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(_rebuilt(doc, path, 5.0))
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(n_type_config(), (SweepAxis(path, 0.0, 10.0, 3),))
+    zero = config_from_dict(_rebuilt(doc, path, complex(0.0, -0.0)))
+    assert dump_config(zero) == dump_config(n_type_config())
+    (row,) = run_sweep(n_type_config(), (SweepAxis(path, 0.0, 0.0, 1),)).rows
+    assert row[1:] == list(run_solve(n_type_config()).rows)[0]
 
 
 @pytest.mark.parametrize("model", [
@@ -703,7 +720,7 @@ def test_runs_plan_drift_and_dark_report_once(monkeypatch, name, dark_calls, dri
     # and reads the dark-mode condition per point only where an axis
     # writes a slot it reads
     preset = get_preset(name, points=4)
-    dark = _count_calls(monkeypatch, dark_mode_condition)
+    dark = _count_calls(monkeypatch, darkmode._condition_cells)
     drift = _count_calls(monkeypatch, build_drift_matrix)
     list(preset.run(1).rows)  # the rows are solved as they are read
     assert len(dark) == dark_calls
