@@ -33,7 +33,7 @@ EXIT_UNSTABLE = 4
 EXIT_SOLVER = 5
 
 
-def attach_range_values(argv: list[str]) -> list[str]:
+def _attach_range_values(argv: list[str]) -> list[str]:
     """argv with each --ratio/--kappa glued to the value after it
     (``--ratio=-3:3:7``), so argparse takes a range that starts with '-' as
     the value, not as an option."""
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(attach_range_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (OmcoolError, OSError, MemoryError) as exc:

@@ -282,13 +282,13 @@ def run_taxonomy(base: Model, kappa: SweepAxis | None = None,
 def run_atomic(levels: int, ratio: SweepAxis) -> ResultTable:
     """Eigenvalues and excited-state probabilities over the amplitude-ratio
     axis ``ratio`` for the three- or four-level system (unit reference
-    amplitude); another level count is refused at the first point."""
+    amplitude).  The axis is checked here; each row is solved as it is read,
+    and another level count is refused at the first."""
     columns = (["ratio"] + [f"lambda_{s + 1}" for s in range(levels)]
                + [f"p_e_{s + 1}" for s in range(levels)])
-    table = ResultTable(columns=columns, rows=[],
-                        metadata={"tool_version": __version__, "axes": "ratio",
-                                  "levels": str(levels)})
-    for x in ratio.values().tolist():
-        rep = level_eigensystem(levels, x)
-        table.rows.append([x] + list(rep.eigenvalues) + list(rep.excited_probabilities))
-    return table
+    values = ratio.values()
+    rows = ([x, *rep.eigenvalues, *rep.excited_probabilities]
+            for x in map(float, values) for rep in (level_eigensystem(levels, x),))
+    return ResultTable(columns=columns, rows=rows,
+                       metadata={"tool_version": __version__, "axes": "ratio",
+                                 "levels": str(levels)})

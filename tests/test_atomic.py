@@ -149,10 +149,28 @@ def test_degenerate_probabilities_basis_independent():
 @pytest.mark.parametrize("levels", [2, 5])
 def test_level_count_other_than_three_or_four_refused(levels):
     # the one owner of the refusal is level_matrix; a run meets it at its
-    # first point, before any table is returned
+    # first point, when its first row is read
     with pytest.raises(ConfigError, match="levels must be 3 or 4"):
         level_matrix(levels, 1.0)
     with pytest.raises(ConfigError, match="levels must be 3 or 4"):
         level_eigensystem(levels, 1.0)
     with pytest.raises(ConfigError, match="levels must be 3 or 4"):
-        run_atomic(levels, SweepAxis("ratio", 0.0, 3.0, 4))
+        list(run_atomic(levels, SweepAxis("ratio", 0.0, 3.0, 4)).rows)
+
+
+def test_atomic_rows_are_solved_as_they_are_read(monkeypatch):
+    # the ratio axis is checked when the run is made, but no point is solved
+    # until its row is read, so memory stays flat in the point count
+    calls = []
+
+    def counted(levels, ratio):
+        calls.append(ratio)
+        return level_eigensystem(levels, ratio)
+
+    monkeypatch.setattr("omcool.sweep.level_eigensystem", counted)
+    with pytest.raises(ConfigError, match="needs at least one point"):
+        run_atomic(3, SweepAxis("ratio", 0.0, 3.0, 0))
+    rows = iter(run_atomic(3, SweepAxis("ratio", 0.0, 3.0, 4)).rows)
+    assert calls == []
+    assert next(rows)[0] == 0.0
+    assert calls == [0.0]

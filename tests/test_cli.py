@@ -985,10 +985,13 @@ def test_cli_chain_solve(tmp_path, capsys):
     ["atomic", "--levels", "3", "--ratio", "1:1:3"],
     ["sweep", "--config", None, "--axis", "cavities.0.decay:0.1:x:3"],
     ["atomic", "--levels", "3", "--ratio", "0:3:x"],
+    ["taxonomy", "--config", None, "--kappa", "1:2"],
+    ["taxonomy", "--config", None, "--kappa", "0.05:1:0"],
 ], ids=["fig13a-negative-points", "fig7a-negative-points", "fig7a-zero-points",
         "fig2a-zero-points", "dump-zero-points", "atomic-nan-min", "atomic-inf-max",
         "preset-zero-jobs", "taxonomy-descending-kappa", "atomic-descending-ratio",
-        "atomic-equal-bounds", "sweep-text-max", "atomic-text-points"])
+        "atomic-equal-bounds", "sweep-text-max", "atomic-text-points",
+        "taxonomy-two-part-kappa", "taxonomy-zero-point-kappa"])
 def test_cli_bad_option_exit_code(tmp_path, capsys, argv):
     argv = [_write_config(tmp_path, network4_config()) if a is None else a for a in argv]
     out = tmp_path / "out.csv"

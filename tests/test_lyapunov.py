@@ -386,6 +386,21 @@ def test_nonpositive_horizon_rejected():
         integrate_covariance(np.array([[-1.0]]), np.array([[1.0]]), t_end=0.0)
 
 
+def test_unsettled_refinement_raises_after_the_last_step(monkeypatch):
+    # a propagation that moves with every refinement never settles: the
+    # integration refines through k = 64 and then gives up by name
+    ks = []
+
+    def unsettled(a, q, v0, t_end, k):
+        ks.append(k)
+        return np.full((1, 1), float(k))
+
+    monkeypatch.setattr(lyapunov, "_propagate", unsettled)
+    with pytest.raises(SolverError, match="step-size underflow in covariance integration"):
+        integrate_covariance(np.array([[-1.0]]), np.array([[2.0]]), t_end=1.0)
+    assert ks == list(range(2, 65))
+
+
 def test_oracle_agreement_base_point():
     cfg = n_type_config()
     A, Q = build_drift_matrix(cfg), build_noise_matrix(cfg)
