@@ -2,14 +2,16 @@
 
 Verbs: solve, sweep, taxonomy, atomic, preset (each writes CSV), emit (CSV or SVG).
 Exit codes: 0 success, 2 parse error (including an unreadable --config or
---in, or an --in with no header row or a record whose field count differs
-from the header's), 3 validation error (including --points below 1, --jobs
-below 1 on a sweep or any preset, run or dump, and a range with a
-non-finite bound, no point, or, over more points than one, MIN >= MAX or a
-MAX - MIN that is not finite), 4 unstable system, 5 solver failure (also a
-failed write, a drift or noise matrix that overflows from finite fields, a
-range too large to hold in memory, and an emitted SVG of a table with no
-finite number in an axis column, such as a solve's).
+--in, a --config nested too deeply for json's decoder, or an --in with no
+header row, a field over the csv module's size limit, or a record whose
+field count differs from the header's), 3 validation error (including
+--points below 1, --jobs below 1 on a sweep or any preset, run or dump,
+and a range with a non-finite bound, no point, or, over more points than
+one, MIN >= MAX or a MAX - MIN that is not finite), 4 unstable system, 5
+solver failure (also a failed write, a drift or noise matrix that
+overflows from finite fields, a range too large to hold in memory, and an
+emitted SVG of a table with no finite number in an axis column, such as a
+solve's).
 """
 
 from __future__ import annotations

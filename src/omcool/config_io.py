@@ -56,68 +56,70 @@ _KEYS = {"cavities": ({"detuning", "decay"}, {"drive_amplitude"}),
          "edges": ({"kind", "endpoints", "strength"}, set())}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _where(section: str, index: int | None = None, name: str | None = None) -> str:
+    """How schema messages name a section, its item ``index``, or a field
+    of that item; formatted only for a refusal."""
+    where = section if index is None else f"{section}[{index}]"
+    return where if name is None else f"{where}.{name}"
 
 
-def _float(value) -> float:
-    """A JSON number as a float; an integer beyond float range reads as the
-    infinity of its sign, as the literal 1e400 does."""
+def _number(value, section: str, index: int, name: str) -> float:
+    """A JSON number as a float, a zero of either sign as +0.0, so no signed
+    zero reaches the model or its hash; an integer beyond float range reads
+    as the infinity of its sign, as the literal 1e400 does."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{_where(section, index, name)}: expected a number, got {value!r}")
     try:
-        return float(value)
+        return float(value) + 0.0
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
 
-def _number(value, where: str) -> float:
-    if not _is_number(value):
-        raise ParseError(f"{where}: expected a number, got {value!r}")
-    return _float(value)
+def _complex_number(value, section: str, index: int, name: str) -> complex:
+    """A number or an [re, im] pair of numbers as a complex, each part read
+    as _number reads it."""
+    try:
+        if isinstance(value, list) and len(value) == 2:
+            return complex(_number(value[0], section, index, name),
+                           _number(value[1], section, index, name))
+        return complex(_number(value, section, index, name))
+    except ParseError:
+        raise ParseError(f"{_where(section, index, name)}: expected a number or [re, im] pair,"
+                         f" got {value!r}") from None
 
 
-def _complex_number(value, where: str) -> complex:
-    if _is_number(value):
-        return complex(_float(value))
-    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
-        return complex(_float(value[0]), _float(value[1]))
-    raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
-
-
-def _check_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
+def _check_keys(obj, required: set[str], allowed: set[str], section: str,
+                index: int | None = None) -> None:
     if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise ParseError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"{where}: missing required field(s) {sorted(missing)}")
+        raise ParseError(f"{_where(section, index)}: expected an object")
+    keys = obj.keys()
+    if not required <= keys <= allowed:
+        unknown = keys - allowed
+        if unknown:
+            raise ParseError(f"{_where(section, index)}: unknown key(s) {sorted(unknown)}")
+        raise ParseError(f"{_where(section, index)}: missing required field(s)"
+                         f" {sorted(required - keys)}")
 
 
-def _split_mode_id(mode_id: str) -> tuple[str, int]:
-    """Split "c<i>" / "m<j>" into kind and index.  Only the canonical
-    spelling is accepted, so "m00" or "m+0" cannot alias "m0"."""
-    if not _MODE_ID.fullmatch(mode_id):
-        raise ConfigError(f"malformed mode id {mode_id!r}")
-    return mode_id[0], int(mode_id[1:])
-
-
-def _check_field(owner: str, name: str, value, parameter_mode: str) -> None:
-    """The rule of one numeric field, for config_from_dict and axis_slot:
-    finite, within its sign bound, and a drive nonzero only in physical
-    mode, the one mode whose amplitude solve reads it."""
+def _field_fault(name: str, value, parameter_mode: str) -> str | None:
+    """The rule of one numeric field that ``value`` breaks, or None, for
+    config_from_dict and axis_slot: finite, within its sign bound, and a
+    drive nonzero only in physical mode, the one mode whose amplitude solve
+    reads it."""
     if not cmath.isfinite(value):
-        raise ConfigError(f"{owner}: {name} must be finite")
+        return f"{name} must be finite"
     bound = _BOUNDS.get(name)
     if bound == "> 0" and value <= 0 or bound == ">= 0" and value < 0:
-        raise ConfigError(f"{owner}: {name} must be {bound}")
+        return f"{name} must be {bound}"
     if name == "drive_amplitude" and value and parameter_mode != "physical":
-        raise ConfigError(f"{owner}: drive_amplitude must be 0 in {parameter_mode} mode")
+        return f"drive_amplitude must be 0 in {parameter_mode} mode"
+    return None
 
 
 def _owner(section: str, index: int, edges) -> str:
-    """How messages name item ``index`` of a config section; ``edges``
-    holds each edge's kind and endpoint ids."""
+    """How rule messages name item ``index`` of a config section; ``edges``
+    holds each edge's kind and endpoint ids.  Formatted only for a
+    refusal."""
     if section == "cavities":
         return f"cavity c{index}"
     if section == "mechanicals":
@@ -155,9 +157,10 @@ def axis_slot(model: Model, path: str, values) -> tuple[str, int]:
     index = int(idx_s)
     if name not in _SLOTS[section]:
         raise ConfigError(f"bad parameter path {path!r}: {name!r} is not a numeric field")
-    owner = _owner(section, index, edge_ids(model))
     for value in values:
-        _check_field(owner, name, value, model.parameter_mode)
+        fault = _field_fault(name, value, model.parameter_mode)
+        if fault:
+            raise ConfigError(f"{_owner(section, index, edge_ids(model))}: {fault}")
     return _SLOTS[section][name], index
 
 
@@ -168,62 +171,73 @@ def config_from_dict(doc: dict) -> Model:
     field, then every edge's kind, mode ids, endpoints and uniqueness; and
     the arrays, each mode id resolved to its canonical index.  Presets and
     files both enter here, and nothing downstream re-checks."""
-    _check_keys(doc, {"cavities", "mechanicals", "edges"},
-                {"parameter_mode", "topology"}, "config")
+    sections = {"cavities", "mechanicals", "edges"}
+    _check_keys(doc, sections, sections | {"parameter_mode", "topology"}, "config")
     values: dict[str, list] = {slot: [] for fields in _SLOTS.values() for slot in fields.values()}
     edges = []  # the kind and endpoint ids of each edge
     for section, fields in _SLOTS.items():
-        if not isinstance(doc[section], list):
+        items = doc[section]
+        if not isinstance(items, list):
             raise ParseError(f"{section}: expected a list")
-        for i, item in enumerate(doc[section]):
-            where = f"{section}[{i}]"
-            _check_keys(item, *_KEYS[section], where)
+        required, optional = _KEYS[section]
+        allowed = required | optional
+        parsers = [(name, values[slot], _complex_number if slot in _COMPLEX_SLOTS else _number)
+                   for name, slot in fields.items()]
+        for i, item in enumerate(items):
+            _check_keys(item, required, allowed, section, i)
             if section == "edges":
                 kind, endpoints = item["kind"], item["endpoints"]
                 if not isinstance(kind, str):
-                    raise ParseError(f"{where}.kind: expected a string, got {kind!r}")
+                    raise ParseError(f"{_where(section, i, 'kind')}: expected a string,"
+                                     f" got {kind!r}")
                 if (not isinstance(endpoints, list) or len(endpoints) != 2
-                        or not all(isinstance(e, str) for e in endpoints)):
-                    raise ParseError(f"{where}.endpoints: expected a pair of mode ids")
+                        or not isinstance(endpoints[0], str) or not isinstance(endpoints[1], str)):
+                    raise ParseError(f"{_where(section, i, 'endpoints')}: expected a pair"
+                                     " of mode ids")
                 edges.append((kind, tuple(endpoints)))
-            for name, slot in fields.items():
-                parse = _complex_number if slot in _COMPLEX_SLOTS else _number
-                values[slot].append(parse(item.get(name, 0.0), f"{where}.{name}"))
+            for name, column, parse in parsers:
+                column.append(parse(item.get(name, 0.0), section, i, name))
 
     parameter_mode = doc.get("parameter_mode", "effective")
     topology = doc.get("topology", "generic")
-    sizes = {"c": len(doc["cavities"]), "m": len(doc["mechanicals"])}
-    if not sizes["c"] or not sizes["m"]:
+    nc, nm = len(doc["cavities"]), len(doc["mechanicals"])
+    if not nc or not nm:
         raise ConfigError("empty mode list: need at least one cavity and one mechanical mode")
     if parameter_mode not in PARAMETER_MODES:
         raise ConfigError(f"unknown parameter_mode {parameter_mode!r}")
     if topology not in TOPOLOGY_TAGS:
         raise ConfigError(f"unknown topology {topology!r}")
     for section, fields in _SLOTS.items():
-        for index in range(len(doc[section])):
-            owner = _owner(section, index, edges)
-            for name, slot in fields.items():
-                _check_field(owner, name, values[slot][index], parameter_mode)
-    seen: set[tuple[str, frozenset[str]]] = set()
+        for index, row in enumerate(zip(*(values[slot] for slot in fields.values()))):
+            for name, value in zip(fields, row):
+                fault = _field_fault(name, value, parameter_mode)
+                if fault:
+                    raise ConfigError(f"{_owner(section, index, edges)}: {fault}")
+    # each canonical mode id that names a mode -> its canonical index; any
+    # other string is malformed or dangling
+    modes = {f"c{c}": c for c in range(nc)} | {f"m{l}": nc + l for l in range(nm)}
+    seen: set[tuple[int, int]] = set()
     ends = []
     for kind, endpoints in edges:
         if kind not in EDGE_KINDS:
             raise ConfigError(f"unknown edge kind {kind!r}")
-        split = [_split_mode_id(mode_id) for mode_id in endpoints]
-        if (split[0][0], split[1][0]) != EDGE_KINDS[kind]:
-            raise ConfigError(f"kind mismatch: {kind} edge cannot join {endpoints[0]!r}"
-                              f" and {endpoints[1]!r}")
-        if endpoints[0] == endpoints[1]:
-            raise ConfigError(f"self-loop on {endpoints[0]!r}")
-        for mode_id, (mode_kind, index) in zip(endpoints, split):
-            if index >= sizes[mode_kind]:
+        for mode_id in endpoints:
+            if mode_id not in modes and not _MODE_ID.fullmatch(mode_id):
+                raise ConfigError(f"malformed mode id {mode_id!r}")
+        a, b = endpoints
+        if (a[0], b[0]) != EDGE_KINDS[kind]:
+            raise ConfigError(f"kind mismatch: {kind} edge cannot join {a!r} and {b!r}")
+        if a == b:
+            raise ConfigError(f"self-loop on {a!r}")
+        for mode_id in endpoints:
+            if mode_id not in modes:
                 raise ConfigError(f"dangling edge endpoint {mode_id!r}")
-        key = (kind, frozenset(endpoints))
+        i, j = modes[a], modes[b]
+        key = (i, j) if i < j else (j, i)  # an edge's kind follows from its endpoints
         if key in seen:
             raise ConfigError(f"duplicate {kind} edge between {endpoints}")
         seen.add(key)
-        ends.append([index if mode_kind == "c" else sizes["c"] + index
-                     for mode_kind, index in split])
+        ends.append((i, j))
 
     ends_array = np.array(ends, dtype=np.intp).reshape(-1, 2)
     return Model(
@@ -259,9 +273,48 @@ def config_to_dict(model: Model) -> dict:
     return doc
 
 
+_encode = json.encoder.encode_basestring_ascii  # a string as json.dumps writes it
+
+
+def _complex_text(value) -> str:
+    """An item's real or [re, im] field value."""
+    if isinstance(value, list):
+        return f"[\n        {value[0]!r},\n        {value[1]!r}\n      ]"
+    return repr(value)
+
+
+def _section_text(items: list[str]) -> str:
+    """A section's list, each item given as the text of its fields."""
+    if not items:
+        return "[]"
+    return "[\n    {\n      " + "\n    },\n    {\n      ".join(items) + "\n    }\n  ]"
+
+
 def dump_config(model: Model) -> str:
-    """Canonical JSON text for a model (stable key order, full precision)."""
-    return json.dumps(config_to_dict(model), indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text for a model (stable key order, full precision):
+    json.dumps(config_to_dict(model), indent=2, sort_keys=True) and a
+    newline, written as one template per item.  json's C encoder takes no
+    indent, and its Python one costs several times as much.  A float is
+    written by its repr, as json writes a finite one: a model holds no
+    other, as config_from_dict and axis_slot refuse them."""
+    doc = config_to_dict(model)
+    z = _complex_text
+    cavities = [f'"decay": {c["decay"]!r},\n      "detuning": {c["detuning"]!r}'
+                + (f',\n      "drive_amplitude": {z(c["drive_amplitude"])}'
+                   if "drive_amplitude" in c else "")
+                for c in doc["cavities"]]
+    edges = [f'"endpoints": [\n        {_encode(e["endpoints"][0])},\n'
+             f'        {_encode(e["endpoints"][1])}\n      ],\n'
+             f'      "kind": {_encode(e["kind"])},\n      "strength": {z(e["strength"])}'
+             for e in doc["edges"]]
+    mechanicals = [f'"damping": {m["damping"]!r},\n      "frequency": {m["frequency"]!r},\n'
+                   f'      "thermal_occupation": {m["thermal_occupation"]!r}'
+                   for m in doc["mechanicals"]]
+    return (f'{{\n  "cavities": {_section_text(cavities)},\n'
+            f'  "edges": {_section_text(edges)},\n'
+            f'  "mechanicals": {_section_text(mechanicals)},\n'
+            f'  "parameter_mode": {_encode(doc["parameter_mode"])},\n'
+            f'  "topology": {_encode(doc["topology"])}\n}}\n')
 
 
 def config_hash(model: Model) -> str:
@@ -269,7 +322,9 @@ def config_hash(model: Model) -> str:
 
 
 def parse_config(path: str | Path) -> Model:
-    """Read a config document and compile it with config_from_dict."""
+    """Read a config document and compile it with config_from_dict.  A file
+    that cannot be read, is not JSON, or nests too deeply for json's
+    decoder raises ParseError naming the file."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -278,4 +333,6 @@ def parse_config(path: str | Path) -> Model:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # json's decoder recurses once per level of nesting
+        raise ParseError(f"{path}: nested too deeply to parse") from exc
     return config_from_dict(doc)

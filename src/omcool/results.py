@@ -79,8 +79,9 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
 
 def read_csv(path: str | Path) -> ResultTable:
     """Parse a CSV written by ``table_to_csv``; blank lines are skipped.
-    Raises ParseError when the file cannot be read, has no header row, or
-    has a record whose field count differs from the header's."""
+    Raises ParseError when the file cannot be read, has a line the csv
+    module refuses (a field over its size limit), has no header row, or has
+    a record whose field count differs from the header's."""
     metadata = {}
     try:
         with open(path, newline="") as fh:
@@ -94,7 +95,10 @@ def read_csv(path: str | Path) -> ResultTable:
             # a blank line in its place keeps reader.line_num the file's line
             lines[index] = "\n"
     reader = csv.reader(lines)
-    records = [(reader.line_num, record) for record in reader if record]
+    try:
+        records = [(reader.line_num, record) for record in reader if record]
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     if not records:
         raise ParseError(f"{path}: no header row")
     (_, columns), *records = records

@@ -43,16 +43,21 @@ from omcool.sweep import (
 # ---------------------------------------------------------------------------
 # config documents
 
-_value = st.floats(-2.0, 2.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+# the smallest subnormal, a float near the top of the range, and one that
+# binary cannot hold exactly
+_edge_floats = st.sampled_from([5e-324, 1e308, 0.1])
+_value = (st.floats(-2.0, 2.0, allow_nan=False) | st.sampled_from([0.0, -0.0]) | _edge_floats
+          | _edge_floats.map(lambda x: -x))
 _complex_value = _value | st.lists(_value, min_size=2, max_size=2)
 
 
 @st.composite
 def _documents(draw):
     """Config documents of 1-3 cavities and 1-3 mechanical modes in either
-    parameter mode: no and zero drives, and in physical mode, the one mode
-    that reads a drive, real and complex ones too; real, -0.0 and complex
-    strengths; and every hop's endpoints in either order."""
+    parameter mode, any topology tag, and floats from 5e-324 to 1e308: no
+    and zero drives, and in physical mode, the one mode that reads a drive,
+    real and complex ones too; real, -0.0 and complex strengths; no edge or
+    up to six; and every hop's endpoints in either order."""
     mode = draw(st.sampled_from(["effective", "physical"]))
     drives = st.none() | st.sampled_from([0, [0.0, -0.0]])
     if mode == "physical":
@@ -60,13 +65,15 @@ def _documents(draw):
     nc, nm = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cavities = []
     for _ in range(nc):
-        cavity = {"detuning": draw(_value), "decay": draw(st.floats(0.0, 2.0))}
+        cavity = {"detuning": draw(_value), "decay": draw(st.floats(0.0, 2.0) | _edge_floats)}
         drive = draw(drives)
         if drive is not None:
             cavity["drive_amplitude"] = drive
         cavities.append(cavity)
-    mechanicals = [{"frequency": draw(st.floats(0.1, 2.0)), "damping": draw(st.floats(0.0, 1.0)),
-                    "thermal_occupation": draw(st.floats(0.0, 1e3))} for _ in range(nm)]
+    mechanicals = [{"frequency": draw(st.floats(0.1, 2.0) | _edge_floats),
+                    "damping": draw(st.floats(0.0, 1.0) | _edge_floats),
+                    "thermal_occupation": draw(st.floats(0.0, 1e3) | _edge_floats)}
+                   for _ in range(nm)]
     ids = [f"c{c}" for c in range(nc)] + [f"m{l}" for l in range(nm)]
     pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(ids, 2))),
                           unique=True, max_size=6))
@@ -93,6 +100,44 @@ def test_config_round_trip_is_fixed_point(doc):
                  "edge_i", "edge_j", "strength", "optomechanical"):
         assert np.array_equal(getattr(reparsed, name), getattr(cfg, name)), name
     assert (reparsed.topology, reparsed.parameter_mode) == (cfg.topology, cfg.parameter_mode)
+
+
+def _json_dumps_text(model) -> str:
+    """The canonical text by its definition, through json's own encoder."""
+    return json.dumps(config_to_dict(model), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents())
+@example(config_to_dict(network4_config()))
+def test_dump_config_is_json_dumps_text(doc):
+    model = config_from_dict(doc)
+    assert dump_config(model) == _json_dumps_text(model)
+
+
+def test_dump_config_is_json_dumps_text_for_presets_and_chains():
+    models = [config_from_dict(get_preset(name).document) for name in PRESET_HASHES]
+    models += [chain_config(n) for n in range(2, 65)]
+    for model in models:
+        assert dump_config(model) == _json_dumps_text(model)
+
+
+def test_signed_zero_reads_as_zero(tmp_path):
+    # table1's photon hop J and c1's detuning written as -0.0 give the rows,
+    # the text and the hash of the same document at 0.0
+    csvs = []
+    for zero in (0.0, -0.0):
+        doc = get_preset("table1").document
+        doc["edges"][4]["strength"] = zero
+        doc["cavities"][1]["detuning"] = zero
+        model = config_from_dict(doc)
+        assert np.signbit(model.detuning).sum() == 0 and np.signbit(model.strength.real).sum() == 0
+        out = tmp_path / f"{zero}.csv"
+        assert main(["solve", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert json.dumps(doc).count("-0.0") == 2
+    assert csvs[0] == csvs[1]
+    assert b"# config_hash=4a5cec09ac871140\n" in csvs[1]
 
 
 def test_unknown_key_rejected():
@@ -541,6 +586,17 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         assert main(["solve", "--config", _write_config(tmp_path, doc)]) == 2
         assert capsys.readouterr().err == (
             f"error: edges[0].kind: expected a string, got {kind!r}\n")
+
+
+@pytest.mark.parametrize("verb", [
+    ["solve"], ["sweep", "--axis", "cavities.0.decay:0.1:0.2:2"], ["taxonomy"]])
+def test_cli_deeply_nested_config_exit_code(tmp_path, capsys, verb):
+    # json's decoder recurses once per level, so this exceeds the recursion
+    # limit inside json.loads
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([verb[0], "--config", str(path), *verb[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {path}: nested too deeply to parse\n"
 
 
 def test_cli_validation_error_exit_code(tmp_path):
@@ -1183,6 +1239,16 @@ def test_cli_emit_ragged_record_exit_code(tmp_path, capsys, edit):
     assert main(["emit", "--in", str(path), "--format", "svg", "--out", str(out)]) == 2
     assert f"{path}:{len(lines)}: {len(edit(last))} fields where the header has {len(last)}" \
         in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_emit_oversized_field_exit_code(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text(f"x,y\n1,{'a' * (csv.field_size_limit() + 1)}\n")
+    out = tmp_path / "out.csv"
+    assert main(["emit", "--in", str(path), "--format", "csv", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: field larger than field limit ({csv.field_size_limit()})\n")
     assert not out.exists()
 
 

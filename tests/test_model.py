@@ -4,6 +4,7 @@ steady-state amplitudes, and matrix assembly."""
 import copy
 import json
 import itertools
+import math
 import re
 import sys
 
@@ -16,7 +17,7 @@ from scipy.optimize import fsolve
 from omcool import config_io, darkmode
 from omcool.cli import main
 from omcool.config_io import axis_slot, config_from_dict, config_to_dict, dump_config
-from omcool.errors import ConfigError, ConvergenceError
+from omcool.errors import ConfigError, ConvergenceError, ParseError
 from omcool.lyapunov import phonon_numbers, solve_lyapunov
 from omcool.model import (
     AMPLITUDE_DAMPING,
@@ -167,6 +168,111 @@ def test_canonical_mode_index_order():
     for (_, ends, _), i, j in zip(edges, model.edge_i, model.edge_j):
         index[ends[0]], index[ends[1]] = i, j
     assert [index[m] for m in ("c0", "c1", "m0", "m1")] == [0, 1, 2, 3]
+
+
+def _edited(*edits):
+    """The n_type document (c0, c1; m0, m1; edges c0-m0, c0-m1, c1-m0) with
+    each edit applied: a (path, value) pair sets one entry, a path alone
+    deletes it."""
+    doc = config_to_dict(n_type_config())
+    for edit in edits:
+        *keys, last = edit[0]
+        target = doc
+        for key in keys:
+            target = target[key]
+        if len(edit) == 1:
+            del target[last]
+        else:
+            target[last] = edit[1]
+    return doc
+
+
+_PHONON_HOPS = [{"kind": "phonon_hop", "endpoints": ["m0", "m1"], "strength": 0.1},
+                {"kind": "phonon_hop", "endpoints": ["m1", "m0"], "strength": 0.1}]
+
+# documents with two faults each, and the refusal that wins: the schema
+# (ParseError) before the rules (ConfigError), item by item in section order
+# and field by field within an item, then each edge's kind, mode ids,
+# endpoints and uniqueness, edge by edge
+_TWO_FAULTS = {
+    "config-unknown-before-missing": (
+        ((("extra",), 1), (("edges",),)), ParseError, "config: unknown key(s) ['extra']"),
+    "section-list-before-later-item": (
+        ((("cavities",), {}), (("mechanicals", 0), 1.0)), ParseError,
+        "cavities: expected a list"),
+    "item-before-later-section-list": (
+        ((("cavities", 0), 1.0), (("edges",), {})), ParseError,
+        "cavities[0]: expected an object"),
+    "item-unknown-before-missing": (
+        ((("cavities", 0, "finesse"), 1e6), (("cavities", 0, "detuning"),)), ParseError,
+        "cavities[0]: unknown key(s) ['finesse']"),
+    "keys-before-fields": (
+        ((("cavities", 0, "decay"), "fast"), (("cavities", 0, "finesse"), 1e6)), ParseError,
+        "cavities[0]: unknown key(s) ['finesse']"),
+    "earlier-item-schema": (
+        ((("mechanicals", 0, "q"), 1.0), (("cavities", 1, "decay"), "fast")), ParseError,
+        "cavities[1].decay: expected a number, got 'fast'"),
+    "edge-kind-before-endpoints": (
+        ((("edges", 0, "kind"), None), (("edges", 0, "endpoints"), ["c0"])), ParseError,
+        "edges[0].kind: expected a string, got None"),
+    "edge-endpoints-before-strength": (
+        ((("edges", 0, "endpoints"), "c0"), (("edges", 0, "strength"), "x")), ParseError,
+        "edges[0].endpoints: expected a pair of mode ids"),
+    "schema-before-rule": (
+        ((("cavities", 0, "decay"), -1.0), (("edges", 2, "strength"), "x")), ParseError,
+        "edges[2].strength: expected a number or [re, im] pair, got 'x'"),
+    "empty-modes-before-parameter-mode": (
+        ((("mechanicals",), []), (("parameter_mode",), "linear")), ConfigError,
+        "empty mode list: need at least one cavity and one mechanical mode"),
+    "parameter-mode-before-topology": (
+        ((("parameter_mode",), "linear"), (("topology",), "ring")), ConfigError,
+        "unknown parameter_mode 'linear'"),
+    "topology-before-field-rule": (
+        ((("topology",), "ring"), (("cavities", 0, "decay"), -1.0)), ConfigError,
+        "unknown topology 'ring'"),
+    "cavity-before-mechanical": (
+        ((("cavities", 1, "decay"), -1.0), (("mechanicals", 0, "frequency"), -1.0)),
+        ConfigError, "cavity c1: decay must be >= 0"),
+    "field-order-in-item": (
+        ((("cavities", 0, "detuning"), math.inf), (("cavities", 0, "decay"), -1.0)),
+        ConfigError, "cavity c0: detuning must be finite"),
+    "decay-before-drive": (
+        ((("cavities", 0, "decay"), -1.0), (("cavities", 0, "drive_amplitude"), 5.0)),
+        ConfigError, "cavity c0: decay must be >= 0"),
+    "field-rule-before-edge-kind": (
+        ((("cavities", 0, "decay"), math.nan), (("edges", 0, "kind"), "tunnel")), ConfigError,
+        "cavity c0: decay must be finite"),
+    "edge-field-rule-before-its-kind": (
+        ((("edges", 0, "kind"), "tunnel"), (("edges", 0, "strength"), math.nan)), ConfigError,
+        "tunnel edge ('c0', 'm0'): strength must be finite"),
+    "malformed-before-mismatch": (
+        ((("edges", 0, "endpoints"), ["m0", "c00"]),), ConfigError, "malformed mode id 'c00'"),
+    "first-malformed": (
+        ((("edges", 0, "endpoints"), ["c+0", "m00"]),), ConfigError, "malformed mode id 'c+0'"),
+    "mismatch-before-dangling": (
+        ((("edges", 0, "endpoints"), ["m0", "c9"]),), ConfigError,
+        "kind mismatch: optomechanical edge cannot join 'm0' and 'c9'"),
+    "self-loop-before-dangling": (
+        ((("edges", 0), {"kind": "phonon_hop", "endpoints": ["m9", "m9"], "strength": 0.1}),),
+        ConfigError, "self-loop on 'm9'"),
+    "first-dangling": (
+        ((("edges", 0, "endpoints"), ["c5", "m9"]),), ConfigError, "dangling edge endpoint 'c5'"),
+    "dangling-before-later-kind": (
+        ((("edges", 0, "endpoints"), ["c0", "m9"]), (("edges", 1, "kind"), "tunnel")),
+        ConfigError, "dangling edge endpoint 'm9'"),
+    "duplicate-before-later-kind": (
+        ((("edges",), [*_PHONON_HOPS, {"kind": "tunnel", "endpoints": ["c0", "m0"],
+                                        "strength": 0.1}]),),
+        ConfigError, "duplicate phonon_hop edge between ('m1', 'm0')"),
+}
+
+
+@pytest.mark.parametrize("edits, error, message", _TWO_FAULTS.values(), ids=_TWO_FAULTS)
+def test_refusal_order(edits, error, message):
+    doc = _edited(*edits)
+    with pytest.raises(error) as exc:
+        config_from_dict(doc)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
