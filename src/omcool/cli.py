@@ -1,17 +1,14 @@
 """Command-line entry point.
 
-Verbs: solve, sweep, taxonomy, atomic, preset (each writes CSV), emit (CSV or SVG).
+Verbs: solve, sweep, taxonomy, atomic, preset; each writes CSV, or with
+preset --dump the preset's document as JSON.
 Exit codes: 0 success, 2 parse error (including an unreadable --config or
---in, a --config nested too deeply for json's decoder, or an --in with no
-header row, a field over the csv module's size limit, or a record whose
-field count differs from the header's), 3 validation error (including
+one nested too deeply for json's decoder), 3 validation error (including
 --points below 1, --jobs below 1 on a sweep or any preset, run or dump,
 and a range with a non-finite bound, no point, or, over more points than
 one, MIN >= MAX or a MAX - MIN that is not finite), 4 unstable system, 5
 solver failure (also a failed write, a drift or noise matrix that
-overflows from finite fields, a range too large to hold in memory, and an
-emitted SVG of a table with no finite number in an axis column, such as a
-solve's).
+overflows from finite fields, and a range too large to hold in memory).
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from pathlib import Path
 from .config_io import parse_config
 from .errors import ConfigError, OmcoolError, ParseError, UnstableSystemError
 from .presets import get_preset, preset_names
-from .results import ResultTable, read_csv, stream_csv, table_to_svg, write_csv
+from .results import ResultTable, stream_csv, write_csv
 from .sweep import SweepAxis, run_atomic, run_solve, run_sweep, run_taxonomy
 
 EXIT_OK = 0
@@ -108,15 +105,6 @@ def _cmd_preset(args) -> int:
     return EXIT_OK
 
 
-def _cmd_emit(args) -> int:
-    table = read_csv(args.infile)
-    if args.format == "svg":
-        _write_text(table_to_svg(table), args.out)
-    else:
-        _write_csv(table, args.out)
-    return EXIT_OK
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The omcool parser, built at the first call and shared by every later
@@ -154,16 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="dump or run a named figure/table preset")
     p.add_argument("name", choices=preset_names())
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--dump", action="store_true", help="emit the preset's config (or atomic grid) as JSON")
+    group.add_argument("--dump", action="store_true",
+                       help="write the preset's config (or atomic grid) as JSON")
     group.add_argument("--run", action="store_true", help="run the preset (default)")
     p.add_argument("--points", type=int, default=None, help="grid points per axis")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_preset)
 
-    p = sub.add_parser("emit", help="re-emit a saved result table as CSV or SVG")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("csv", "svg"), required=True)
-    p.set_defaults(func=_cmd_emit)
     for p in sub.choices.values():
         p.add_argument("--out", help="output file (default: stdout)")
     return parser

@@ -63,12 +63,20 @@ def _where(section: str, index: int | None = None, name: str | None = None) -> s
     return where if name is None else f"{where}.{name}"
 
 
+def _clip(text: str) -> str:
+    """Document input as a refusal message echoes it (its repr, or an edge
+    kind as is), cut to 60 characters and '...', so that a huge value gives
+    a short message; text that fits is kept whole."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _number(value, section: str, index: int, name: str) -> float:
     """A JSON number as a float, a zero of either sign as +0.0, so no signed
     zero reaches the model or its hash; an integer beyond float range reads
     as the infinity of its sign, as the literal 1e400 does."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{_where(section, index, name)}: expected a number, got {value!r}")
+        raise ParseError(f"{_where(section, index, name)}: expected a number,"
+                         f" got {_clip(repr(value))}")
     try:
         return float(value) + 0.0
     except OverflowError:
@@ -85,7 +93,7 @@ def _complex_number(value, section: str, index: int, name: str) -> complex:
         return complex(_number(value, section, index, name))
     except ParseError:
         raise ParseError(f"{_where(section, index, name)}: expected a number or [re, im] pair,"
-                         f" got {value!r}") from None
+                         f" got {_clip(repr(value))}") from None
 
 
 def _check_keys(obj, required: set[str], allowed: set[str], section: str,
@@ -96,7 +104,8 @@ def _check_keys(obj, required: set[str], allowed: set[str], section: str,
     if not required <= keys <= allowed:
         unknown = keys - allowed
         if unknown:
-            raise ParseError(f"{_where(section, index)}: unknown key(s) {sorted(unknown)}")
+            raise ParseError(f"{_where(section, index)}: unknown key(s)"
+                             f" {_clip(repr(sorted(unknown)))}")
         raise ParseError(f"{_where(section, index)}: missing required field(s)"
                          f" {sorted(required - keys)}")
 
@@ -125,7 +134,7 @@ def _owner(section: str, index: int, edges) -> str:
     if section == "mechanicals":
         return f"mechanical m{index}"
     kind, endpoints = edges[index]
-    return f"{kind} edge {endpoints}"
+    return f"{_clip(kind)} edge {_clip(repr(endpoints))}"
 
 
 def edge_ids(model: Model) -> list[tuple[str, tuple[str, str]]]:
@@ -189,7 +198,7 @@ def config_from_dict(doc: dict) -> Model:
                 kind, endpoints = item["kind"], item["endpoints"]
                 if not isinstance(kind, str):
                     raise ParseError(f"{_where(section, i, 'kind')}: expected a string,"
-                                     f" got {kind!r}")
+                                     f" got {_clip(repr(kind))}")
                 if (not isinstance(endpoints, list) or len(endpoints) != 2
                         or not isinstance(endpoints[0], str) or not isinstance(endpoints[1], str)):
                     raise ParseError(f"{_where(section, i, 'endpoints')}: expected a pair"
@@ -204,9 +213,9 @@ def config_from_dict(doc: dict) -> Model:
     if not nc or not nm:
         raise ConfigError("empty mode list: need at least one cavity and one mechanical mode")
     if parameter_mode not in PARAMETER_MODES:
-        raise ConfigError(f"unknown parameter_mode {parameter_mode!r}")
+        raise ConfigError(f"unknown parameter_mode {_clip(repr(parameter_mode))}")
     if topology not in TOPOLOGY_TAGS:
-        raise ConfigError(f"unknown topology {topology!r}")
+        raise ConfigError(f"unknown topology {_clip(repr(topology))}")
     for section, fields in _SLOTS.items():
         for index, row in enumerate(zip(*(values[slot] for slot in fields.values()))):
             for name, value in zip(fields, row):
@@ -220,22 +229,23 @@ def config_from_dict(doc: dict) -> Model:
     ends = []
     for kind, endpoints in edges:
         if kind not in EDGE_KINDS:
-            raise ConfigError(f"unknown edge kind {kind!r}")
+            raise ConfigError(f"unknown edge kind {_clip(repr(kind))}")
         for mode_id in endpoints:
             if mode_id not in modes and not _MODE_ID.fullmatch(mode_id):
-                raise ConfigError(f"malformed mode id {mode_id!r}")
+                raise ConfigError(f"malformed mode id {_clip(repr(mode_id))}")
         a, b = endpoints
         if (a[0], b[0]) != EDGE_KINDS[kind]:
-            raise ConfigError(f"kind mismatch: {kind} edge cannot join {a!r} and {b!r}")
+            raise ConfigError(f"kind mismatch: {kind} edge cannot join {_clip(repr(a))}"
+                              f" and {_clip(repr(b))}")
         if a == b:
-            raise ConfigError(f"self-loop on {a!r}")
+            raise ConfigError(f"self-loop on {_clip(repr(a))}")
         for mode_id in endpoints:
             if mode_id not in modes:
-                raise ConfigError(f"dangling edge endpoint {mode_id!r}")
+                raise ConfigError(f"dangling edge endpoint {_clip(repr(mode_id))}")
         i, j = modes[a], modes[b]
         key = (i, j) if i < j else (j, i)  # an edge's kind follows from its endpoints
         if key in seen:
-            raise ConfigError(f"duplicate {kind} edge between {endpoints}")
+            raise ConfigError(f"duplicate {kind} edge between {_clip(repr(endpoints))}")
         seen.add(key)
         ends.append((i, j))
 

@@ -1,10 +1,7 @@
 """Config documents, result tables, sweeps, presets, and the CLI contract."""
 
-import csv
 import itertools
 import json
-import re
-from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -21,7 +18,7 @@ from omcool.config_io import (
     edge_ids,
     parse_config,
 )
-from omcool.errors import ConfigError, ParseError, SolverError
+from omcool.errors import ConfigError, ParseError
 from omcool.presets import (
     chain_config,
     get_preset,
@@ -29,7 +26,7 @@ from omcool.presets import (
     network4_config,
     preset_names,
 )
-from omcool.results import ResultTable, read_csv, table_to_csv, table_to_svg, write_csv
+from omcool.results import ResultTable, table_to_csv, write_csv
 from omcool.sweep import (
     SweepAxis,
     run_atomic,
@@ -38,6 +35,7 @@ from omcool.sweep import (
     run_taxonomy,
     solve_record,
 )
+from table_reader import read_table
 
 
 # ---------------------------------------------------------------------------
@@ -222,52 +220,10 @@ def test_csv_file_round_trip(tmp_path):
     table.rows = list(table.rows)
     path = tmp_path / "out.csv"
     write_csv(table, path)
-    back = read_csv(path)
+    back = read_table(path)
     assert back.columns == table.columns
     assert back.rows == table.rows
     assert back.metadata == table.metadata
-
-
-def test_svg_line_chart_structure():
-    table = run_sweep(n_type_config(), [SweepAxis("cavities.0.decay", 0.05, 1.0, 5)],
-                      ["n_f_1", "n_f_2"])
-    svg = table_to_svg(table)
-    assert svg.startswith("<svg")
-    assert svg.count("<polyline") == 2
-
-
-def test_svg_heatmap_one_cell_per_point():
-    table = run_sweep(n_type_config(), [SweepAxis("cavities.0.detuning", 0.8, 1.2, 3),
-                                        SweepAxis("cavities.0.decay", 0.05, 0.5, 4)],
-                      ["n_f_1"])
-    svg = table_to_svg(table)
-    # one background rect plus one cell per grid point
-    assert svg.count("<rect") == 1 + 12
-
-
-def test_svg_line_chart_breaks_its_lines_between_configurations(tmp_path):
-    # a taxonomy's rows run through the decay axis once per configuration:
-    # each configuration is its own line, so no line runs back along the axis
-    csv_path, out = tmp_path / "fig7a.csv", tmp_path / "fig7a.svg"
-    assert main(["preset", "fig7a", "--run", "--points", "3", "--out", str(csv_path)]) == 0
-    assert main(["emit", "--in", str(csv_path), "--format", "svg", "--out", str(out)]) == 0
-    lines = re.findall(r'<polyline points="([^"]*)"', out.read_text())
-    assert len(lines) == 4 * 4  # four configurations, four numeric columns
-    for points in lines:
-        xs = [float(pair.split(",")[0]) for pair in points.split()]
-        assert len(xs) == 3 and xs == sorted(set(xs))
-
-
-@pytest.mark.parametrize("name", ["fig2a", "fig7a"], ids=["heatmap", "line-chart"])
-def test_emitted_chart_of_a_run_csv_is_the_chart_of_its_table(tmp_path, name):
-    # a run's CSV holds every cell a chart reads, so drawing the CSV read
-    # back draws the chart of the run's own table: emit is the only drawer
-    path = tmp_path / f"{name}.csv"
-    assert main(["preset", name, "--run", "--points", "4", "--out", str(path)]) == 0
-    table = get_preset(name, points=4).run(1)
-    table.rows = list(table.rows)
-    table.metadata["preset"] = name
-    assert table_to_svg(read_csv(path)) == table_to_svg(table)
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,90 +235,11 @@ def test_emitted_chart_of_a_run_csv_is_the_chart_of_its_table(tmp_path, name):
     ["preset", "fig2a", "--dump"],
 ], ids=["solve", "sweep", "taxonomy", "atomic", "preset", "preset-dump"])
 def test_run_verbs_take_no_format(capsys, argv):
-    # a run verb writes CSV only; a chart is drawn by emit
+    # a run verb writes CSV only
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--format", "svg"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --format svg" in capsys.readouterr().err
-
-
-def test_empty_table_svg_rejected():
-    with pytest.raises(SolverError):
-        table_to_svg(ResultTable(columns=["x"], rows=[]))
-
-
-def _emit_svg(tmp_path, capsys, text):
-    """emit --format svg of the CSV ``text``: the exit code, the stderr, and
-    the SVG written (None when no file was written)."""
-    source, out = tmp_path / "t.csv", tmp_path / "t.svg"
-    out.unlink(missing_ok=True)
-    source.write_text(text)
-    code = main(["emit", "--in", str(source), "--format", "svg", "--out", str(out)])
-    return code, capsys.readouterr().err, out.read_text() if out.exists() else None
-
-
-@pytest.mark.parametrize("text, message", [
-    ("# axes=x\nx,y\n1,a\n2,b\n", "no numeric output column to render"),
-    ("# axes=x,y\nx,y,v\n0,0,a\n0,1,b\n", "no numeric output column to render"),
-    ("# axes=x\nx,y\n1,nan\na,2\n", "no finite values to render"),
-    ("# axes=x,y\nx,y,v\n0,0,nan\na,1,2\n", "no finite values to render"),
-    ("# axes=x\nx,y\n1,nan\n2,inf\n", "no numeric output column to render"),
-    ("# axes=x,y\nx,y,v\n0,0,nan\n0,1,-inf\n", "no numeric output column to render"),
-    ("# axes=q\nx,y\n1,2\n", "axis column 'q' missing from table"),
-    ("# axes=q,r\nx,y\n1,2\n", "axis column 'q' missing from table"),
-], ids=["line-text-outputs", "heatmap-text-outputs", "line-no-drawable-point",
-        "heatmap-no-drawable-point", "line-non-finite-outputs", "heatmap-non-finite-outputs",
-        "line-missing-axis", "heatmap-missing-axes"])
-def test_cli_emit_svg_refusals(tmp_path, capsys, text, message):
-    # every refusal exits 5 and writes no file; output cells that hold only
-    # non-finite numbers are no drawable output column
-    assert _emit_svg(tmp_path, capsys, text) == (5, f"error: {message}\n", None)
-
-
-@pytest.mark.parametrize("text", [
-    "# axes=x\nx,a<b&c\n0,1\n1,2\n",
-    "# axes=x,y\nx,y,a<b&c\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n",
-], ids=["line", "heatmap"])
-def test_cli_emit_svg_escapes_its_text(tmp_path, capsys, text):
-    # a column name holding <, > or & is written escaped into the title,
-    # legend and axis names, so the SVG stays well-formed XML
-    code, err, svg = _emit_svg(tmp_path, capsys, text)
-    assert (code, err) == (0, "")
-    texts = ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
-    assert any(node.text.startswith("a<b&c") for node in texts)
-
-
-@pytest.mark.parametrize("text, drawn", [
-    ("# axes=x\nx,y\n0,1\n{},2\n1,3\n", 'points="70.00,450.00 650.00,70.00"'),
-    ("# axes=x,y\nx,y,v\n0,0,1\n0,1,2\n{},0,5\n1,0,3\n1,1,4\n",
-     '<rect x="360.00" y="70.00" width="290.50" height="190.50"'),
-], ids=["line", "heatmap"])
-def test_cli_emit_svg_skips_non_finite_axis_cells(tmp_path, capsys, text, drawn):
-    # a nan or inf axis cell, or an int beyond float range, is skipped as a
-    # text cell is; an axis column with no finite number is refused
-    code, _, want = _emit_svg(tmp_path, capsys, text.format("a"))
-    assert code == 0
-    for cell in ("nan", "inf", "-inf", "1" + "0" * 400):
-        assert _emit_svg(tmp_path, capsys, text.format(cell)) == (0, "", want)
-    assert drawn in want and "nan" not in want and "inf" not in want
-    for cell in ("nan", "inf"):
-        no_axis = re.sub(r"^[01a]", cell, text.format("a"), flags=re.M)
-        assert _emit_svg(tmp_path, capsys, no_axis) == (
-            5, "error: axis column 'x' has no numeric value to draw against\n", None)
-
-
-def test_cli_emit_heatmap_draws_first_output_column_with_a_drawable_cell(tmp_path, capsys):
-    # a column of non-finite numbers is no output column, as in a line chart
-    code, _, svg = _emit_svg(tmp_path, capsys, "# axes=x,y\nx,y,a,b\n0,0,nan,1\n0,1,inf,2\n")
-    assert code == 0
-    assert ">b over x x y</text>" in svg
-
-
-def test_cli_emit_heatmap_skips_non_finite_output_cell(tmp_path, capsys):
-    code, _, svg = _emit_svg(tmp_path, capsys, "# axes=x,y\nx,y,v\n0,0,1\n0,1,nan\n1,0,3\n1,1,4\n")
-    assert code == 0
-    assert svg.count("<rect") == 1 + 3
-    assert "nan" not in svg
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +428,9 @@ def test_cli_parser_shared_between_calls(tmp_path, capsys):
                  "--axis", "cavities.0.detuning:0.9:1.1:2"]) == 0
     assert main(["sweep", "--config", cfg_path, "--out", str(one),
                  "--axis", "cavities.0.detuning:0.9:1.1:3"]) == 0
-    assert read_csv(two).metadata["axes"] == "cavities.0.decay,cavities.0.detuning"
-    assert read_csv(one).metadata["axes"] == "cavities.0.detuning"
-    assert len(read_csv(one).rows) == 3
+    assert read_table(two).metadata["axes"] == "cavities.0.decay,cavities.0.detuning"
+    assert read_table(one).metadata["axes"] == "cavities.0.detuning"
+    assert len(read_table(one).rows) == 3
     dump = tmp_path / "table1.json"
     assert main(["preset", "table1", "--dump", "--out", str(dump)]) == 0
     assert main(["preset", "table1", "--run", "--out", str(tmp_path / "table1.csv")]) == 0
@@ -672,16 +549,29 @@ def test_cli_config_rejection_exit_code_and_message(tmp_path, capsys, edit, axis
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_cli_sweep_and_emit(tmp_path):
+@pytest.mark.parametrize("edit, code", [
+    (lambda doc: doc["cavities"][0].update(detuning=[0] * 100_000), 2),
+    (lambda doc: doc["edges"][0].update(kind="k" * 200_000), 3),
+    (lambda doc: doc["cavities"][0].update({"k" * 200_000: 1.0}), 2),
+], ids=["long-list-field", "long-edge-kind", "long-unknown-key"])
+def test_cli_refusal_echo_is_bounded(tmp_path, capsys, edit, code):
+    # a refusal echoes a huge value cut short: one error line under 300 bytes
+    doc = get_preset("table1").document
+    edit(doc)
+    assert main(["solve", "--config", _write_config(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("...\n") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+
+
+def test_cli_sweep_writes_csv(tmp_path):
     cfg_path = _write_config(tmp_path, n_type_config())
     out_csv = str(tmp_path / "sweep.csv")
     code = main(["sweep", "--config", cfg_path,
                  "--axis", "cavities.0.decay:0.05:1.0:4",
                  "--out", out_csv])
     assert code == 0
-    out_svg = str(tmp_path / "sweep.svg")
-    assert main(["emit", "--in", out_csv, "--format", "svg", "--out", out_svg]) == 0
-    assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
+    assert len(read_table(out_csv).rows) == 4
 
 
 def test_cli_sweep_jobs_deterministic(tmp_path):
@@ -750,7 +640,7 @@ def test_cli_sweep_solver_failure_keeps_partial_table(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
                  "--axis", "cavities.0.drive_amplitude:60:3000:2"]) == 5
-    table = read_csv(out)
+    table = read_table(out)
     assert [row[table.columns.index("cavities.0.drive_amplitude")] for row in table.rows] == [60.0]
 
 
@@ -843,7 +733,7 @@ def test_cli_noise_matrix_overflow_exit_code(tmp_path, capsys, axis, rows):
     assert main(argv) == 5
     assert capsys.readouterr().err == "error: noise matrix contains non-finite entries\n"
     if rows:
-        assert len(read_csv(tmp_path / "out.csv").rows) == rows
+        assert len(read_table(tmp_path / "out.csv").rows) == rows
 
 
 @pytest.mark.parametrize("strength, axis, rows", [
@@ -862,7 +752,7 @@ def test_cli_drift_matrix_overflow_exit_code(tmp_path, capsys, strength, axis, r
     assert main(argv) == 5
     assert capsys.readouterr().err == "error: drift matrix contains non-finite entries\n"
     if rows:
-        assert len(read_csv(tmp_path / "out.csv").rows) == rows
+        assert len(read_table(tmp_path / "out.csv").rows) == rows
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -874,7 +764,7 @@ def test_cli_sweep_partial_table_independent_of_jobs(tmp_path, jobs):
     assert main(["sweep", "--config", _write_physical_n_type(tmp_path), "--out", str(out),
                  "--axis", "cavities.0.drive_amplitude:60:3000:30", "--jobs", jobs]) == 5
     drives = SweepAxis("cavities.0.drive_amplitude", 60.0, 3000.0, 30).values()
-    table = read_csv(out)
+    table = read_table(out)
     rows = [dict(zip(table.columns, row)) for row in table.rows]
     assert [row["cavities.0.drive_amplitude"] for row in rows] == drives[:4].tolist()
     assert all(row["stable"] for row in rows)
@@ -909,21 +799,20 @@ def test_cli_preset_dump_reparses(tmp_path):
     assert dump_config(parse_config(out)) == dump_config(want)
 
 
-def test_cli_dump_and_svg_without_out_go_to_stdout(tmp_path, capsys):
+def test_cli_dump_and_run_without_out_go_to_stdout(tmp_path, capsys):
     assert main(["preset", "fig2a", "--dump"]) == 0
     assert capsys.readouterr().out == \
         json.dumps(get_preset("fig2a").document, indent=2, sort_keys=True) + "\n"
     path = tmp_path / "fig8a.csv"
     assert main(["preset", "fig8a", "--run", "--points", "3", "--out", str(path)]) == 0
-    assert main(["emit", "--in", str(path), "--format", "svg"]) == 0
-    svg = capsys.readouterr().out
-    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+    assert main(["preset", "fig8a", "--run", "--points", "3"]) == 0
+    assert capsys.readouterr().out == path.read_text()
 
 
 def test_cli_preset_run(tmp_path):
     out = tmp_path / "table1.csv"
     assert main(["preset", "table1", "--run", "--out", str(out)]) == 0
-    table = read_csv(out)
+    table = read_table(out)
     assert table.metadata["preset"] == "table1"
     assert len(table.rows) == 1
 
@@ -931,7 +820,7 @@ def test_cli_preset_run(tmp_path):
 def test_cli_preset_run_taxonomy_filter(tmp_path):
     out = tmp_path / "fig7a.csv"
     assert main(["preset", "fig7a", "--points", "2", "--out", str(out)]) == 0
-    table = read_csv(out)
+    table = read_table(out)
     labels = {row[0] for row in table.rows}
     assert labels == {"J", "eta", "Gs1", "Gs2"}
 
@@ -969,7 +858,7 @@ def test_cli_every_preset_runs_and_dumps(tmp_path, name):
     header, rows = _PRESET_RUNS[name]
     out = tmp_path / "run.csv"
     assert main(["preset", name, "--run", "--points", "2", "--out", str(out)]) == 0
-    table = read_csv(out)
+    table = read_table(out)
     assert ",".join(table.columns) == header
     assert len(table.rows) == rows
     assert table.metadata["preset"] == name
@@ -991,7 +880,7 @@ def test_cli_solve_complex_strength_writes_empty_dark_cells(tmp_path):
     path.write_text(json.dumps(doc))
     out = tmp_path / "solve.csv"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
-    table = read_csv(out)
+    table = read_table(out)
     assert table.columns[-3:] == ["dark", "zeta_residual", "gs_minus_residual"]
     assert table.rows[0][-3:] == [None, None, None]
     assert table.rows[0][table.columns.index("n_f_1")] is not None
@@ -1002,7 +891,7 @@ def test_cli_solve_generic_topology_writes_no_dark_columns(tmp_path):
     doc["topology"] = "generic"
     out = tmp_path / "solve.csv"
     assert main(["solve", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
-    columns = read_csv(out).columns
+    columns = read_table(out).columns
     assert "n_f_2" in columns
     assert not {"dark", "zeta_residual", "gs_minus_residual"} & set(columns)
 
@@ -1015,7 +904,7 @@ def test_cli_zero_coupling_refusal(tmp_path, capsys):
         "error: dark-mode analysis needs cavity c0 coupled to m0 or m1\n")
     assert not out.exists()
     assert main(["solve", "--config", cfg_path, "--out", str(out)]) == 0
-    table = read_csv(out)
+    table = read_table(out)
     assert table.columns[-3:] == ["dark", "zeta_residual", "gs_minus_residual"]
     assert table.rows[0][-3:] == [None, None, None]
 
@@ -1079,7 +968,7 @@ def test_cli_taxonomy_non_finite_kappa_exit_code(tmp_path, kappa):
 def test_cli_range_value_may_start_with_minus(tmp_path, capsys):
     out = tmp_path / "atomic.csv"
     assert main(["atomic", "--levels", "3", "--ratio", "-3:3:7", "--out", str(out)]) == 0
-    table = read_csv(out)
+    table = read_table(out)
     assert [row[table.columns.index("ratio")] for row in table.rows] == [
         -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
     cfg_path = _write_config(tmp_path, network4_config())
@@ -1148,31 +1037,7 @@ def test_run_sweep_rejects_unknown_outputs():
         run_sweep(n_type_config(), axes, ["n_f_9", "stabel"])
 
 
-@pytest.mark.parametrize("route", ["emit"])
-def test_cli_svg_without_numeric_axis_exit_code(tmp_path, capsys, route):
-    # a solve table has no axis, so its first column, stable, would be drawn
-    # against; it holds bools, which are no numbers to the SVG: the chart is
-    # refused and no file is written
-    config = _write_config(tmp_path, get_preset("table1").document)
-    out = tmp_path / "out.svg"
-    assert main(["solve", "--config", config, "--out", str(tmp_path / "t.csv")]) == 0
-    assert main(["emit", "--in", str(tmp_path / "t.csv"), "--format", "svg",
-                 "--out", str(out)]) == 5
-    assert capsys.readouterr().err == \
-        "error: axis column 'stable' has no numeric value to draw against\n"
-    assert not out.exists()
-
-
-def test_cli_emit_unreadable_input_exit_code(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
-    assert main(["emit", "--in", str(missing), "--format", "csv"]) == 2
-    assert "cannot read" in capsys.readouterr().err
-    with pytest.raises(ParseError, match="cannot read"):
-        read_csv(missing)
-
-
-@pytest.mark.parametrize("verb", [["solve", "--config"], ["emit", "--format", "csv", "--in"]],
-                         ids=["solve", "emit"])
+@pytest.mark.parametrize("verb", [["solve", "--config"]], ids=["solve"])
 def test_cli_non_utf8_file_exit_code(tmp_path, capsys, verb):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\xff\xfe\x00bad")
@@ -1181,81 +1046,3 @@ def test_cli_non_utf8_file_exit_code(tmp_path, capsys, verb):
     assert err.startswith("error: ") and f"cannot read {path}" in err
     assert "Traceback" not in err
 
-
-def test_cli_emit_reads_crlf_csv(tmp_path):
-    """A CSV with CRLF line ends emits what its LF copy does: no metadata
-    value keeps a \\r, so the two-axis table still renders as a heatmap."""
-    lf = tmp_path / "lf.csv"
-    assert main(["preset", "fig2a", "--run", "--points", "3", "--out", str(lf)]) == 0
-    crlf = tmp_path / "crlf.csv"
-    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    for fmt in ("svg", "csv"):
-        for source in (lf, crlf):
-            assert main(["emit", "--in", str(source), "--format", fmt,
-                         "--out", str(tmp_path / f"{source.stem}_out.{fmt}")]) == 0
-        outs = [(tmp_path / f"{stem}_out.{fmt}").read_bytes() for stem in ("lf", "crlf")]
-        assert outs[0] == outs[1]
-    assert (tmp_path / "crlf_out.svg").read_text().count("<rect") == 10
-
-
-@pytest.mark.parametrize("text", ["", "# tool_version=0.1.0\n# axes=x\n"],
-                         ids=["empty", "metadata-only"])
-def test_cli_emit_no_header_row_exit_code(tmp_path, capsys, text):
-    path = tmp_path / "headless.csv"
-    path.write_text(text)
-    out = tmp_path / "out.csv"
-    assert main(["emit", "--in", str(path), "--format", "csv", "--out", str(out)]) == 2
-    assert "no header row" in capsys.readouterr().err
-    assert not out.exists()
-    with pytest.raises(ParseError, match="no header row"):
-        read_csv(path)
-
-
-def _fig8a_csv(tmp_path):
-    path = tmp_path / "fig8a.csv"
-    assert main(["preset", "fig8a", "--run", "--points", "4", "--out", str(path)]) == 0
-    return path
-
-
-def test_cli_emit_skips_blank_lines(tmp_path):
-    clean = _fig8a_csv(tmp_path)
-    padded = tmp_path / "padded.csv"
-    padded.write_text(clean.read_text() + "\n")
-    for source in (clean, padded):
-        assert main(["emit", "--in", str(source), "--format", "svg",
-                     "--out", str(tmp_path / f"{source.stem}.svg")]) == 0
-    assert (tmp_path / "padded.svg").read_bytes() == (tmp_path / "fig8a.svg").read_bytes()
-    assert read_csv(padded).rows == read_csv(clean).rows
-
-
-@pytest.mark.parametrize("edit", [lambda r: r[:-1], lambda r: r + ["1.0"]], ids=["short", "long"])
-def test_cli_emit_ragged_record_exit_code(tmp_path, capsys, edit):
-    path = _fig8a_csv(tmp_path)
-    lines = path.read_text().splitlines(keepends=True)
-    last = next(csv.reader([lines[-1]]))
-    lines[-1] = ",".join(edit(last)) + "\n"
-    path.write_text("".join(lines))
-    out = tmp_path / "out.svg"
-    assert main(["emit", "--in", str(path), "--format", "svg", "--out", str(out)]) == 2
-    assert f"{path}:{len(lines)}: {len(edit(last))} fields where the header has {len(last)}" \
-        in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_emit_oversized_field_exit_code(tmp_path, capsys):
-    path = tmp_path / "big.csv"
-    path.write_text(f"x,y\n1,{'a' * (csv.field_size_limit() + 1)}\n")
-    out = tmp_path / "out.csv"
-    assert main(["emit", "--in", str(path), "--format", "csv", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {path}:2: field larger than field limit ({csv.field_size_limit()})\n")
-    assert not out.exists()
-
-
-def test_cli_emit_unwritable_output_exit_code(tmp_path):
-    cfg_path = _write_config(tmp_path, n_type_config())
-    saved = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", cfg_path, "--out", str(saved),
-                 "--axis", "cavities.0.decay:0.05:1.0:2"]) == 0
-    assert main(["emit", "--in", str(saved), "--format", "svg",
-                 "--out", str(tmp_path / "no-such-dir" / "out.svg")]) == 5
