@@ -2,8 +2,9 @@
 
 Verbs: solve, sweep, taxonomy, atomic, preset; each writes CSV, or with
 preset --dump the preset's document as JSON.
-Exit codes: 0 success, 2 parse error (including an unreadable --config or
-one nested too deeply for json's decoder), 3 validation error (including
+Exit codes: 0 success, 2 parse error (including an unreadable --config,
+one nested too deeply for json's decoder, or one holding an integer literal
+past int's digit limit), 3 validation error (including
 --points below 1, --jobs below 1 on a sweep or any preset, run or dump,
 and a range with a non-finite bound, no point, or, over more points than
 one, MIN >= MAX or a MAX - MIN that is not finite), 4 unstable system, 5

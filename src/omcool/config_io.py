@@ -1,8 +1,9 @@
 """JSON config documents, the one owner of their schema: the sections,
 keys and numeric fields, the edge kinds, parameter modes and topology tags,
 and the rule of each field.  Strict parsing (unknown keys rejected)
-straight into the compiled Model, the resolution of a sweep path to its
-Model slot, and canonical dumping of a Model.  The schema:
+straight into the compiled Model, a sweep path resolved to its Model slot,
+and dump_config, the one writer of a Model's canonical text, from its
+arrays (config_to_dict parses that text back).  The schema:
 
 {
   "parameter_mode": "effective",
@@ -259,37 +260,16 @@ def config_from_dict(doc: dict) -> Model:
     )
 
 
-def _encode_complex(value: complex):
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
-
-
-def config_to_dict(model: Model) -> dict:
-    """The canonical document of a model, one item per slot index of each
-    section: config_from_dict gives the model back.  An optional field at
-    zero is left out, and each edge's kind and endpoints follow from its
-    indices (edge_ids)."""
-    doc = {"parameter_mode": model.parameter_mode, "topology": model.topology}
-    for section, fields in _SLOTS.items():
-        optional = _KEYS[section][1]
-        columns = [[_encode_complex(v) for v in getattr(model, slot).tolist()]
-                   if slot in _COMPLEX_SLOTS else getattr(model, slot).tolist()
-                   for slot in fields.values()]
-        doc[section] = [{name: value for name, value in zip(fields, row)
-                         if value or name not in optional} for row in zip(*columns)]
-    for item, (kind, endpoints) in zip(doc["edges"], edge_ids(model)):
-        item["kind"], item["endpoints"] = kind, list(endpoints)
-    return doc
-
-
 _encode = json.encoder.encode_basestring_ascii  # a string as json.dumps writes it
 
 
-def _complex_text(value) -> str:
-    """An item's real or [re, im] field value."""
-    if isinstance(value, list):
-        return f"[\n        {value[0]!r},\n        {value[1]!r}\n      ]"
+def _value_text(value) -> str:
+    """A field's value as json writes it: a float, or a complex as its real
+    part if its imaginary part is zero and as an [re, im] pair if not."""
+    if isinstance(value, complex):
+        if value.imag:
+            return f"[\n        {value.real!r},\n        {value.imag!r}\n      ]"
+        value = value.real
     return repr(value)
 
 
@@ -301,40 +281,46 @@ def _section_text(items: list[str]) -> str:
 
 
 def dump_config(model: Model) -> str:
-    """Canonical JSON text for a model (stable key order, full precision):
-    json.dumps(config_to_dict(model), indent=2, sort_keys=True) and a
-    newline, written as one template per item.  json's C encoder takes no
-    indent, and its Python one costs several times as much.  A float is
-    written by its repr, as json writes a finite one: a model holds no
-    other, as config_from_dict and axis_slot refuse them."""
-    doc = config_to_dict(model)
-    z = _complex_text
-    cavities = [f'"decay": {c["decay"]!r},\n      "detuning": {c["detuning"]!r}'
-                + (f',\n      "drive_amplitude": {z(c["drive_amplitude"])}'
-                   if "drive_amplitude" in c else "")
-                for c in doc["cavities"]]
-    edges = [f'"endpoints": [\n        {_encode(e["endpoints"][0])},\n'
-             f'        {_encode(e["endpoints"][1])}\n      ],\n'
-             f'      "kind": {_encode(e["kind"])},\n      "strength": {z(e["strength"])}'
-             for e in doc["edges"]]
-    mechanicals = [f'"damping": {m["damping"]!r},\n      "frequency": {m["frequency"]!r},\n'
-                   f'      "thermal_occupation": {m["thermal_occupation"]!r}'
-                   for m in doc["mechanicals"]]
+    """The canonical JSON text of a model, written straight from its arrays
+    and edge_ids with one template per item: json.dumps(doc, indent=2,
+    sort_keys=True) and a newline, a zero drive left out.  json's C encoder
+    takes no indent, and its Python one costs several times as much.  A
+    float is written by its repr, as json writes a finite one: a model holds
+    no other, as config_from_dict and axis_slot refuse them."""
+    z = _value_text
+    cavities = [f'"decay": {decay!r},\n      "detuning": {detuning!r}'
+                + (f',\n      "drive_amplitude": {z(drive)}' if drive else "")
+                for detuning, decay, drive
+                in zip(model.detuning.tolist(), model.decay.tolist(), model.drive.tolist())]
+    edges = [f'"endpoints": [\n        {_encode(a)},\n        {_encode(b)}\n      ],\n'
+             f'      "kind": {_encode(kind)},\n      "strength": {z(strength)}'
+             for (kind, (a, b)), strength in zip(edge_ids(model), model.strength.tolist())]
+    mechanicals = [f'"damping": {damping!r},\n      "frequency": {frequency!r},\n'
+                   f'      "thermal_occupation": {nbar!r}'
+                   for frequency, damping, nbar
+                   in zip(model.frequency.tolist(), model.damping.tolist(), model.nbar.tolist())]
     return (f'{{\n  "cavities": {_section_text(cavities)},\n'
             f'  "edges": {_section_text(edges)},\n'
             f'  "mechanicals": {_section_text(mechanicals)},\n'
-            f'  "parameter_mode": {_encode(doc["parameter_mode"])},\n'
-            f'  "topology": {_encode(doc["topology"])}\n}}\n')
+            f'  "parameter_mode": {_encode(model.parameter_mode)},\n'
+            f'  "topology": {_encode(model.topology)}\n}}\n')
+
+
+def config_to_dict(model: Model) -> dict:
+    """The document of dump_config's text, which config_from_dict takes back to the model."""
+    return json.loads(dump_config(model))
 
 
 def config_hash(model: Model) -> str:
+    """The first 16 hex digits of the SHA-256 of dump_config's text: the
+    head of the sha256sum of what preset --dump writes for the model."""
     return hashlib.sha256(dump_config(model).encode()).hexdigest()[:16]
 
 
 def parse_config(path: str | Path) -> Model:
     """Read a config document and compile it with config_from_dict.  A file
-    that cannot be read, is not JSON, or nests too deeply for json's
-    decoder raises ParseError naming the file."""
+    that cannot be read, is not JSON, holds an integer past int's digit
+    limit or nests too deeply for json's decoder raises ParseError naming it."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -343,6 +329,8 @@ def parse_config(path: str | Path) -> Model:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     except RecursionError as exc:  # json's decoder recurses once per level of nesting
         raise ParseError(f"{path}: nested too deeply to parse") from exc
     return config_from_dict(doc)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -100,9 +101,44 @@ def test_config_round_trip_is_fixed_point(doc):
     assert (reparsed.topology, reparsed.parameter_mode) == (cfg.topology, cfg.parameter_mode)
 
 
+# the numeric fields of each section and the Model array each one holds;
+# the drive is the one optional field, and the drive and strength the
+# complex ones
+_SLOTS = {
+    "cavities": {"detuning": "detuning", "decay": "decay", "drive_amplitude": "drive"},
+    "mechanicals": {"frequency": "frequency", "damping": "damping",
+                    "thermal_occupation": "nbar"},
+    "edges": {"strength": "strength"},
+}
+_OPTIONAL = {"drive_amplitude"}
+_COMPLEX_SLOTS = ("drive", "strength")
+
+
+def _encode_complex(value: complex):
+    if value.imag == 0.0:
+        return value.real
+    return [value.real, value.imag]
+
+
+def _reference_document(model) -> dict:
+    """The canonical document of a model built as a dict, apart from
+    dump_config: one item per slot index of each section, an optional field
+    at zero left out, and each edge's kind and endpoints from its indices."""
+    doc = {"parameter_mode": model.parameter_mode, "topology": model.topology}
+    for section, fields in _SLOTS.items():
+        columns = [[_encode_complex(v) for v in getattr(model, slot).tolist()]
+                   if slot in _COMPLEX_SLOTS else getattr(model, slot).tolist()
+                   for slot in fields.values()]
+        doc[section] = [{name: value for name, value in zip(fields, row)
+                         if value or name not in _OPTIONAL} for row in zip(*columns)]
+    for item, (kind, endpoints) in zip(doc["edges"], edge_ids(model)):
+        item["kind"], item["endpoints"] = kind, list(endpoints)
+    return doc
+
+
 def _json_dumps_text(model) -> str:
     """The canonical text by its definition, through json's own encoder."""
-    return json.dumps(config_to_dict(model), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_reference_document(model), indent=2, sort_keys=True) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -562,6 +598,22 @@ def test_cli_refusal_echo_is_bounded(tmp_path, capsys, edit, code):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith("...\n") and err.count("\n") == 1
     assert len(err.encode()) < 300
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000,
+                    reason="int reads a 5 001-digit literal")
+@pytest.mark.parametrize("verb", [["solve"], ["sweep", "--axis", "cavities.0.decay:0.1:0.2:3"],
+                                  ["taxonomy"]], ids=["solve", "sweep", "taxonomy"])
+def test_cli_integer_past_digit_limit_exit_code(tmp_path, capsys, verb):
+    # a detuning of 1 and 5 000 zeros, past int's digit limit, is a parse
+    # error on one short line, not a traceback
+    path = tmp_path / "long.json"
+    text = json.dumps(get_preset("table1").document, indent=2, sort_keys=True)
+    path.write_text(text.replace('"detuning": 1.0', '"detuning": 1' + "0" * 5000, 1))
+    assert main([verb[0], "--config", str(path), *verb[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300 and "Traceback" not in err
 
 
 def test_cli_sweep_writes_csv(tmp_path):
